@@ -274,13 +274,17 @@ def decode_generate_req(body: bytes) -> Tuple[ExecutionMode, SamplerSpec, List[i
         raise ProtocolError("generation request length mismatch")
     prompt = list(np.frombuffer(body, dtype="<u4", count=count, offset=fixed))
     strategy = _STRATEGIES[strat_i]
-    sampler = SamplerSpec(
-        strategy=strategy,
-        temperature=temp if strategy == "temperature" else 1.0,
-        seed=seed if strategy == "temperature" else None,
-        max_new_tokens=max_new,
-        stop_token=None if stop < 0 else int(stop),
-    )
+    try:
+        sampler = SamplerSpec(
+            strategy=strategy,
+            temperature=temp if strategy == "temperature" else 1.0,
+            seed=seed if strategy == "temperature" else None,
+            max_new_tokens=max_new,
+            stop_token=None if stop < 0 else int(stop),
+        )
+    except ValueError as exc:
+        # a well-framed request with bad sampler fields is the client's error
+        raise ProtocolError(f"bad sampler fields: {exc}")
     return list(ExecutionMode)[mode_i], sampler, [int(t) for t in prompt]
 
 
@@ -484,8 +488,15 @@ class _SocketStream(FrameStream):
         self._sock.close()
 
 
+def _no_delay(sock: socket.socket) -> socket.socket:
+    # Both ends write a large frame and then a small one; with Nagle's
+    # algorithm the small one waits for the peer's delayed ACK (~40 ms).
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return sock
+
+
 def connect_tcp(host: str, port: int) -> FrameStream:
-    return _SocketStream(socket.create_connection((host, port)))
+    return _SocketStream(_no_delay(socket.create_connection((host, port))))
 
 
 class TcpWorker:
@@ -503,7 +514,7 @@ class TcpWorker:
     def serve_one(self):
         conn, _ = self._server.accept()
         try:
-            stream = _SocketStream(conn)
+            stream = _SocketStream(_no_delay(conn))
             self._handler(stream)
             stream._writer.flush()
         finally:

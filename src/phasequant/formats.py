@@ -63,6 +63,7 @@ _E4M3_MAGNITUDES = E4M3_VALUES[:127].astype(np.float64)
 # Midpoints between adjacent magnitudes, exact in binary64.
 _FP4_MIDS = (_FP4_MAGNITUDES[:-1] + _FP4_MAGNITUDES[1:]) / 2.0
 _E4M3_MIDS = (_E4M3_MAGNITUDES[:-1] + _E4M3_MAGNITUDES[1:]) / 2.0
+_FP4_MID_FLOATS = tuple(float(m) for m in _FP4_MIDS)
 
 # Half-width of the grid interval enclosing each magnitude index, used by
 # reconstruction-error bounds.  Entry i is the largest distance a value
@@ -98,10 +99,14 @@ def encode_fp4(x) -> np.ndarray:
     """
     arr = np.asarray(x)
     _reject_non_finite(arr, "value to encode")
-    v = arr.astype(np.float64, copy=False)
-    mag = np.minimum(np.abs(v), FP4_MAX)
-    idx = _round_to_magnitude_grid(mag, _FP4_MIDS)
-    codes = np.where(np.signbit(v), idx + 8, idx).astype(np.uint8)
+    mag = np.abs(arr)
+    # The magnitude index counts the midpoints below ``mag``.  Midpoint j
+    # lies between indices j and j + 1, so a tie there goes to the even one:
+    # down (strict compare) for even j, up (inclusive compare) for odd j.
+    # Compared in the input's own dtype; every midpoint is exact in float32.
+    codes = np.signbit(arr).astype(np.uint8) << np.uint8(3)
+    for j, mid in enumerate(_FP4_MID_FLOATS):
+        codes += (mag >= mid) if j % 2 else (mag > mid)
     if np.isscalar(x) or arr.ndim == 0:
         return codes[()] if codes.ndim == 0 else codes
     return codes

@@ -1,21 +1,28 @@
 """W4A4 matrix multiplication over quantized tensors.
 
 ``qgemm(a, w)`` computes ``a @ w.T`` where both operands are quantized
-along the shared reduction axis.  Per block pair the 4-bit codes are
-decoded and their inner product accumulated first; every partial result
-there is exactly representable in float32 (grid products fit in 12
-significand bits and block sums in 14), so the block inner product is
-exact regardless of summation order.  The two block scales are applied
-after it (also exact: 4-bit x 4-bit significands), blocks accumulate in
-ascending index in float32, and the two tensor scales multiply once at
-the end.
+along the shared reduction axis.  The production route is fold, then
+multiply:
 
-``qgemm_mirror`` replays the identical accumulation order through a
-different route: it folds each block scale into the decoded values before
-multiplying (a dequantize-then-multiply of everything below the tensor
-scales).  Because per-block arithmetic is exact in both routes, the two
-must agree bit-for-bit; that equality is what makes fusing quantized
-multiplication with scale application safe.
+* Each operand is folded: every 4-bit value times its 8-bit block scale.
+  That product is exact in float32 (2 significand bits times 4).  A weight
+  shadow's fold is built once and cached with it
+  (``QuantizedTensor.folded_t``); an activation is folded per call.
+* Per 16-wide block the kernel runs one ``a_hat[:, blk] @ w_hat_t[blk]``
+  and one ``acc +=``, in ascending block order, and multiplies the tensor
+  scales in once at the end.  Each block term is exact: every partial sum
+  of a block's grid products is a multiple of 1/4 no larger than 576 in
+  magnitude (at most 12 significand bits), and the two block scales add at
+  most 8.  So no term depends on the summation order inside the matmul,
+  and the only rounding is the float32 accumulation across blocks.
+
+``qgemm_rows`` is this kernel with one tensor scale per activation row and
+``qgemm`` the case of one shared scale.  ``qgemm_mirror`` runs it on
+operands folded afresh from their codes, never on a cached fold.
+
+The other route, the block inner product of the raw grid values scaled
+after the product, is the test suite's independent bitwise oracle.  Every
+per-block quantity is exact in both routes, so they agree bit-for-bit.
 """
 
 from __future__ import annotations
@@ -26,7 +33,6 @@ from enum import Enum
 import numpy as np
 
 from .errors import ShapeMismatchError
-from .formats import decode_e4m3, decode_fp4
 from .quantizer import QuantizedTensor, RowQuantizedActivation
 
 
@@ -53,7 +59,9 @@ class GemmSpec:
             raise ShapeMismatchError("reduction dim must be divisible by 16")
 
     @classmethod
-    def from_operands(cls, a: QuantizedTensor, w: QuantizedTensor) -> "GemmSpec":
+    def from_operands(cls, a, w: QuantizedTensor) -> "GemmSpec":
+        """Shape of ``a @ w.T``; ``a`` is a ``QuantizedTensor`` or a
+        ``RowQuantizedActivation``."""
         if a.codes.shape[1] != w.codes.shape[1]:
             raise ShapeMismatchError(
                 f"reduction dims differ: {a.codes.shape[1]} vs "
@@ -66,55 +74,46 @@ class GemmSpec:
         return cls(m=a.codes.shape[0], n=w.codes.shape[0], k=a.codes.shape[1])
 
 
-def _check_pair(a: QuantizedTensor, w: QuantizedTensor):
-    GemmSpec.from_operands(a, w)
+def _block_loop(a_hat: np.ndarray, w_hat_t: np.ndarray,
+                out_scales: np.ndarray, group_size: int) -> np.ndarray:
+    """``out_scales[i] * sum_b a_hat[i, b] @ w_hat_t[b]`` over blocks ``b``
+    of ``group_size`` columns, accumulated in ascending order in float32."""
+    m, k = a_hat.shape
+    n = w_hat_t.shape[1]
+    acc = np.zeros((m, n), dtype=np.float32)
+    term = np.empty((m, n), dtype=np.float32)
+    for lo in range(0, k, group_size):
+        np.matmul(a_hat[:, lo : lo + group_size], w_hat_t[lo : lo + group_size],
+                  out=term)  # exact
+        acc += term
+    acc *= out_scales[:, None]
+    return acc
+
+
+def _shared_scales(a: QuantizedTensor, w: QuantizedTensor) -> np.ndarray:
+    scale = np.float32(a.tensor_scale) * np.float32(w.tensor_scale)
+    return np.full(a.codes.shape[0], scale, dtype=np.float32)
 
 
 def qgemm(a: QuantizedTensor, w: QuantizedTensor) -> np.ndarray:
-    """Product of an m x k and an n x k quantized tensor, as float32 m x n."""
-    _check_pair(a, w)
-    m, k = a.codes.shape
-    n = w.codes.shape[0]
-    g = a.group_size
+    """Product of an m x k and an n x k quantized tensor, as float32 m x n.
 
-    a_vals = decode_fp4(a.codes)
-    w_vals = decode_fp4(w.codes)
-    sa = a.block_scale_values()  # m x nb
-    sw = w.block_scale_values()  # n x nb
-
-    acc = np.zeros((m, n), dtype=np.float32)
-    for b in range(k // g):
-        lo = b * g
-        # Exact in float32: products of grid values summed within a block.
-        inner = a_vals[:, lo : lo + g] @ w_vals[:, lo : lo + g].T
-        acc += inner * np.outer(sa[:, b], sw[:, b])
-    return (np.float32(a.tensor_scale) * np.float32(w.tensor_scale)) * acc
+    Caches ``w``'s fold on ``w``, as for a weight shadow.
+    """
+    GemmSpec.from_operands(a, w)
+    return _block_loop(a.folded(), w.folded_t(), _shared_scales(a, w),
+                       a.group_size)
 
 
 def qgemm_mirror(a: QuantizedTensor, w: QuantizedTensor) -> np.ndarray:
-    """Order-mirrored oracle: dequantize block-scaled values, then multiply.
+    """``qgemm`` with both operands folded afresh from their codes.
 
-    Same ascending-block accumulation and same final tensor-scale product
-    as ``qgemm``, but the block scales are folded into the operand values
-    before the multiply instead of applied to the inner product after it.
+    It never reads ``w``'s cached fold, so it checks that fold against the
+    codes it was built from.
     """
-    _check_pair(a, w)
-    m, k = a.codes.shape
-    n = w.codes.shape[0]
-    g = a.group_size
-
-    a_vals = decode_fp4(a.codes)
-    w_vals = decode_fp4(w.codes)
-    sa = a.block_scale_values()
-    sw = w.block_scale_values()
-
-    acc = np.zeros((m, n), dtype=np.float32)
-    for b in range(k // g):
-        lo = b * g
-        a_hat = sa[:, b : b + 1] * a_vals[:, lo : lo + g]  # exact
-        w_hat = sw[:, b : b + 1] * w_vals[:, lo : lo + g]  # exact
-        acc += a_hat @ w_hat.T
-    return (np.float32(a.tensor_scale) * np.float32(w.tensor_scale)) * acc
+    GemmSpec.from_operands(a, w)
+    return _block_loop(a.folded(), w.folded().T, _shared_scales(a, w),
+                       a.group_size)
 
 
 def qgemm_rows(act: RowQuantizedActivation, w: QuantizedTensor) -> np.ndarray:
@@ -124,28 +123,10 @@ def qgemm_rows(act: RowQuantizedActivation, w: QuantizedTensor) -> np.ndarray:
     loop is elementwise across rows and the final scale multiplies row i by
     ``float32(row_scale_i * w.tensor_scale)`` exactly as the scalar path.
     """
-    if act.codes.shape[1] != w.codes.shape[1]:
-        raise ShapeMismatchError(
-            f"reduction dims differ: {act.codes.shape[1]} vs {w.codes.shape[1]}"
-        )
-    if act.group_size != w.group_size:
-        raise ShapeMismatchError("operands quantized with different group sizes")
-    m, k = act.codes.shape
-    n = w.codes.shape[0]
-    g = act.group_size
-
-    a_vals = decode_fp4(act.codes)
-    w_vals = decode_fp4(w.codes)
-    sa = decode_e4m3(act.block_scales)
-    sw = w.block_scale_values()
-
-    acc = np.zeros((m, n), dtype=np.float32)
-    for b in range(k // g):
-        lo = b * g
-        inner = a_vals[:, lo : lo + g] @ w_vals[:, lo : lo + g].T
-        acc += inner * np.outer(sa[:, b], sw[:, b])
-    ts = act.row_scales * np.float32(w.tensor_scale)
-    return ts[:, None] * acc
+    GemmSpec.from_operands(act, w)
+    return _block_loop(act.folded(), w.folded_t(),
+                       act.row_scales * np.float32(w.tensor_scale),
+                       act.group_size)
 
 
 def reference_gemm(a_values: np.ndarray, w_values: np.ndarray) -> np.ndarray:

@@ -201,12 +201,14 @@ class ModelWeights:
         return self.config.digest()
 
     def shadow(self, layer_idx: int, name: str) -> QuantizedTensor:
-        """Quantized copy of one projection matrix, built once and cached."""
+        """Quantized copy of one projection matrix, built once and cached
+        together with its block-scale fold (``QuantizedTensor.folded_t``)."""
         key = (layer_idx, name)
         with self._shadow_lock:
             qt = self._shadows.get(key)
             if qt is None:
                 qt = quantize(getattr(self.layers[layer_idx], name), _WEIGHT_QUANT)
+                qt.folded_t()
                 self._shadows[key] = qt
             return qt
 

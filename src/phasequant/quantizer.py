@@ -62,6 +62,8 @@ class QuantizedTensor:
     rows x (cols/group) uint8 codes of the 8-bit grid.  When built with the
     ``exact_scales`` hook, ``exact_block_scales`` holds float32 reals and
     ``block_scales`` is None.  Blocking is always along the column axis.
+    The block-scale fold a product needs is cached on the tensor after its
+    first use (``folded_t``).
     """
 
     codes: np.ndarray
@@ -69,6 +71,9 @@ class QuantizedTensor:
     tensor_scale: np.float32
     group_size: int = GROUP_SIZE
     exact_block_scales: Optional[np.ndarray] = field(default=None, repr=False)
+    _folded_t: Optional[np.ndarray] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def shape(self):
@@ -79,6 +84,23 @@ class QuantizedTensor:
         if self.exact_block_scales is not None:
             return self.exact_block_scales
         return formats.decode_e4m3(self.block_scales)
+
+    def folded(self) -> np.ndarray:
+        """``fold_blocks`` of this tensor: rows x cols float32, fresh."""
+        return fold_blocks(self.codes, self.block_scale_values(), self.group_size)
+
+    def folded_t(self) -> np.ndarray:
+        """``folded()`` transposed to a contiguous read-only cols x rows array.
+
+        Built on the first call and cached with the tensor, so a weight
+        shadow is decoded once, not per product.  The codes and scales must
+        not change after that first call.
+        """
+        if self._folded_t is None:
+            folded_t = np.ascontiguousarray(self.folded().T)
+            folded_t.flags.writeable = False
+            self._folded_t = folded_t
+        return self._folded_t
 
     def combined_scales(self) -> np.ndarray:
         """float32 ``tensor_scale * block_scale`` per block, the factor both
@@ -161,6 +183,17 @@ def block_scale_code(block, alpha) -> np.uint8:
     return np.uint8(formats.encode_e4m3(bmax / denom))
 
 
+def _block_amax(blocks: np.ndarray) -> np.ndarray:
+    """``max|x|`` over the last axis of rows x nblocks x group.
+
+    Reduced across the rows of a transposed copy: numpy is several times
+    slower reducing a 16-wide inner axis, and a max is exact either way.
+    """
+    rows, nblocks, g = blocks.shape
+    mag_t = np.ascontiguousarray(np.abs(blocks).reshape(-1, g).T)
+    return np.maximum.reduce(mag_t, axis=0).reshape(rows, nblocks)
+
+
 def quantize(x, cfg: QuantConfig = QuantConfig()) -> QuantizedTensor:
     """Quantize a finite float32 matrix blocked along columns."""
     arr = _as_working(x)
@@ -175,7 +208,7 @@ def quantize(x, cfg: QuantConfig = QuantConfig()) -> QuantizedTensor:
     g = cfg.group_size
     alpha = tensor_scale(arr, cfg.policy)
     blocks = arr.reshape(rows, cols // g, g)
-    bmax = np.abs(blocks).max(axis=2)  # float32
+    bmax = _block_amax(blocks)  # float32
 
     if cfg.exact_scales:
         denom = alpha * np.float32(formats.FP4_MAX)
@@ -211,6 +244,20 @@ def quantize(x, cfg: QuantConfig = QuantConfig()) -> QuantizedTensor:
     )
 
 
+def fold_blocks(codes: np.ndarray, block_scales: np.ndarray,
+                group_size: int) -> np.ndarray:
+    """``decode_fp4(code) * block_scale`` per element, as float32.
+
+    Exact when the block scales are on the 8-bit grid: a 4-bit value has at
+    most 2 significand bits and an 8-bit scale at most 4, so their product
+    fits float32 (and the smallest, ``0.5 * 2**-9``, is a normal number).
+    """
+    rows, cols = codes.shape
+    values = formats.decode_fp4(codes).reshape(rows, cols // group_size, group_size)
+    values *= block_scales[:, :, None]  # in place: decode_fp4 returns a new array
+    return values.reshape(rows, cols)
+
+
 def dequantize(qt: QuantizedTensor) -> np.ndarray:
     """Reconstruct the float32 matrix: ``(tensor_scale * block_scale) * q``."""
     combined = qt.combined_scales()
@@ -235,6 +282,12 @@ class RowQuantizedActivation:
     @property
     def shape(self):
         return self.codes.shape
+
+    def folded(self) -> np.ndarray:
+        """``fold_blocks`` of the codes with their decoded block scales."""
+        return fold_blocks(
+            self.codes, formats.decode_e4m3(self.block_scales), self.group_size
+        )
 
     def row(self, i: int) -> QuantizedTensor:
         return QuantizedTensor(
@@ -264,13 +317,13 @@ def quantize_rows(x, cfg: QuantConfig = QuantConfig()) -> RowQuantizedActivation
         raise NonFiniteError("matrix entries must be finite")
 
     g = cfg.group_size
+    blocks = arr.reshape(rows, cols // g, g)
+    bmax = _block_amax(blocks)
     if cfg.policy is TensorScalePolicy.UNIT:
         alphas = np.ones(rows, dtype=np.float32)
     else:
-        amax = np.abs(arr).max(axis=1)
+        amax = bmax.max(axis=1)  # the row's max|x|: max is exact
         alphas = np.where(amax == 0, np.float32(1.0), amax / _SCALE_DENOM)
-    blocks = arr.reshape(rows, cols // g, g)
-    bmax = np.abs(blocks).max(axis=2)
     denom = alphas[:, None] * np.float32(formats.FP4_MAX)
     ratios = bmax / denom
     scale_codes = np.asarray(formats.encode_e4m3(ratios), dtype=np.uint8)

@@ -3,6 +3,7 @@ import functools
 import numpy as np
 import pytest
 
+from phasequant import formats
 from phasequant.model import ModelConfig, init_model
 
 
@@ -40,3 +41,29 @@ def rel_logits_err(a, b):
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     return float(np.abs(a - b).max() / max(np.abs(b).max(), 1e-30))
+
+
+def scale_after_qgemm(a, w):
+    """Independent kernel oracle: the scale-after-inner-product route.
+
+    Per block, the inner product of the raw 4-bit grid values (exact in any
+    order), then times both block scales, accumulated in ascending block
+    order in float32; the tensor scales multiply once at the end.  ``a`` is
+    a ``QuantizedTensor`` (one shared scale, as ``qgemm``) or a
+    ``RowQuantizedActivation`` (one scale per row, as ``qgemm_rows``).
+    """
+    m, k = a.codes.shape
+    n = w.codes.shape[0]
+    g = a.group_size
+    a_vals = formats.decode_fp4(a.codes)
+    w_vals = formats.decode_fp4(w.codes)
+    sa = formats.decode_e4m3(a.block_scales)
+    sw = formats.decode_e4m3(w.block_scales)
+    acc = np.zeros((m, n), dtype=np.float32)
+    for b in range(k // g):
+        lo = b * g
+        inner = a_vals[:, lo : lo + g] @ w_vals[:, lo : lo + g].T
+        acc += inner * np.outer(sa[:, b], sw[:, b])
+    if hasattr(a, "row_scales"):
+        return (a.row_scales * np.float32(w.tensor_scale))[:, None] * acc
+    return (np.float32(a.tensor_scale) * np.float32(w.tensor_scale)) * acc

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import rel_logits_err, toy_weights
+from conftest import rel_logits_err, scale_after_qgemm, toy_weights
 from phasequant import disagg, formats
 from phasequant.analysis import cost_model, topk_mass
 from phasequant.cli import main as cli_main
@@ -179,11 +179,12 @@ def test_criterion_04_gemm_oracles():
             w = quantize(rng.normal(size=(n, k)).astype(np.float32), cfg)
             got = qgemm(a, w)
             assert np.array_equal(got, qgemm_mirror(a, w))
+            assert got.tobytes() == scale_after_qgemm(a, w).tobytes()
             ref = reference_gemm(dequantize(a), dequantize(w))
             scale = max(float(np.abs(ref).max()), 1e-30)
             assert float(np.abs(got.astype(np.float64) - ref).max()) / scale <= 1e-5
 
-    check(4, "qgemm equals order-mirrored oracle bitwise and f64 oracle @1e-5",
+    check(4, "qgemm equals mirror and scale-after oracles bitwise, f64 @1e-5",
           run)
 
 

@@ -365,3 +365,102 @@ class TestEndToEnd:
         ftype, body = stream.read_frame()
         assert ftype is FrameType.ERROR
         assert decode_error(body)[0] == ErrorCode.CORRUPT
+
+
+def bad_sampler_request(prompt, temperature):
+    """A well-framed GENERATE_REQ body that ``encode_generate_req`` cannot
+    produce: temperature strategy with the given temperature."""
+    return struct.pack(
+        "<BBfQIq I", list(ExecutionMode).index(ExecutionMode.MIX_QUANT), 1,
+        temperature, 7, 4, -1, len(prompt),
+    ) + np.asarray(prompt, dtype="<u4").tobytes()
+
+
+class TestBadSamplerFields:
+    @pytest.mark.parametrize("temperature", [0.0, -1.0, float("nan")])
+    def test_decoded_as_protocol_error(self, temperature):
+        with pytest.raises(ProtocolError):
+            decode_generate_req(bad_sampler_request([1, 2], temperature))
+
+    def test_tcp_worker_replies_error_then_serves_next_request(self, weights):
+        prompt = [5, 6, 7]
+        worker = TcpWorker(
+            "127.0.0.1", 0,
+            lambda s: serve_prefill(s, weights, Precision.NVFP4))
+
+        def serve_two():
+            worker.serve_one()
+            worker.serve_one()
+
+        thread = threading.Thread(target=serve_two)
+        thread.start()
+        try:
+            bad = connect_tcp(*worker.address)
+            bad._sock.settimeout(10)
+            bad.write_frame(FrameType.HELLO, encode_hello(0))
+            bad.write_frame(FrameType.GENERATE_REQ,
+                            bad_sampler_request(prompt, 0.0))
+            assert bad.read_frame()[0] is FrameType.HELLO
+            ftype, body = bad.read_frame()
+            bad.close()
+            assert ftype is FrameType.ERROR
+            assert decode_error(body)[0] == ErrorCode.PROTOCOL
+
+            good = connect_tcp(*worker.address)
+            good._sock.settimeout(10)
+            blob, logits = disagg.request_prefill(
+                good, prompt, ExecutionMode.MIX_QUANT,
+                SamplerSpec(max_new_tokens=2))
+            good.close()
+        finally:
+            thread.join(timeout=10)
+            alive = thread.is_alive()
+            worker.close()
+        assert not alive
+        expected = prefill(weights, prompt, Precision.NVFP4)
+        assert blob == serialize_kv(expected.kv, weights.config.digest(), prompt)
+        assert logits == disagg.encode_logits(expected.logits)
+
+    def test_decode_worker_replies_error_frame(self, weights):
+        prompt = [1, 2, 3]
+        blob, res = make_blob(weights, prompt)
+        request = io.BytesIO()
+        out = FrameStream(request, request)
+        out.write_frame(FrameType.HELLO, encode_hello(0))
+        out.write_frame(FrameType.KV_BLOB, blob)
+        out.write_frame(FrameType.PREFILL_LOGITS, disagg.encode_logits(res.logits))
+        out.write_frame(FrameType.GENERATE_REQ, bad_sampler_request([], -2.0))
+        reply = io.BytesIO()
+        serve_decode(FrameStream(io.BytesIO(request.getvalue()), reply), weights,
+                     Precision.HIGH)
+        reply.seek(0)
+        stream = FrameStream(reply, reply)
+        assert stream.read_frame()[0] is FrameType.HELLO
+        ftype, body = stream.read_frame()
+        assert ftype is FrameType.ERROR
+        assert decode_error(body)[0] == ErrorCode.PROTOCOL
+        with pytest.raises(ProtocolError):
+            stream.read_frame()  # exactly one ERROR frame, nothing after it
+
+
+def test_tcp_nodelay_on_both_ends():
+    import socket
+
+    seen = {}
+
+    def handler(stream):
+        seen["worker"] = stream._sock.getsockopt(socket.IPPROTO_TCP,
+                                                 socket.TCP_NODELAY)
+
+    worker = TcpWorker("127.0.0.1", 0, handler)
+    thread = threading.Thread(target=worker.serve_one)
+    thread.start()
+    try:
+        client = connect_tcp(*worker.address)
+        client_flag = client._sock.getsockopt(socket.IPPROTO_TCP,
+                                              socket.TCP_NODELAY)
+        client.close()
+    finally:
+        thread.join(timeout=10)
+        worker.close()
+    assert client_flag and seen["worker"]

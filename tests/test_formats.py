@@ -114,6 +114,72 @@ class TestEncodeFp4:
         assert formats.fp4_half_gap(5.5) == 1.0
 
 
+def searchsorted_encode_fp4(x):
+    """The ``searchsorted`` route ``encode_fp4`` took before its midpoint
+    comparisons: float64 magnitudes clamped at 6, then the shared
+    ``_round_to_magnitude_grid``."""
+    v = np.asarray(x).astype(np.float64)
+    mag = np.minimum(np.abs(v), formats.FP4_MAX)
+    idx = formats._round_to_magnitude_grid(mag, formats._FP4_MIDS)
+    return np.where(np.signbit(v), idx + 8, idx).astype(np.uint8)
+
+
+class TestEncodeFp4AgainstSearchsorted:
+    MIDS = np.array([0.25, 0.75, 1.25, 1.75, 2.5, 3.5, 5.0], dtype=np.float32)
+
+    def edge_values(self):
+        up = np.nextafter(self.MIDS, np.float32(np.inf))
+        down = np.nextafter(self.MIDS, np.float32(0))
+        mags = np.concatenate([
+            self.MIDS, up, down, np.array(FP4_GRID, dtype=np.float32),
+            np.array([6.0, np.nextafter(np.float32(6), np.float32(7)), 6.5, 7.0,
+                      1e6, 1e30, np.finfo(np.float32).max,
+                      np.finfo(np.float32).tiny, 1e-45], dtype=np.float32),
+        ])
+        return np.concatenate([mags, -mags])
+
+    def test_midpoints_neighbours_and_saturation_float32(self):
+        x = self.edge_values()
+        assert x.dtype == np.float32
+        assert np.array_equal(formats.encode_fp4(x), searchsorted_encode_fp4(x))
+        assert formats.encode_fp4(x).dtype == np.uint8
+
+    def test_float64_arrays(self):
+        x = self.edge_values().astype(np.float64)
+        x64 = np.concatenate([x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf)])
+        assert np.array_equal(formats.encode_fp4(x64), searchsorted_encode_fp4(x64))
+        rng = np.random.default_rng(2025)
+        bulk = rng.normal(scale=3.0, size=200_000)
+        assert np.array_equal(formats.encode_fp4(bulk), searchsorted_encode_fp4(bulk))
+
+    def test_bulk_float32(self):
+        rng = np.random.default_rng(2026)
+        x = (rng.normal(scale=3.0, size=400_000)).astype(np.float32)
+        x[::5] = np.round(x[::5] * 4) / 4  # many exact midpoints and grid points
+        assert np.array_equal(formats.encode_fp4(x), searchsorted_encode_fp4(x))
+
+    def test_signed_zero(self):
+        for zero, code in ((0.0, 0), (-0.0, 8)):
+            assert formats.encode_fp4(zero) == code
+            assert formats.encode_fp4(np.float32(zero)) == code
+            assert formats.encode_fp4(np.array([zero], np.float32))[0] == code
+
+    def test_python_scalars_and_0d_arrays_return_scalars(self):
+        for v in (0.25, 0.75, 2.5, -3.5, 6.0, 7.0, 1e30, -1e30, 3, -6):
+            want = searchsorted_encode_fp4(v)[()]
+            for x in (v, np.asarray(v), np.asarray(v, dtype=np.float32)):
+                got = formats.encode_fp4(x)
+                assert isinstance(got, np.uint8)
+                assert got == want
+
+    def test_non_finite_still_rejected(self):
+        for bad in (np.nan, -np.inf, np.inf):
+            for x in (bad, np.float32(bad), np.array([0.5, bad], np.float32),
+                      np.array([bad], np.float64)):
+                with pytest.raises(NonFiniteError):
+                    formats.encode_fp4(x)
+
+
 class TestEncodeE4m3:
     def test_worked_examples(self):
         assert float(formats.decode_e4m3(formats.encode_e4m3(0.5))) == 0.5

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import scale_after_qgemm
 from phasequant import formats
 from phasequant.errors import ShapeMismatchError
 from phasequant.gemm import (
@@ -101,6 +102,7 @@ class TestMirrorEquivalence:
         for _ in range(200):
             a, w = random_instance(rng, max_mn=32, max_blocks=16)
             assert np.array_equal(qgemm(a, w), qgemm_mirror(a, w))
+            assert qgemm(a, w).tobytes() == scale_after_qgemm(a, w).tobytes()
 
     def test_full_dequant_multiply_bit_exact_under_unit_policy(self):
         # With a unit tensor scale, dequantized values are exact products,
@@ -190,3 +192,93 @@ class TestRowActivationGemm:
             batched = qgemm_rows(rq, w)
             stacked = np.vstack([qgemm(rq.row(i), w) for i in range(m)])
             assert np.array_equal(batched, stacked)
+
+
+def assert_kernel_matches_oracles(x, wm, cfg=QuantConfig()):
+    """``qgemm`` and ``qgemm_rows`` bit-equal to the scale-after oracle and
+    to ``qgemm_mirror``; returns the quantized operands for further checks."""
+    a = quantize(x, cfg)
+    w = quantize(wm, cfg)
+    got = qgemm(a, w)
+    assert got.tobytes() == scale_after_qgemm(a, w).tobytes()
+    assert got.tobytes() == qgemm_mirror(a, w).tobytes()
+    rq = quantize_rows(x, cfg)
+    rows = qgemm_rows(rq, w)
+    assert rows.tobytes() == scale_after_qgemm(rq, w).tobytes()
+    stacked = np.vstack([qgemm_mirror(rq.row(i), w) for i in range(x.shape[0])])
+    assert rows.tobytes() == stacked.tobytes()
+    return a, w, rq
+
+
+class TestScaleAfterOracle:
+    """The fold-then-multiply kernel against the scale-after route."""
+
+    def test_random_instances(self):
+        rng = np.random.default_rng(107)
+        for i in range(200):
+            m = int(rng.integers(1, 33))
+            n = int(rng.integers(1, 33))
+            k = 16 * int(rng.integers(1, 17))
+            x = (rng.normal(size=(m, k)) * 10 ** rng.uniform(-2, 2)).astype(np.float32)
+            wm = rng.normal(size=(n, k)).astype(np.float32)
+            if i % 2:
+                # Block magnitudes spread over 2**-12..2**12, so the float32
+                # accumulation across blocks rounds and its order shows.
+                spread = 2.0 ** rng.integers(-12, 13, size=k // 16)
+                x *= np.repeat(spread, 16).astype(np.float32)
+            assert_kernel_matches_oracles(x, wm, UNIT if i % 3 == 0 else QuantConfig())
+
+    def test_single_row(self):
+        rng = np.random.default_rng(108)
+        x = rng.normal(size=(1, 256)).astype(np.float32)
+        wm = rng.normal(size=(48, 256)).astype(np.float32)
+        a, _, _ = assert_kernel_matches_oracles(x, wm)
+        assert a.codes.shape[0] == 1
+
+    def test_all_zero_blocks(self):
+        rng = np.random.default_rng(109)
+        x = rng.normal(size=(12, 128)).astype(np.float32)
+        wm = rng.normal(size=(10, 128)).astype(np.float32)
+        x[3] = 0.0
+        x[:, 32:48] = 0.0
+        wm[:, 0:16] = 0.0
+        wm[7] = 0.0
+        a, w, rq = assert_kernel_matches_oracles(x, wm)
+        assert (a.block_scales == 0).sum() >= 12 + 7
+        assert (w.block_scales == 0).sum() >= 10 + 7
+        assert (rq.block_scales == 0).sum() >= 12 + 7
+
+    @pytest.mark.parametrize("cfg", [UNIT, QuantConfig()], ids=["unit", "amax"])
+    def test_subnormal_block_scales(self, cfg):
+        # 8-bit scales with exponent field 0 are the subnormals (m * 2**-9).
+        # Under the unit policy a block max below 6 * 2**-6 lands there;
+        # under amax calibration a block 1e-5 of its row's max does.
+        rng = np.random.default_rng(110)
+        x = rng.normal(size=(6, 256)).astype(np.float32)
+        x[:, 16:32] *= np.float32(1e-5)
+        x[:, 64:80] *= np.float32(2e-3)
+        wm = (rng.normal(size=(9, 256)) * 0.02).astype(np.float32)
+        a, w, rq = assert_kernel_matches_oracles(x, wm, cfg)
+        for scales in (a.block_scales, w.block_scales, rq.block_scales):
+            if scales is w.block_scales and cfg is not UNIT:
+                continue
+            assert (((scales >> 3) == 0) & (scales != 0)).any()
+
+    def test_saturated_elements(self):
+        # A block max of 6.2 under the unit policy gets scale 1.0, so the
+        # block's largest elements clip to codes +6 (7) and -6 (15).
+        rng = np.random.default_rng(111)
+        x = rng.uniform(-1, 1, size=(5, 64)).astype(np.float32)
+        wm = rng.uniform(-1, 1, size=(7, 64)).astype(np.float32)
+        x[:, 0], x[:, 17] = 6.2, -6.2
+        wm[:, 5], wm[:, 40] = -6.2, 6.2
+        a, w, rq = assert_kernel_matches_oracles(x, wm, UNIT)
+        for qt in (a, w, rq):
+            assert (qt.codes == 7).any() and (qt.codes == 15).any()
+        assert (formats.decode_e4m3(a.block_scales)[:, :2] == 1.0).all()
+
+    def test_deep_reduction_k_4096(self):
+        rng = np.random.default_rng(112)
+        x = rng.normal(size=(8, 4096)).astype(np.float32)
+        wm = rng.normal(size=(24, 4096)).astype(np.float32)
+        assert_kernel_matches_oracles(x, wm)

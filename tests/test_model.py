@@ -3,6 +3,7 @@ import pytest
 
 from conftest import rel_logits_err, toy_config, toy_weights
 from phasequant.errors import ConfigError, ContextOverflowError
+from phasequant.quantizer import QuantizedTensor
 from phasequant.model import (
     KvCache,
     ModelConfig,
@@ -81,6 +82,71 @@ class TestInit:
         assert np.array_equal(first.codes, second.codes)
         assert np.array_equal(first.block_scales, second.block_scales)
         assert first.tensor_scale == second.tensor_scale
+
+
+class TestWeightFoldCache:
+    """Each weight shadow carries one block-scale fold, built with it."""
+
+    PROMPT = [3, 1, 4, 1, 5, 9, 2, 6]
+
+    @pytest.fixture
+    def fold_builds(self, monkeypatch):
+        builds = []
+        original = QuantizedTensor.folded
+
+        def counting(qt):
+            builds.append(qt)
+            return original(qt)
+
+        monkeypatch.setattr(QuantizedTensor, "folded", counting)
+        return builds
+
+    @staticmethod
+    def n_linears(w):
+        return 7 * w.config.n_layers
+
+    def test_built_once_per_shadow_not_per_call(self, fold_builds):
+        w = init_model(toy_config(41))
+        first = prefill(w, self.PROMPT, Precision.NVFP4)
+        assert len(fold_builds) == self.n_linears(w)
+        fold = w.shadow(0, "attn_q").folded_t()
+        kv = first.kv
+        decode_step(w, kv, 7, Precision.NVFP4)
+        prefill(w, self.PROMPT, Precision.NVFP4)
+        assert len(fold_builds) == self.n_linears(w)
+        assert w.shadow(0, "attn_q").folded_t() is fold
+        shadow = w.shadow(1, "mlp_down")
+        assert shadow.folded_t().shape == shadow.codes.shape[::-1]
+
+    def test_read_only(self):
+        w = init_model(toy_config(42))
+        fold = w.shadow(0, "mlp_up").folded_t()
+        assert not fold.flags.writeable
+        with pytest.raises(ValueError):
+            fold[0, 0] = 1.0
+
+    def test_drop_shadows_drops_fold_and_logits_stay_bit_identical(
+            self, fold_builds):
+        w = init_model(toy_config(43))
+        before = prefill(w, self.PROMPT, Precision.NVFP4).logits
+        old_fold = w.shadow(0, "attn_k").folded_t()
+        w.drop_shadows()
+        assert w._shadows == {}
+        after = prefill(w, self.PROMPT, Precision.NVFP4).logits
+        assert len(fold_builds) == 2 * self.n_linears(w)
+        assert w.shadow(0, "attn_k").folded_t() is not old_fold
+        assert np.array_equal(w.shadow(0, "attn_k").folded_t(), old_fold)
+        assert before.tobytes() == after.tobytes()
+
+    def test_high_and_identity_quantizer_never_build_it(self, fold_builds):
+        w = init_model(toy_config(44))
+        kv = prefill(w, self.PROMPT, Precision.HIGH).kv
+        decode_step(w, kv, 2, Precision.HIGH)
+        with identity_quantizer():
+            kv = prefill(w, self.PROMPT, Precision.NVFP4).kv
+            decode_step(w, kv, 2, Precision.NVFP4)
+        assert fold_builds == []
+        assert w._shadows == {}
 
 
 class TestPrefillDecode:
