@@ -27,51 +27,25 @@ per-block quantity is exact in both routes, so they agree bit-for-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
-
 import numpy as np
 
 from .errors import ShapeMismatchError
 from .quantizer import QuantizedTensor, RowQuantizedActivation
 
 
-class Accumulation(Enum):
-    """The single supported reduction order: ascending block index, ascending
-    element index within a block."""
-
-    BLOCK_ORDERED = "block_ordered"
-
-
-@dataclass(frozen=True)
-class GemmSpec:
-    """Validated problem shape of a quantized product."""
-
-    m: int
-    n: int
-    k: int
-    accumulation: Accumulation = Accumulation.BLOCK_ORDERED
-
-    def __post_init__(self):
-        if min(self.m, self.n, self.k) < 1:
-            raise ShapeMismatchError("gemm dims must be positive")
-        if self.k % 16 != 0:
-            raise ShapeMismatchError("reduction dim must be divisible by 16")
-
-    @classmethod
-    def from_operands(cls, a, w: QuantizedTensor) -> "GemmSpec":
-        """Shape of ``a @ w.T``; ``a`` is a ``QuantizedTensor`` or a
-        ``RowQuantizedActivation``."""
-        if a.codes.shape[1] != w.codes.shape[1]:
-            raise ShapeMismatchError(
-                f"reduction dims differ: {a.codes.shape[1]} vs "
-                f"{w.codes.shape[1]}"
-            )
-        if a.group_size != w.group_size:
-            raise ShapeMismatchError(
-                "operands quantized with different group sizes"
-            )
-        return cls(m=a.codes.shape[0], n=w.codes.shape[0], k=a.codes.shape[1])
+def _check_operands(a, w: QuantizedTensor) -> None:
+    """Reject ``a @ w.T`` unless the reduction dims and group sizes agree,
+    m, n and k are positive and k is a multiple of 16.  ``a`` is a
+    ``QuantizedTensor`` or a ``RowQuantizedActivation``."""
+    (m, k), (n, k_w) = a.codes.shape, w.codes.shape
+    if k != k_w:
+        raise ShapeMismatchError(f"reduction dims differ: {k} vs {k_w}")
+    if a.group_size != w.group_size:
+        raise ShapeMismatchError("operands quantized with different group sizes")
+    if min(m, n, k) < 1:
+        raise ShapeMismatchError("gemm dims must be positive")
+    if k % 16 != 0:
+        raise ShapeMismatchError("reduction dim must be divisible by 16")
 
 
 def _block_loop(a_hat: np.ndarray, w_hat_t: np.ndarray,
@@ -100,7 +74,7 @@ def qgemm(a: QuantizedTensor, w: QuantizedTensor) -> np.ndarray:
 
     Caches ``w``'s fold on ``w``, as for a weight shadow.
     """
-    GemmSpec.from_operands(a, w)
+    _check_operands(a, w)
     return _block_loop(a.folded(), w.folded_t(), _shared_scales(a, w),
                        a.group_size)
 
@@ -111,7 +85,7 @@ def qgemm_mirror(a: QuantizedTensor, w: QuantizedTensor) -> np.ndarray:
     It never reads ``w``'s cached fold, so it checks that fold against the
     codes it was built from.
     """
-    GemmSpec.from_operands(a, w)
+    _check_operands(a, w)
     return _block_loop(a.folded(), w.folded().T, _shared_scales(a, w),
                        a.group_size)
 
@@ -123,7 +97,7 @@ def qgemm_rows(act: RowQuantizedActivation, w: QuantizedTensor) -> np.ndarray:
     loop is elementwise across rows and the final scale multiplies row i by
     ``float32(row_scale_i * w.tensor_scale)`` exactly as the scalar path.
     """
-    GemmSpec.from_operands(act, w)
+    _check_operands(act, w)
     return _block_loop(act.folded(), w.folded_t(),
                        act.row_scales * np.float32(w.tensor_scale),
                        act.group_size)

@@ -27,17 +27,17 @@ digest u64, the config block (vocab_size, d_model, n_layers, n_heads,
 head_dim, ffn_hidden, max_seq_len as u32; rope_base f64; seed u64), then
 every tensor as float32 row-major in the order listed above with the two
 norm gains of each layer preceding their sublayer and the final norm gain
-last.  The digest is FNV-1a 64 over the config block and is echoed in cache
-transfer blobs.
+last.  The table ``_WEIGHT_SCHEMA`` is the single source of both orders:
+``init_model``, ``save_model`` and ``load_model`` all walk it.  The digest
+is FNV-1a 64 over the config block and is echoed in cache transfer blobs.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 import struct
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, make_dataclass
 from enum import Enum
 from typing import Optional
 
@@ -65,21 +65,6 @@ _WEIGHT_QUANT = QuantConfig(policy=TensorScalePolicy.AMAX_CALIBRATED)
 class Precision(Enum):
     HIGH = "high"
     NVFP4 = "nvfp4"
-
-
-_identity_quantizer_active = False
-
-
-@contextlib.contextmanager
-def identity_quantizer():
-    """Test hook: run the quantized path as exact float32 matmuls."""
-    global _identity_quantizer_active
-    prev = _identity_quantizer_active
-    _identity_quantizer_active = True
-    try:
-        yield
-    finally:
-        _identity_quantizer_active = prev
 
 
 @dataclass(frozen=True)
@@ -160,29 +145,42 @@ def fnv1a64(data: bytes) -> int:
     return h
 
 
-@dataclass
-class LayerWeights:
-    attn_norm_gain: np.ndarray
-    attn_q: np.ndarray
-    attn_k: np.ndarray
-    attn_v: np.ndarray
-    attn_out: np.ndarray
-    mlp_norm_gain: np.ndarray
-    mlp_gate: np.ndarray
-    mlp_up: np.ndarray
-    mlp_down: np.ndarray
-
-
-# (field on LayerWeights, consumes normals) in stream and file order
-_LAYER_MATRICES = (
-    "attn_q",
-    "attn_k",
-    "attn_v",
-    "attn_out",
-    "mlp_gate",
-    "mlp_up",
-    "mlp_down",
+# The weight schema, the single source of the stream and file order: every
+# tensor as (field, shape, draws normals).  Shapes name config sizes: "v"
+# vocab_size, "d" d_model, "f" ffn_hidden.  The first entry and the last are
+# fields of ModelWeights; the entries between them are fields of
+# LayerWeights and repeat once per layer.
+_WEIGHT_SCHEMA = (
+    ("embedding", "vd", True),
+    ("attn_norm_gain", "d", False),
+    ("attn_q", "dd", True),
+    ("attn_k", "dd", True),
+    ("attn_v", "dd", True),
+    ("attn_out", "dd", True),
+    ("mlp_norm_gain", "d", False),
+    ("mlp_gate", "fd", True),
+    ("mlp_up", "fd", True),
+    ("mlp_down", "df", True),
+    ("final_norm_gain", "d", False),
 )
+_LAYER_SCHEMA = _WEIGHT_SCHEMA[1:-1]
+
+LayerWeights = make_dataclass(
+    "LayerWeights", [(name, np.ndarray) for name, _, _ in _LAYER_SCHEMA],
+    namespace={"__module__": __name__,
+               "__doc__": "One block's tensors, as listed in ``_WEIGHT_SCHEMA``."},
+)
+
+
+def _layout(cfg: ModelConfig) -> list:
+    """``(layer index or None, field, shape, draws normals)`` for every
+    tensor of a model, in stream and file order."""
+    dims = {"v": cfg.vocab_size, "d": cfg.d_model, "f": cfg.ffn_hidden}
+    entries = [(None, *_WEIGHT_SCHEMA[0])]
+    entries += [(i, *e) for i in range(cfg.n_layers) for e in _LAYER_SCHEMA]
+    entries.append((None, *_WEIGHT_SCHEMA[-1]))
+    return [(i, name, tuple(dims[c] for c in shape), normal)
+            for i, name, shape, normal in entries]
 
 
 class ModelWeights:
@@ -217,40 +215,28 @@ class ModelWeights:
             self._shadows.clear()
 
 
+def _assemble(cfg: ModelConfig, tensors: list) -> ModelWeights:
+    """``ModelWeights`` from its tensors in ``_layout`` order."""
+    n = len(_LAYER_SCHEMA)
+    layers = [LayerWeights(*tensors[1 + i * n : 1 + (i + 1) * n])
+              for i in range(cfg.n_layers)]
+    return ModelWeights(cfg, tensors[0], layers, tensors[-1])
+
+
 def init_model(config: ModelConfig) -> ModelWeights:
     """Deterministic weights from the config seed (see module docstring)."""
-    cfg = config
-    d, f, v = cfg.d_model, cfg.ffn_hidden, cfg.vocab_size
-    per_layer = 4 * d * d + 3 * d * f
-    total = v * d + cfg.n_layers * per_layer
-    stream = (0.02 * normal_stream(cfg.seed, total)).astype(np.float32)
-
-    pos = 0
-
-    def take(rows, cols):
-        nonlocal pos
-        out = stream[pos : pos + rows * cols].reshape(rows, cols)
-        pos += rows * cols
-        return out
-
-    embedding = take(v, d)
-    layers = []
-    for _ in range(cfg.n_layers):
-        layers.append(
-            LayerWeights(
-                attn_norm_gain=np.ones(d, dtype=np.float32),
-                attn_q=take(d, d),
-                attn_k=take(d, d),
-                attn_v=take(d, d),
-                attn_out=take(d, d),
-                mlp_norm_gain=np.ones(d, dtype=np.float32),
-                mlp_gate=take(f, d),
-                mlp_up=take(f, d),
-                mlp_down=take(d, f),
-            )
-        )
-    final_gain = np.ones(d, dtype=np.float32)
-    return ModelWeights(cfg, embedding, layers, final_gain)
+    layout = _layout(config)
+    total = sum(math.prod(shape) for _, _, shape, normal in layout if normal)
+    stream = (0.02 * normal_stream(config.seed, total)).astype(np.float32)
+    tensors, pos = [], 0
+    for _, _, shape, normal in layout:
+        if normal:
+            size = math.prod(shape)
+            tensors.append(stream[pos : pos + size].reshape(shape))
+            pos += size
+        else:
+            tensors.append(np.ones(shape, dtype=np.float32))
+    return _assemble(config, tensors)
 
 
 class KvCache:
@@ -314,7 +300,7 @@ def _apply_rope(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
 
 def _linear(x: np.ndarray, weight: np.ndarray, precision: Precision,
             weights: ModelWeights, layer_idx: int, name: str) -> np.ndarray:
-    if precision is Precision.HIGH or _identity_quantizer_active:
+    if precision is Precision.HIGH:
         return x @ weight.T
     act = quantize_rows(x, _ACTIVATION_QUANT)
     return qgemm_rows(act, weights.shadow(layer_idx, name))
@@ -502,21 +488,14 @@ def full_forward_logits(
 
 def save_model(weights: ModelWeights, path: str):
     cfg = weights.config
-    block = cfg.config_block()
     with open(path, "wb") as fh:
         fh.write(WEIGHT_FILE_MAGIC)
         fh.write(struct.pack("<I", WEIGHT_FILE_VERSION))
         fh.write(struct.pack("<Q", cfg.digest()))
-        fh.write(block)
-        fh.write(weights.embedding.astype("<f4").tobytes())
-        for layer in weights.layers:
-            fh.write(layer.attn_norm_gain.astype("<f4").tobytes())
-            for name in ("attn_q", "attn_k", "attn_v", "attn_out"):
-                fh.write(getattr(layer, name).astype("<f4").tobytes())
-            fh.write(layer.mlp_norm_gain.astype("<f4").tobytes())
-            for name in ("mlp_gate", "mlp_up", "mlp_down"):
-                fh.write(getattr(layer, name).astype("<f4").tobytes())
-        fh.write(weights.final_norm_gain.astype("<f4").tobytes())
+        fh.write(cfg.config_block())
+        for layer_idx, name, _, _ in _layout(cfg):
+            owner = weights if layer_idx is None else weights.layers[layer_idx]
+            fh.write(getattr(owner, name).astype("<f4").tobytes())
 
 
 def load_model(path: str) -> ModelWeights:
@@ -534,34 +513,12 @@ def load_model(path: str) -> ModelWeights:
         raise ValueError("config digest mismatch in weight file")
 
     off = 16 + _CONFIG_BLOCK_SIZE
-
-    def take(rows, cols=None):
-        nonlocal off
-        count = rows if cols is None else rows * cols
-        arr = np.frombuffer(data, dtype="<f4", count=count, offset=off).astype(
-            np.float32
-        )
+    tensors = []
+    for _, _, shape, _ in _layout(cfg):
+        count = math.prod(shape)
+        arr = np.frombuffer(data, dtype="<f4", count=count, offset=off)
+        tensors.append(arr.astype(np.float32).reshape(shape))
         off += 4 * count
-        return arr if cols is None else arr.reshape(rows, cols)
-
-    d, f = cfg.d_model, cfg.ffn_hidden
-    embedding = take(cfg.vocab_size, d)
-    layers = []
-    for _ in range(cfg.n_layers):
-        layers.append(
-            LayerWeights(
-                attn_norm_gain=take(d),
-                attn_q=take(d, d),
-                attn_k=take(d, d),
-                attn_v=take(d, d),
-                attn_out=take(d, d),
-                mlp_norm_gain=take(d),
-                mlp_gate=take(f, d),
-                mlp_up=take(f, d),
-                mlp_down=take(d, f),
-            )
-        )
-    final_gain = take(d)
     if off != len(data):
         raise ValueError("trailing bytes in weight file")
-    return ModelWeights(cfg, embedding, layers, final_gain)
+    return _assemble(cfg, tensors)

@@ -38,16 +38,11 @@ class TensorScalePolicy(Enum):
 
 @dataclass(frozen=True)
 class QuantConfig:
-    """Quantization parameters.
-
-    ``group_size`` must stay 16 outside unit tests.  ``exact_scales`` is a
-    test hook: block scales are carried as unrounded float32 reals instead
-    of 8-bit codes, which keeps every scaled value inside [-6, 6].
-    """
+    """Quantization parameters.  ``group_size`` must stay 16 outside unit
+    tests."""
 
     group_size: int = GROUP_SIZE
     policy: TensorScalePolicy = TensorScalePolicy.AMAX_CALIBRATED
-    exact_scales: bool = False
 
     def __post_init__(self):
         if self.group_size < 1:
@@ -59,18 +54,15 @@ class QuantizedTensor:
     """A quantized matrix: 4-bit codes, per-block scales, one tensor scale.
 
     ``codes`` is rows x cols uint8 (values 0..15); ``block_scales`` is
-    rows x (cols/group) uint8 codes of the 8-bit grid.  When built with the
-    ``exact_scales`` hook, ``exact_block_scales`` holds float32 reals and
-    ``block_scales`` is None.  Blocking is always along the column axis.
-    The block-scale fold a product needs is cached on the tensor after its
-    first use (``folded_t``).
+    rows x (cols/group) uint8 codes of the 8-bit grid.  Blocking is always
+    along the column axis.  The block-scale fold a product needs is cached
+    on the tensor after its first use (``folded_t``).
     """
 
     codes: np.ndarray
-    block_scales: Optional[np.ndarray]
+    block_scales: np.ndarray
     tensor_scale: np.float32
     group_size: int = GROUP_SIZE
-    exact_block_scales: Optional[np.ndarray] = field(default=None, repr=False)
     _folded_t: Optional[np.ndarray] = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -79,15 +71,11 @@ class QuantizedTensor:
     def shape(self):
         return self.codes.shape
 
-    def block_scale_values(self) -> np.ndarray:
-        """Per-block scale factors as float32, decoded or exact."""
-        if self.exact_block_scales is not None:
-            return self.exact_block_scales
-        return formats.decode_e4m3(self.block_scales)
-
     def folded(self) -> np.ndarray:
         """``fold_blocks`` of this tensor: rows x cols float32, fresh."""
-        return fold_blocks(self.codes, self.block_scale_values(), self.group_size)
+        return fold_blocks(
+            self.codes, formats.decode_e4m3(self.block_scales), self.group_size
+        )
 
     def folded_t(self) -> np.ndarray:
         """``folded()`` transposed to a contiguous read-only cols x rows array.
@@ -102,17 +90,10 @@ class QuantizedTensor:
             self._folded_t = folded_t
         return self._folded_t
 
-    def combined_scales(self) -> np.ndarray:
-        """float32 ``tensor_scale * block_scale`` per block, the factor both
-        quantize and dequantize apply."""
-        return np.float32(self.tensor_scale) * self.block_scale_values()
-
     def serialize(self) -> bytes:
         """Debug byte dump: magic, version, shape, group, tensor scale,
         packed codes (two per byte, low nibble first, row-major), then the
         block scale bytes row-major."""
-        if self.block_scales is None:
-            raise ValueError("exact-scale tensors have no byte form")
         rows, cols = self.codes.shape
         head = b"MXQT" + struct.pack(
             "<IIII", 1, rows, cols, self.group_size
@@ -123,21 +104,31 @@ class QuantizedTensor:
 
     @classmethod
     def deserialize(cls, data: bytes) -> "QuantizedTensor":
+        """Inverse of ``serialize``; rejects a header that disagrees with
+        itself or with the length of ``data``."""
         if data[:4] != b"MXQT":
             raise ValueError("bad magic")
+        if len(data) < 24:
+            raise ValueError("truncated header")
         version, rows, cols, group = struct.unpack_from("<IIII", data, 4)
         if version != 1:
             raise ValueError(f"unsupported version {version}")
-        (tscale,) = struct.unpack_from("<f", data, 20)
-        off = 24
+        if group < 1 or cols % group != 0:
+            raise ValueError(f"{cols} columns do not split into groups of {group}")
         n_code_bytes = rows * cols // 2
-        packed = np.frombuffer(data, dtype=np.uint8, count=n_code_bytes, offset=off)
-        off += n_code_bytes
+        n_scales = rows * (cols // group)
+        if len(data) != 24 + n_code_bytes + n_scales:
+            raise ValueError(
+                f"{len(data)} bytes where the header implies "
+                f"{24 + n_code_bytes + n_scales}"
+            )
+        (tscale,) = struct.unpack_from("<f", data, 20)
+        packed = np.frombuffer(data, dtype=np.uint8, count=n_code_bytes, offset=24)
         codes = np.empty(rows * cols, dtype=np.uint8)
         codes[0::2] = packed & np.uint8(0x0F)
         codes[1::2] = packed >> np.uint8(4)
         scales = np.frombuffer(
-            data, dtype=np.uint8, count=rows * (cols // group), offset=off
+            data, dtype=np.uint8, count=n_scales, offset=24 + n_code_bytes
         )
         return cls(
             codes=codes.reshape(rows, cols),
@@ -147,101 +138,66 @@ class QuantizedTensor:
         )
 
 
-def _as_working(x) -> np.ndarray:
+def _blocks(x, group_size: int):
+    """``x`` checked and viewed as float32 rows x nblocks x group, and the
+    ``max|x|`` of each block.
+
+    The block max is reduced across the rows of a transposed copy: numpy is
+    several times slower reducing a 16-wide inner axis, and a max is exact
+    either way.
+    """
     arr = np.asarray(x, dtype=np.float32)
     if arr.ndim != 2:
         raise ShapeMismatchError("expected a 2-D matrix")
-    return arr
-
-
-def tensor_scale(x, policy: TensorScalePolicy) -> np.float32:
-    """Tensor-level scale for a matrix under the given policy.
-
-    Calibrated: ``max|x| / (6 * 448)``, or 1.0 for an all-zero matrix.
-    Unit: always 1.0.
-    """
-    arr = _as_working(x)
+    rows, cols = arr.shape
+    if cols % group_size != 0:
+        raise ShapeMismatchError(
+            f"columns ({cols}) not divisible by group size ({group_size})"
+        )
     if not np.isfinite(arr).all():
         raise NonFiniteError("matrix entries must be finite")
+    blocks = arr.reshape(rows, cols // group_size, group_size)
+    mag_t = np.ascontiguousarray(np.abs(arr).reshape(-1, group_size).T)
+    return blocks, np.maximum.reduce(mag_t, axis=0).reshape(blocks.shape[:2])
+
+
+def _tensor_scales(amax: np.ndarray, policy: TensorScalePolicy) -> np.ndarray:
+    """Tensor scale for each float32 ``max|x|`` in ``amax``.
+
+    Calibrated: ``amax / (6 * 448)``, or 1.0 for an all-zero tensor.
+    Unit: always 1.0.
+    """
     if policy is TensorScalePolicy.UNIT:
-        return np.float32(1.0)
-    amax = np.abs(arr).max() if arr.size else np.float32(0.0)
-    if amax == 0:
-        return np.float32(1.0)
-    return np.float32(amax) / _SCALE_DENOM
+        return np.ones_like(amax)
+    return np.where(amax == 0, np.float32(1.0), amax / _SCALE_DENOM)
 
 
-def block_scale_code(block, alpha) -> np.uint8:
-    """8-bit scale code for one block: round(max|block| / (alpha * 6))."""
-    blk = np.asarray(block, dtype=np.float32)
-    if not np.isfinite(blk).all():
-        raise NonFiniteError("block entries must be finite")
-    bmax = np.abs(blk).max()
-    if bmax == 0:
-        return np.uint8(0)
-    denom = np.float32(alpha) * np.float32(formats.FP4_MAX)
-    return np.uint8(formats.encode_e4m3(bmax / denom))
+def _encode(blocks: np.ndarray, bmax: np.ndarray, alphas: np.ndarray):
+    """4-bit codes (rows x cols) and 8-bit block-scale codes of ``blocks``,
+    with ``alphas[i]`` the tensor scale of row ``i``.
 
-
-def _block_amax(blocks: np.ndarray) -> np.ndarray:
-    """``max|x|`` over the last axis of rows x nblocks x group.
-
-    Reduced across the rows of a transposed copy: numpy is several times
-    slower reducing a 16-wide inner axis, and a max is exact either way.
+    Block scale code: ``round(max|block| / (alpha * 6))``.  Element code:
+    ``round(x / (alpha * block_scale))``; a block whose combined factor is 0
+    gets code 0 throughout.
     """
     rows, nblocks, g = blocks.shape
-    mag_t = np.ascontiguousarray(np.abs(blocks).reshape(-1, g).T)
-    return np.maximum.reduce(mag_t, axis=0).reshape(rows, nblocks)
+    ratios = bmax / (alphas[:, None] * np.float32(formats.FP4_MAX))
+    scale_codes = np.asarray(formats.encode_e4m3(ratios), dtype=np.uint8)
+    combined = alphas[:, None] * formats.decode_e4m3(scale_codes)
+    dead = combined == 0
+    safe = np.where(dead, np.float32(1.0), combined)[:, :, None]
+    codes = np.asarray(formats.encode_fp4(blocks / safe))
+    codes[np.broadcast_to(dead[:, :, None], codes.shape)] = 0
+    return codes.reshape(rows, nblocks * g), scale_codes
 
 
 def quantize(x, cfg: QuantConfig = QuantConfig()) -> QuantizedTensor:
-    """Quantize a finite float32 matrix blocked along columns."""
-    arr = _as_working(x)
-    rows, cols = arr.shape
-    if cols % cfg.group_size != 0:
-        raise ShapeMismatchError(
-            f"columns ({cols}) not divisible by group size ({cfg.group_size})"
-        )
-    if not np.isfinite(arr).all():
-        raise NonFiniteError("matrix entries must be finite")
-
-    g = cfg.group_size
-    alpha = tensor_scale(arr, cfg.policy)
-    blocks = arr.reshape(rows, cols // g, g)
-    bmax = _block_amax(blocks)  # float32
-
-    if cfg.exact_scales:
-        denom = alpha * np.float32(formats.FP4_MAX)
-        sigma = bmax / denom  # float32 reals, 0 for zero blocks
-        # Scale via (x / blockmax) * 6 so no scaled magnitude exceeds 6.
-        safe_bmax = np.where(bmax == 0, np.float32(1.0), bmax)[:, :, None]
-        scaled = (blocks / safe_bmax) * np.float32(formats.FP4_MAX)
-        codes = np.asarray(formats.encode_fp4(scaled))
-        codes[np.broadcast_to((bmax == 0)[:, :, None], codes.shape)] = 0
-        return QuantizedTensor(
-            codes=codes.reshape(rows, cols),
-            block_scales=None,
-            tensor_scale=alpha,
-            group_size=g,
-            exact_block_scales=sigma,
-        )
-
-    denom = alpha * np.float32(formats.FP4_MAX)
-    ratios = bmax / denom
-    scale_codes = np.asarray(formats.encode_e4m3(ratios), dtype=np.uint8)
-    sigma = formats.decode_e4m3(scale_codes)
-    combined = np.float32(alpha) * sigma  # rows x nblocks float32
-    dead = combined == 0
-    safe = np.where(dead, np.float32(1.0), combined)[:, :, None]
-    scaled = blocks / safe
-    codes = np.asarray(formats.encode_fp4(scaled))
-    codes[np.broadcast_to(dead[:, :, None], codes.shape)] = 0
-    return QuantizedTensor(
-        codes=codes.reshape(rows, cols),
-        block_scales=scale_codes,
-        tensor_scale=alpha,
-        group_size=g,
-    )
+    """Quantize a finite float32 matrix blocked along columns, with one
+    tensor scale calibrated on the whole matrix."""
+    blocks, bmax = _blocks(x, cfg.group_size)
+    alpha = np.float32(_tensor_scales(bmax.max(initial=np.float32(0)), cfg.policy))
+    codes, scale_codes = _encode(blocks, bmax, np.full(len(blocks), alpha))
+    return QuantizedTensor(codes, scale_codes, alpha, cfg.group_size)
 
 
 def fold_blocks(codes: np.ndarray, block_scales: np.ndarray,
@@ -260,7 +216,7 @@ def fold_blocks(codes: np.ndarray, block_scales: np.ndarray,
 
 def dequantize(qt: QuantizedTensor) -> np.ndarray:
     """Reconstruct the float32 matrix: ``(tensor_scale * block_scale) * q``."""
-    combined = qt.combined_scales()
+    combined = np.float32(qt.tensor_scale) * formats.decode_e4m3(qt.block_scales)
     expanded = np.repeat(combined, qt.group_size, axis=1)
     return expanded * formats.decode_fp4(qt.codes)
 
@@ -301,40 +257,11 @@ class RowQuantizedActivation:
 def quantize_rows(x, cfg: QuantConfig = QuantConfig()) -> RowQuantizedActivation:
     """Quantize each row of a matrix as its own tensor, vectorized.
 
-    Replays exactly the float32 operation sequence of ``quantize`` on a
-    single row, so ``quantize_rows(x).row(i)`` matches ``quantize(x[i:i+1])``
-    bit-for-bit under the same policy.
+    Runs the operation sequence of ``quantize`` with a tensor scale
+    calibrated per row, so ``quantize_rows(x).row(i)`` matches
+    ``quantize(x[i:i+1])`` bit-for-bit under the same policy.
     """
-    if cfg.exact_scales:
-        raise ConfigError("exact_scales has no per-row form")
-    arr = _as_working(x)
-    rows, cols = arr.shape
-    if cols % cfg.group_size != 0:
-        raise ShapeMismatchError(
-            f"columns ({cols}) not divisible by group size ({cfg.group_size})"
-        )
-    if not np.isfinite(arr).all():
-        raise NonFiniteError("matrix entries must be finite")
-
-    g = cfg.group_size
-    blocks = arr.reshape(rows, cols // g, g)
-    bmax = _block_amax(blocks)
-    if cfg.policy is TensorScalePolicy.UNIT:
-        alphas = np.ones(rows, dtype=np.float32)
-    else:
-        amax = bmax.max(axis=1)  # the row's max|x|: max is exact
-        alphas = np.where(amax == 0, np.float32(1.0), amax / _SCALE_DENOM)
-    denom = alphas[:, None] * np.float32(formats.FP4_MAX)
-    ratios = bmax / denom
-    scale_codes = np.asarray(formats.encode_e4m3(ratios), dtype=np.uint8)
-    combined = alphas[:, None] * formats.decode_e4m3(scale_codes)
-    dead = combined == 0
-    safe = np.where(dead, np.float32(1.0), combined)[:, :, None]
-    codes = np.asarray(formats.encode_fp4(blocks / safe))
-    codes[np.broadcast_to(dead[:, :, None], codes.shape)] = 0
-    return RowQuantizedActivation(
-        codes=codes.reshape(rows, cols),
-        block_scales=scale_codes,
-        row_scales=alphas,
-        group_size=g,
-    )
+    blocks, bmax = _blocks(x, cfg.group_size)
+    alphas = _tensor_scales(bmax.max(axis=1, initial=np.float32(0)), cfg.policy)
+    codes, scale_codes = _encode(blocks, bmax, alphas)
+    return RowQuantizedActivation(codes, scale_codes, alphas, cfg.group_size)

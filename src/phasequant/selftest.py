@@ -9,29 +9,27 @@ float64 products, a monolithic generation run) on seeded random data.
 from __future__ import annotations
 
 import io
+from unittest import mock
 
 import numpy as np
 
 from . import analysis, disagg, formats
 from . import gemm as qg
+from . import model
 from . import quantizer as qz
 from .engine import ExecutionMode, SamplerSpec, generate, render_trajectory
-from .model import (
-    AttentionRecord,
-    ModelConfig,
-    identity_quantizer,
-    init_model,
-    prefill,
-)
+from .model import AttentionRecord, ModelConfig, init_model, prefill
 
 
-def _nearest_fp4_oracle(x: np.ndarray) -> np.ndarray:
+def nearest_fp4_oracle(x) -> np.ndarray:
+    """Exhaustive 16-point nearest-grid search with the even-mantissa tie
+    rule; 4-bit codes of ``x`` as a 1-D uint8 array (scalars included)."""
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     mags = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0])
-    v = np.clip(np.abs(x.astype(np.float64)), 0.0, 6.0)
+    v = np.clip(np.abs(x), 0.0, 6.0)
     dist = np.abs(v[:, None] - mags[None, :])
-    best = dist.min(axis=1, keepdims=True)
-    tied = dist == best
-    # Among tied candidates (always adjacent) prefer the even-mantissa index.
+    tied = dist == dist.min(axis=1, keepdims=True)
+    # ties are always between adjacent grid points; prefer mantissa bit 0
     pick = np.where(tied, np.arange(8) % 2, 2)
     idx = np.argmin(pick, axis=1)
     return np.where(np.signbit(x), idx + 8, idx).astype(np.uint8)
@@ -49,7 +47,7 @@ def _suite_formats() -> bool:
         return False
     rng = np.random.default_rng(7)
     x = rng.uniform(-9.0, 9.0, size=100_000).astype(np.float32)
-    return bool(np.array_equal(formats.encode_fp4(x), _nearest_fp4_oracle(x)))
+    return bool(np.array_equal(formats.encode_fp4(x), nearest_fp4_oracle(x)))
 
 
 def _suite_quantizer() -> bool:
@@ -102,7 +100,8 @@ def _suite_identity_collapse() -> bool:
     weights = _toy_model(3)
     prompt = [1, 5, 9, 2]
     sampler = SamplerSpec(max_new_tokens=8)
-    with identity_quantizer():
+    # The quantizer as the identity: the 4-bit path runs the float32 matmul.
+    with mock.patch.object(model, "_linear", lambda x, weight, *_: x @ weight.T):
         dumps = {
             mode: render_trajectory(generate(weights, prompt, mode, sampler))
             for mode in ExecutionMode

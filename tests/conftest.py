@@ -1,9 +1,10 @@
+import contextlib
 import functools
 
 import numpy as np
 import pytest
 
-from phasequant import formats
+from phasequant import formats, model
 from phasequant.model import ModelConfig, init_model
 
 
@@ -67,3 +68,40 @@ def scale_after_qgemm(a, w):
     if hasattr(a, "row_scales"):
         return (a.row_scales * np.float32(w.tensor_scale))[:, None] * acc
     return (np.float32(a.tensor_scale) * np.float32(w.tensor_scale)) * acc
+
+
+def exact_scale_quantize(x, group_size=16):
+    """Oracle: two-level quantization with unrounded block scales.
+
+    The tensor scale is calibrated as ``max|x| / (6 * 448)`` (1.0 for an
+    all-zero matrix); each block's scale is the float32 real
+    ``max|block| / (tensor_scale * 6)``.  Elements are scaled as
+    ``(x / max|block|) * 6`` so no scaled magnitude exceeds 6.  Returns the
+    4-bit codes and the per-block float32 combined factors
+    ``tensor_scale * block_scale``; zero blocks get codes 0 and factor 0.
+    """
+    arr = np.asarray(x, dtype=np.float32)
+    rows, cols = arr.shape
+    blocks = arr.reshape(rows, cols // group_size, group_size)
+    amax = np.abs(arr).max()
+    alpha = np.float32(amax) / np.float32(6 * 448) if amax else np.float32(1)
+    bmax = np.abs(blocks).max(axis=2)
+    combined = alpha * (bmax / (alpha * np.float32(6)))
+    safe = np.where(bmax == 0, np.float32(1), bmax)[:, :, None]
+    codes = np.asarray(formats.encode_fp4((blocks / safe) * np.float32(6)))
+    codes[np.broadcast_to((bmax == 0)[:, :, None], codes.shape)] = 0
+    return codes.reshape(rows, cols), combined
+
+
+@pytest.fixture
+def identity_quantizer(monkeypatch):
+    """``with identity_quantizer():`` runs the 4-bit path as exact float32
+    matmuls, the branch ``model._linear`` takes for high precision."""
+
+    @contextlib.contextmanager
+    def active():
+        with monkeypatch.context() as patch:
+            patch.setattr(model, "_linear", lambda x, weight, *_: x @ weight.T)
+            yield
+
+    return active

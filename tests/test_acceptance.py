@@ -15,7 +15,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import rel_logits_err, scale_after_qgemm, toy_weights
+from conftest import (
+    exact_scale_quantize,
+    rel_logits_err,
+    scale_after_qgemm,
+    toy_weights,
+)
 from phasequant import disagg, formats
 from phasequant.analysis import cost_model, topk_mass
 from phasequant.cli import main as cli_main
@@ -33,7 +38,6 @@ from phasequant.model import (
     Precision,
     decode_step,
     full_forward_logits,
-    identity_quantizer,
     init_model,
     prefill,
     save_model,
@@ -44,7 +48,7 @@ from phasequant.quantizer import (
     dequantize,
     quantize,
 )
-from test_formats import nearest_fp4_oracle
+from phasequant.selftest import nearest_fp4_oracle
 
 UNIT = QuantConfig(policy=TensorScalePolicy.UNIT)
 AMAX = QuantConfig(policy=TensorScalePolicy.AMAX_CALIBRATED)
@@ -132,19 +136,17 @@ def test_criterion_02_quantizer_properties():
             assert (dq[r, 16 * b : 16 * b + 16] == 0.0).all()
 
         blocks_seen = 0
-        cfg = QuantConfig(exact_scales=True)
         for _ in range(10):
             x = (rng.normal(size=(32, 512))
                  * 10 ** rng.uniform(-2, 2)).astype(np.float32)
-            qt = quantize(x, cfg)
+            codes, combined = exact_scale_quantize(x)
             blocks3 = x.reshape(32, -1, 16)
             bmax = np.abs(blocks3).max(axis=2)
             safe = np.where(bmax == 0, np.float32(1), bmax)
             scaled = (blocks3 / safe[:, :, None]) * np.float32(6.0)
             assert np.abs(scaled).max() <= 6.0  # never clips
-            err = np.abs(x.astype(np.float64)
-                         - dequantize(qt).astype(np.float64))
-            combined = np.float32(qt.tensor_scale) * qt.exact_block_scales
+            xhat = np.repeat(combined, 16, axis=1) * formats.decode_fp4(codes)
+            err = np.abs(x.astype(np.float64) - xhat.astype(np.float64))
             bound = np.repeat(np.abs(combined.astype(np.float64)), 16, axis=1)
             bound *= formats.fp4_half_gap(scaled.reshape(32, -1))
             assert (err <= bound * (1 + 1e-6) + 1e-12).all()
@@ -188,7 +190,7 @@ def test_criterion_04_gemm_oracles():
           run)
 
 
-def test_criterion_05_identity_quantizer_collapse():
+def test_criterion_05_identity_quantizer_collapse(identity_quantizer):
     def run():
         rng = np.random.default_rng(5)
         sampler = SamplerSpec(max_new_tokens=8)

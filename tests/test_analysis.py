@@ -11,7 +11,7 @@ from phasequant.analysis import (
     topk_mass,
 )
 from phasequant.engine import ExecutionMode, SamplerSpec, Trajectory, generate
-from phasequant.model import AttentionRecord, identity_quantizer
+from phasequant.model import AttentionRecord
 
 
 def softmax_rows(rng, n_rows, n_cols, scale=2.0):
@@ -223,7 +223,8 @@ class TestPerplexity:
         value = perplexity(w, ExecutionMode.BASELINE16, [[0, 0, 0, 0]])
         assert abs(value - 1.0) <= 1e-6
 
-    def test_identity_quantizer_matches_baseline_bitwise(self, weights):
+    def test_identity_quantizer_matches_baseline_bitwise(self, weights,
+                                                         identity_quantizer):
         corpus = [[1, 2, 3, 4, 5], [9, 8, 7]]
         with identity_quantizer():
             mq = perplexity(weights, ExecutionMode.MIX_QUANT, corpus)

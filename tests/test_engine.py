@@ -12,7 +12,7 @@ from phasequant.engine import (
     render_trajectory,
 )
 from phasequant.errors import ContextOverflowError, NonFiniteError
-from phasequant.model import Precision, decode_step, identity_quantizer, prefill
+from phasequant.model import Precision, decode_step, prefill
 from phasequant.rng import SplitMix64
 
 GREEDY8 = SamplerSpec(max_new_tokens=8)
@@ -118,7 +118,7 @@ class TestGenerate:
             assert a.tokens == b.tokens
             assert all(np.array_equal(x, y) for x, y in zip(a.logprobs, b.logprobs))
 
-    def test_identity_quantizer_collapse(self, weights):
+    def test_identity_quantizer_collapse(self, weights, identity_quantizer):
         prompt = [5, 1, 32]
         with identity_quantizer():
             trajs = {m: generate(weights, prompt, m, GREEDY8) for m in ExecutionMode}

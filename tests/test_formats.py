@@ -5,21 +5,9 @@ from hypothesis import strategies as st
 
 from phasequant import formats
 from phasequant.errors import NonFiniteError
+from phasequant.selftest import nearest_fp4_oracle
 
 FP4_GRID = [0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0]
-
-
-def nearest_fp4_oracle(x):
-    """Exhaustive 16-point nearest-grid search with the even-mantissa tie rule."""
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    mags = np.array(FP4_GRID)
-    v = np.clip(np.abs(x), 0.0, 6.0)
-    dist = np.abs(v[:, None] - mags[None, :])
-    tied = dist == dist.min(axis=1, keepdims=True)
-    # ties are always between adjacent grid points; prefer mantissa bit 0
-    pick = np.where(tied, np.arange(8) % 2, 2)
-    idx = np.argmin(pick, axis=1)
-    return np.where(np.signbit(x), idx + 8, idx).astype(np.uint8)
 
 
 def nearest_e4m3_oracle(x):

@@ -5,8 +5,6 @@ from conftest import scale_after_qgemm
 from phasequant import formats
 from phasequant.errors import ShapeMismatchError
 from phasequant.gemm import (
-    Accumulation,
-    GemmSpec,
     qgemm,
     qgemm_mirror,
     qgemm_rows,
@@ -81,19 +79,47 @@ class TestWorkedExamples:
             reference_gemm(np.zeros((2, 32)), np.zeros((2, 16)))
 
 
-class TestGemmSpec:
-    def test_from_operands(self):
+class TestOperandCheck:
+    """Every kernel entry point validates its operands the same way."""
+
+    @staticmethod
+    def products(a, w):
+        rows = quantize_rows(dequantize(a), QuantConfig(group_size=a.group_size))
+        return (lambda: qgemm(a, w), lambda: qgemm_mirror(a, w),
+                lambda: qgemm_rows(rows, w))
+
+    def test_product_shape(self):
         a = quantize(np.zeros((3, 32), np.float32))
         w = quantize(np.zeros((5, 32), np.float32))
-        spec = GemmSpec.from_operands(a, w)
-        assert (spec.m, spec.n, spec.k) == (3, 5, 32)
-        assert spec.accumulation is Accumulation.BLOCK_ORDERED
+        for product in self.products(a, w):
+            assert product().shape == (3, 5)
 
-    def test_reduction_must_be_divisible_by_16(self):
-        with pytest.raises(ShapeMismatchError):
-            GemmSpec(m=1, n=1, k=24)
-        with pytest.raises(ShapeMismatchError):
-            GemmSpec(m=0, n=1, k=16)
+    def test_invalid_operands_rejected(self):
+        g8 = QuantConfig(group_size=8)
+        cases = [
+            # k = 24 splits into groups of 8 but not into 16-wide blocks
+            (quantize(np.ones((1, 24), np.float32), g8),
+             quantize(np.ones((1, 24), np.float32), g8)),
+            # m = 0
+            (quantize(np.zeros((0, 16), np.float32)),
+             quantize(np.ones((1, 16), np.float32))),
+            # n = 0
+            (quantize(np.ones((1, 16), np.float32)),
+             quantize(np.zeros((0, 16), np.float32))),
+            # k = 0
+            (quantize(np.zeros((1, 0), np.float32)),
+             quantize(np.zeros((1, 0), np.float32))),
+            # group sizes differ
+            (quantize(np.ones((1, 16), np.float32), g8),
+             quantize(np.ones((1, 16), np.float32))),
+            # reduction dims differ
+            (quantize(np.ones((1, 32), np.float32)),
+             quantize(np.ones((1, 16), np.float32))),
+        ]
+        for a, w in cases:
+            for product in self.products(a, w):
+                with pytest.raises(ShapeMismatchError):
+                    product()
 
 
 class TestMirrorEquivalence:

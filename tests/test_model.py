@@ -1,21 +1,42 @@
+import math
+
 import numpy as np
 import pytest
 
 from conftest import rel_logits_err, toy_config, toy_weights
 from phasequant.errors import ConfigError, ContextOverflowError
 from phasequant.quantizer import QuantizedTensor
+from phasequant.rng import normal_stream
 from phasequant.model import (
     KvCache,
     ModelConfig,
     Precision,
     decode_step,
     full_forward_logits,
-    identity_quantizer,
     init_model,
     load_model,
     prefill,
     save_model,
 )
+
+
+def documented_tensors(cfg):
+    """``(layer index or None, field, shape)`` of every tensor in the stream
+    and file order the ``model`` module docstring states."""
+    d, f = cfg.d_model, cfg.ffn_hidden
+    per_layer = (
+        ("attn_norm_gain", (d,)), ("attn_q", (d, d)), ("attn_k", (d, d)),
+        ("attn_v", (d, d)), ("attn_out", (d, d)), ("mlp_norm_gain", (d,)),
+        ("mlp_gate", (f, d)), ("mlp_up", (f, d)), ("mlp_down", (d, f)),
+    )
+    return ([(None, "embedding", (cfg.vocab_size, d))]
+            + [(i, name, shape) for i in range(cfg.n_layers)
+               for name, shape in per_layer]
+            + [(None, "final_norm_gain", (d,))])
+
+
+def tensor_of(weights, layer, name):
+    return getattr(weights if layer is None else weights.layers[layer], name)
 
 
 class TestConfig:
@@ -73,6 +94,28 @@ class TestInit:
         assert (w.final_norm_gain == 1.0).all()
         assert (w.layers[0].attn_norm_gain == 1.0).all()
         assert abs(float(w.embedding.std()) - 0.02) < 0.002
+
+    def test_stream_consumed_in_documented_order(self):
+        # matrices take consecutive slices of one scaled normal stream; gains
+        # are one and draw nothing
+        cfg = toy_config(7, n_layers=3)
+        w = init_model(cfg)
+        entries = documented_tensors(cfg)
+        total = sum(math.prod(shape) for *_, shape in entries if len(shape) == 2)
+        stream = (0.02 * normal_stream(cfg.seed, total)).astype(np.float32)
+        pos = 0
+        for layer, name, shape in entries:
+            tensor = tensor_of(w, layer, name)
+            assert tensor.shape == shape, name
+            assert tensor.dtype == np.float32
+            if len(shape) == 1:
+                assert (tensor == 1.0).all(), name
+            else:
+                size = math.prod(shape)
+                expected = stream[pos : pos + size].reshape(shape)
+                assert np.array_equal(tensor, expected), (layer, name)
+                pos += size
+        assert pos == total
 
     def test_shadow_rebuild_bit_identical(self):
         w = toy_weights(6)
@@ -138,7 +181,8 @@ class TestWeightFoldCache:
         assert np.array_equal(w.shadow(0, "attn_k").folded_t(), old_fold)
         assert before.tobytes() == after.tobytes()
 
-    def test_high_and_identity_quantizer_never_build_it(self, fold_builds):
+    def test_high_and_identity_quantizer_never_build_it(self, fold_builds,
+                                                         identity_quantizer):
         w = init_model(toy_config(44))
         kv = prefill(w, self.PROMPT, Precision.HIGH).kv
         decode_step(w, kv, 2, Precision.HIGH)
@@ -256,7 +300,7 @@ class TestAttentionRecording:
 
 
 class TestIdentityQuantizer:
-    def test_nvfp4_collapses_to_high(self, weights):
+    def test_nvfp4_collapses_to_high(self, weights, identity_quantizer):
         toks = [11, 7, 2, 30]
         with identity_quantizer():
             a = prefill(weights, toks, Precision.NVFP4)
@@ -319,7 +363,8 @@ class TestForwardBlock:
             )
         assert np.array_equal(outs[0], outs[1])
 
-    def test_identity_quantizer_matches_high_per_block(self, weights):
+    def test_identity_quantizer_matches_high_per_block(self, weights,
+                                                        identity_quantizer):
         from phasequant.model import forward_block
 
         cfg = weights.config
@@ -349,6 +394,30 @@ class TestWeightFile:
                          "mlp_down"):
                 assert np.array_equal(getattr(la, name), getattr(lb, name))
         assert np.array_equal(back.final_norm_gain, w.final_norm_gain)
+
+    def test_tensors_at_documented_offsets(self, tmp_path):
+        # each tensor filled with its own tag: the tags must sit in the file
+        # in the documented order, and load them back into the same fields
+        w = init_model(toy_config(25))
+        entries = documented_tensors(w.config)
+        for tag, (layer, name, shape) in enumerate(entries, start=1):
+            owner = w if layer is None else w.layers[layer]
+            setattr(owner, name, np.full(shape, tag, np.float32))
+        path = str(tmp_path / "m.mxqw")
+        save_model(w, path)
+        raw = open(path, "rb").read()
+        off = 16 + len(w.config.config_block())
+        for tag, (_, name, shape) in enumerate(entries, start=1):
+            size = math.prod(shape)
+            body = np.frombuffer(raw, dtype="<f4", count=size, offset=off)
+            assert (body == tag).all(), (tag, name)
+            off += 4 * size
+        assert off == len(raw)
+        back = load_model(path)
+        for tag, (layer, name, shape) in enumerate(entries, start=1):
+            tensor = tensor_of(back, layer, name)
+            assert tensor.shape == shape
+            assert (tensor == tag).all(), (tag, name)
 
     def test_header_layout(self, tmp_path):
         w = toy_weights(22)

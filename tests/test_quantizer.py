@@ -1,24 +1,25 @@
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import exact_scale_quantize
 from phasequant import formats
 from phasequant.errors import NonFiniteError, ShapeMismatchError
 from phasequant.quantizer import (
     QuantConfig,
     QuantizedTensor,
     TensorScalePolicy,
-    block_scale_code,
     dequantize,
     quantize,
     quantize_rows,
-    tensor_scale,
 )
 
 UNIT = QuantConfig(policy=TensorScalePolicy.UNIT)
 AMAX = QuantConfig(policy=TensorScalePolicy.AMAX_CALIBRATED)
-EXACT = QuantConfig(exact_scales=True)
 
 
 def gaussian(rng, rows, cols, scale=1.0):
@@ -27,42 +28,53 @@ def gaussian(rng, rows, cols, scale=1.0):
 
 class TestTensorScale:
     def test_zero_matrix_degenerates_to_one(self):
-        assert tensor_scale(np.zeros((2, 16), np.float32),
-                            TensorScalePolicy.AMAX_CALIBRATED) == 1.0
+        assert quantize(np.zeros((2, 16), np.float32), AMAX).tensor_scale == 1.0
 
     def test_amax_2688_gives_one(self):
         x = np.zeros((1, 16), np.float32)
         x[0, 3] = 2688.0
-        assert tensor_scale(x, TensorScalePolicy.AMAX_CALIBRATED) == 1.0
+        assert quantize(x, AMAX).tensor_scale == 1.0
 
     def test_unit_policy(self):
         rng = np.random.default_rng(0)
-        assert tensor_scale(gaussian(rng, 4, 32), TensorScalePolicy.UNIT) == 1.0
+        assert quantize(gaussian(rng, 4, 32), UNIT).tensor_scale == 1.0
 
     def test_formula(self):
         x = np.full((1, 16), 5.25, np.float32)
         expected = np.float32(5.25) / np.float32(2688.0)
-        assert tensor_scale(x, TensorScalePolicy.AMAX_CALIBRATED) == expected
+        scale = quantize(x, AMAX).tensor_scale
+        assert type(scale) is np.float32
+        assert scale == expected
 
     def test_non_finite_rejected(self):
         x = np.zeros((1, 16), np.float32)
         x[0, 0] = np.inf
-        with pytest.raises(NonFiniteError):
-            tensor_scale(x, TensorScalePolicy.AMAX_CALIBRATED)
+        for cfg in (AMAX, UNIT):
+            with pytest.raises(NonFiniteError):
+                quantize(x, cfg)
+            with pytest.raises(NonFiniteError):
+                quantize_rows(x, cfg)
 
 
 class TestBlockScale:
+    """The 8-bit scale code of one block under a unit tensor scale:
+    ``round(max|block| / 6)``."""
+
+    @staticmethod
+    def scale_code(block):
+        return quantize(block[None], UNIT).block_scales
+
     def test_all_threes(self):
-        code = block_scale_code(np.full(16, 3.0, np.float32), 1.0)
-        assert float(formats.decode_e4m3(code)) == 0.5
+        code = self.scale_code(np.full(16, 3.0, np.float32))
+        assert float(formats.decode_e4m3(code)[0, 0]) == 0.5
 
     def test_zero_block(self):
-        assert int(block_scale_code(np.zeros(16, np.float32), 1.0)) == 0
+        assert int(self.scale_code(np.zeros(16, np.float32))[0, 0]) == 0
 
     def test_max_six(self):
         block = np.zeros(16, np.float32)
         block[5] = 6.0
-        assert float(formats.decode_e4m3(block_scale_code(block, 1.0))) == 1.0
+        assert float(formats.decode_e4m3(self.scale_code(block))[0, 0]) == 1.0
 
 
 class TestQuantizeWorkedExamples:
@@ -167,15 +179,14 @@ class TestInvariants:
         rng = np.random.default_rng(16)
         for _ in range(40):
             x = gaussian(rng, 8, 64, scale=10 ** rng.uniform(-2, 2))
-            qt = quantize(x, EXACT)
+            codes, combined = exact_scale_quantize(x)
             blocks = x.reshape(8, -1, 16)
             bmax = np.abs(blocks).max(axis=2)
             safe = np.where(bmax == 0, np.float32(1), bmax)
             scaled = (blocks / safe[:, :, None]) * np.float32(6.0)
             assert np.abs(scaled).max() <= 6.0
-            xhat = dequantize(qt)
+            xhat = np.repeat(combined, 16, axis=1) * formats.decode_fp4(codes)
             err = np.abs(x.astype(np.float64) - xhat.astype(np.float64))
-            combined = np.float32(qt.tensor_scale) * qt.exact_block_scales
             bound = np.repeat(
                 np.abs(combined.astype(np.float64)), 16, axis=1
             ) * formats.fp4_half_gap(scaled.reshape(8, -1))
@@ -185,8 +196,8 @@ class TestInvariants:
         rng = np.random.default_rng(17)
         for _ in range(40):
             x = gaussian(rng, 4, 32)
-            qt = quantize(x, EXACT)
-            mags = np.abs(formats.decode_fp4(qt.codes)).reshape(4, 2, 16)
+            codes, _ = exact_scale_quantize(x)
+            mags = np.abs(formats.decode_fp4(codes)).reshape(4, 2, 16)
             bmax = np.abs(x.reshape(4, 2, 16)).max(axis=2)
             assert (mags.max(axis=2)[bmax > 0] == 6.0).all()
 
@@ -201,6 +212,29 @@ def test_quantize_deterministic(seed):
     assert np.array_equal(a.codes, b.codes)
     assert np.array_equal(a.block_scales, b.block_scales)
     assert a.tensor_scale == b.tensor_scale
+
+
+def test_golden_digest_of_both_quantizers():
+    # Recorded from the separate quantize and quantize_rows code paths the
+    # shared core replaced; the input is built from integers, so it is the
+    # same on every platform.  Row 3 has a zero block, row 5 is all zero.
+    rng = np.random.default_rng(2026)
+    x = np.ldexp(
+        rng.integers(-2**23, 2**23, size=(24, 96)).astype(np.float32),
+        rng.integers(-60, 40, size=(24, 1)).astype(np.int32),
+    ).astype(np.float32)
+    x[3, 16:32] = 0
+    x[5] = 0
+    digest = hashlib.sha256()
+    for cfg in (AMAX, UNIT):
+        qt = quantize(x, cfg)
+        rq = quantize_rows(x, cfg)
+        for part in (qt.codes, qt.block_scales, np.float32(qt.tensor_scale),
+                     rq.codes, rq.block_scales, rq.row_scales):
+            digest.update(part.tobytes())
+    assert digest.hexdigest() == (
+        "f6a0ca20e2f526c95313cc1d2bf73bc2bb8ca4690c244b548b832c4c04d00b4a"
+    )
 
 
 class TestRowQuantization:
@@ -264,3 +298,30 @@ class TestSerialization:
         packed = body[24 : 24 + 8]
         assert packed[0] == 0x10  # codes 0 then 1: low nibble first
         assert packed[7] == 0xFE  # codes 14 then 15
+
+    @staticmethod
+    def blob(rows=1, cols=48):
+        rng = np.random.default_rng(20)
+        return quantize(gaussian(rng, rows, cols), AMAX).serialize()
+
+    @staticmethod
+    def with_group(blob, group):
+        return blob[:16] + struct.pack("<I", group) + blob[20:]
+
+    def test_group_zero_rejected(self):
+        with pytest.raises(ValueError):
+            QuantizedTensor.deserialize(self.with_group(self.blob(), 0))
+
+    def test_group_not_dividing_columns_rejected(self):
+        # 48 columns in groups of 32 would read 24 code bytes and 1 scale
+        # byte: trim the blob to that length so only the group check fails
+        blob = self.with_group(self.blob(), 32)[: 24 + 24 + 1]
+        with pytest.raises(ValueError):
+            QuantizedTensor.deserialize(blob)
+
+    def test_length_must_match_header(self):
+        blob = self.blob()
+        QuantizedTensor.deserialize(blob)
+        for bad in (blob + b"\x00", blob[:-1], blob[:20]):
+            with pytest.raises(ValueError):
+                QuantizedTensor.deserialize(bad)
