@@ -19,8 +19,8 @@ from .model import (
     KvCache,
     ModelConfig,
     ModelWeights,
-    decode_step,
     prefill,
+    teacher_forced_logits,
 )
 
 _PROB_FLOOR = 1e-12
@@ -275,27 +275,48 @@ def perplexity(weights: ModelWeights, mode: ExecutionMode,
                corpus: Sequence[Sequence[int]]) -> float:
     """Teacher-forced perplexity with phase-split precision.
 
-    For each scored token x_t the context x_1..x_{t-2} runs through the
-    prompt pass at the mode's prefill precision and the immediately
-    preceding token x_{t-1} through a decode step at its decode precision,
-    mirroring how generation conditions on context versus fresh tokens.
+    Each scored token x_t is predicted from its context x_1..x_{t-2} run as
+    a prompt pass at the mode's prefill precision and the preceding token
+    x_{t-1} run as a decode step at its decode precision, mirroring how
+    generation conditions on context versus fresh tokens.  A sequence of n
+    tokens takes two passes: one prompt pass over its first n - 2 tokens
+    (none when n = 2), whose rows serve as every shorter context, and one
+    ``teacher_forced_logits`` pass over its first n - 1 tokens.
+
+    The forward is not length- or batch-invariant: a causal pass's first
+    rows are not bit-equal to a shorter pass, and a batched row is not
+    bit-equal to a single decode step.  So the result differs from a fresh
+    prompt pass and decode step per scored token by about 1e-7 relative; the
+    tests hold it to 1e-5.  When decoding at 4 bits, such a last-bit
+    difference can also flip one activation code of a row, which moves that
+    token's log-probability by up to a few 1e-3.  Negative log-likelihoods
+    are summed in float64.
     """
+    cfg = weights.config
+    seqs = [[int(t) for t in seq] for seq in corpus]
+    for seq in seqs:
+        if len(seq) > cfg.max_seq_len:
+            raise ValueError("corpus sequence exceeds the model context")
+        if any(not 0 <= t < cfg.vocab_size for t in seq):
+            raise ValueError("corpus token outside the vocabulary")
     total_nll = 0.0
     scored = 0
-    for seq in corpus:
-        seq = [int(t) for t in seq]
-        if len(seq) > weights.config.max_seq_len:
-            raise ValueError("corpus sequence exceeds the model context")
-        for t in range(1, len(seq)):
-            if t == 1:
-                kv = KvCache(weights.config)
-            else:
-                kv = prefill(weights, seq[: t - 1], mode.prefill_precision).kv
-            logits = decode_step(weights, kv, seq[t - 1], mode.decode_precision)
-            shifted = logits - logits.max()
-            logprob = shifted[seq[t]] - np.log(np.exp(shifted).sum())
+    for seq in seqs:
+        n = len(seq)
+        if n < 2:
+            continue
+        if n > 2:
+            context = prefill(weights, seq[: n - 2], mode.prefill_precision).kv
+        else:
+            context = KvCache(cfg)
+        logits = teacher_forced_logits(weights, seq[: n - 1], context,
+                                       mode.decode_precision)
+        shifted = logits - logits.max(axis=-1, keepdims=True)
+        logprobs = shifted[np.arange(n - 1), seq[1:]] - np.log(
+            np.exp(shifted).sum(axis=-1))
+        for logprob in logprobs:
             total_nll += -float(logprob)
-            scored += 1
+        scored += n - 1
     if scored == 0:
         raise ValueError("corpus has no scorable positions")
     return float(np.exp(total_nll / scored))

@@ -52,7 +52,7 @@ from .quantizer import (
     quantize_rows,
 )
 from .gemm import qgemm_rows
-from .rng import normal_stream
+from .rng import normal_chunks
 
 RMSNORM_EPS = np.float32(1e-6)
 WEIGHT_FILE_MAGIC = b"MXQW"
@@ -94,8 +94,9 @@ class ModelConfig:
         if self.max_seq_len < 1:
             raise ConfigError("max_seq_len must be positive")
         for name in ("d_model", "head_dim", "ffn_hidden"):
-            if getattr(self, name) % 16 != 0:
-                raise ConfigError(f"{name} must be divisible by 16")
+            value = getattr(self, name)
+            if value < 16 or value % 16 != 0:
+                raise ConfigError(f"{name} must be a positive multiple of 16")
         if self.n_heads * self.head_dim != self.d_model:
             raise ConfigError("n_heads * head_dim must equal d_model")
         if not (self.rope_base > 0 and math.isfinite(self.rope_base)):
@@ -227,7 +228,12 @@ def init_model(config: ModelConfig) -> ModelWeights:
     """Deterministic weights from the config seed (see module docstring)."""
     layout = _layout(config)
     total = sum(math.prod(shape) for _, _, shape, normal in layout if normal)
-    stream = (0.02 * normal_stream(config.seed, total)).astype(np.float32)
+    stream = np.empty(total, dtype=np.float32)
+    pos = 0
+    for chunk in normal_chunks(config.seed, total):
+        chunk *= 0.02
+        stream[pos : pos + chunk.size] = chunk  # float64 -> float32, nearest
+        pos += chunk.size
     tensors, pos = [], 0
     for _, _, shape, normal in layout:
         if normal:
@@ -314,6 +320,7 @@ def forward_block(
     positions: np.ndarray,
     precision: Precision,
     attn_record_row: Optional[np.ndarray] = None,
+    own_diagonal: bool = False,
 ) -> np.ndarray:
     """One pre-norm residual block over a chunk of hidden states.
 
@@ -323,13 +330,25 @@ def forward_block(
     positions; reads keys up to the chunk end with a causal mask.  If
     ``attn_record_row`` is given (shape [n_heads, q+1] for query position q
     inside the chunk) the post-softmax rows are stored into it.
+
+    With ``own_diagonal`` the cache is read-only context and the rows do
+    not see each other: the row at position q attends to the cache entries
+    before q and to its own K/V at q, as if it were a decode step on a cache
+    holding exactly those q entries.  The cache must then hold every
+    position before the chunk's last, and nothing is written to it.
     """
     cfg = weights.config
     layer = weights.layers[layer_idx]
     p = x.shape[0]
     pos0 = int(positions[0])
     total = pos0 + p
-    if pos0 != kv.length:
+    if own_diagonal:
+        if kv.length < total - 1:
+            raise ValueError(
+                f"rows up to position {total - 1} need {total - 1} context "
+                f"entries but the cache holds {kv.length}"
+            )
+    elif pos0 != kv.length:
         raise ValueError(
             f"positions start at {pos0} but the cache holds {kv.length} entries"
         )
@@ -351,20 +370,40 @@ def forward_block(
     k = _apply_rope(k.reshape(p, cfg.n_heads, cfg.head_dim), cos, sin)
     v = v.reshape(p, cfg.n_heads, cfg.head_dim)
 
-    kv.keys[layer_idx][pos0:total] = k
-    kv.values[layer_idx][pos0:total] = v
-    keys = kv.keys[layer_idx][:total]
-    vals = kv.values[layer_idx][:total]
+    if own_diagonal:
+        # Column q of row q is the row's own key; the context fills the
+        # columns before it.  The last column holds no cache entry.
+        keys = kv.keys[layer_idx][: total - 1]
+        vals = kv.values[layer_idx][: total - 1]
+        rows = np.arange(p)
+    else:
+        kv.keys[layer_idx][pos0:total] = k
+        kv.values[layer_idx][pos0:total] = v
+        keys = kv.keys[layer_idx][:total]
+        vals = kv.values[layer_idx][:total]
 
     allowed = np.arange(total)[None, :] <= positions[:, None]
     attn_out = np.empty((p, cfg.n_heads, cfg.head_dim), dtype=np.float32)
     for hidx in range(cfg.n_heads):
-        scores = (q[:, hidx, :] @ keys[:, hidx, :].T) * scale
+        if own_diagonal:
+            scores = np.empty((p, total), dtype=np.float32)
+            scores[:, :-1] = q[:, hidx, :] @ keys[:, hidx, :].T
+            scores[rows, positions] = (q[:, hidx, :] * k[:, hidx, :]).sum(axis=-1)
+            scores *= scale
+        else:
+            scores = (q[:, hidx, :] @ keys[:, hidx, :].T) * scale
         scores = np.where(allowed, scores, np.float32(-np.inf))
         scores = scores - scores.max(axis=-1, keepdims=True)
         e = np.exp(scores)
         probs = e / e.sum(axis=-1, keepdims=True)
-        attn_out[:, hidx, :] = probs @ vals[:, hidx, :]
+        if own_diagonal:
+            own = probs[rows, positions]
+            ctx_probs = probs[:, :-1].copy()
+            ctx_probs[rows[:-1], positions[:-1]] = 0
+            attn_out[:, hidx, :] = (ctx_probs @ vals[:, hidx, :]
+                                    + own[:, None] * v[:, hidx, :])
+        else:
+            attn_out[:, hidx, :] = probs @ vals[:, hidx, :]
         if attn_record_row is not None:
             qlen = attn_record_row.shape[-1]
             attn_record_row[hidx] = probs[qlen - 1 - pos0, :qlen]
@@ -434,6 +473,15 @@ def _logits(weights: ModelWeights, hidden: np.ndarray) -> np.ndarray:
     return final @ weights.embedding.T
 
 
+def _token_array(weights: ModelWeights, tokens) -> np.ndarray:
+    toks = np.asarray(tokens, dtype=np.int64)
+    if toks.ndim != 1 or toks.size == 0:
+        raise ValueError("tokens must be a non-empty 1-D sequence")
+    if toks.min() < 0 or toks.max() >= weights.config.vocab_size:
+        raise ValueError("token id outside vocabulary")
+    return toks
+
+
 def prefill(
     weights: ModelWeights,
     tokens,
@@ -448,11 +496,7 @@ def prefill(
     logits at the final processed position.  ``record_attention`` captures
     the post-softmax rows of the final position in every layer and head.
     """
-    toks = np.asarray(tokens, dtype=np.int64)
-    if toks.ndim != 1 or toks.size == 0:
-        raise ValueError("prompt must be a non-empty 1-D token sequence")
-    if toks.min() < 0 or toks.max() >= weights.config.vocab_size:
-        raise ValueError("token id outside vocabulary")
+    toks = _token_array(weights, tokens)
     if kv is None:
         kv = KvCache(weights.config)
     qpos = kv.length + toks.size - 1 if record_attention else None
@@ -476,6 +520,27 @@ def decode_step(
         weights, np.asarray([token], dtype=np.int64), kv, precision
     )
     return _logits(weights, hidden)[0]
+
+
+def teacher_forced_logits(
+    weights: ModelWeights, tokens, context: KvCache, precision: Precision
+) -> np.ndarray:
+    """Logits of every row of ``tokens`` as a decode step on its context.
+
+    Row j is the decode step of ``tokens[j]`` at position j, at
+    ``precision``, over a cache holding the first j entries of ``context``:
+    it attends to those and to its own K/V.  So one pass over n tokens
+    gives what n separate ``decode_step`` calls would, on caches cut from a
+    single prompt pass over the first n - 1 tokens.  ``context`` must hold
+    at least n - 1 entries and is not written.  Returns [n, vocab] logits.
+    """
+    toks = _token_array(weights, tokens)
+    positions = np.arange(toks.size)
+    x = weights.embedding[toks]
+    for li in range(weights.config.n_layers):
+        x = forward_block(weights, li, x, context, positions, precision,
+                          own_diagonal=True)
+    return _logits(weights, x)
 
 
 def full_forward_logits(

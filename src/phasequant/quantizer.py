@@ -164,12 +164,15 @@ def _blocks(x, group_size: int):
 def _tensor_scales(amax: np.ndarray, policy: TensorScalePolicy) -> np.ndarray:
     """Tensor scale for each float32 ``max|x|`` in ``amax``.
 
-    Calibrated: ``amax / (6 * 448)``, or 1.0 for an all-zero tensor.
+    Calibrated: ``amax / (6 * 448)``, or 1.0 where that is 0: an all-zero
+    tensor, or one so small (``amax`` at most ``2688 * 2**-150``, about
+    1.9e-42) that the quotient underflows.  Every block of such a tensor then encodes as dead.
     Unit: always 1.0.
     """
     if policy is TensorScalePolicy.UNIT:
         return np.ones_like(amax)
-    return np.where(amax == 0, np.float32(1.0), amax / _SCALE_DENOM)
+    scales = amax / _SCALE_DENOM
+    return np.where(scales == 0, np.float32(1.0), scales)
 
 
 def _encode(blocks: np.ndarray, bmax: np.ndarray, alphas: np.ndarray):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from phasequant import formats, model
-from phasequant.model import ModelConfig, init_model
+from phasequant.model import KvCache, ModelConfig, decode_step, init_model, prefill
+from phasequant.rng import uniform_stream
 
 
 def toy_config(seed=0, **overrides):
@@ -35,6 +36,21 @@ def toy_weights(seed=0, **overrides):
 @pytest.fixture
 def weights():
     return toy_weights(0)
+
+
+def whole_normal_stream(seed, count):
+    """Oracle: the first ``count`` normals of the stream in one whole-array
+    Box-Muller pass (see ``phasequant.rng``), as float64."""
+    pairs = (count + 1) // 2
+    u = uniform_stream(seed, 2 * pairs)
+    u1 = u[0::2]
+    u2 = u[1::2]
+    r = np.sqrt(-2.0 * np.log(1.0 - u1))
+    angle = 2.0 * np.pi * u2
+    out = np.empty(2 * pairs, dtype=np.float64)
+    out[0::2] = r * np.cos(angle)
+    out[1::2] = r * np.sin(angle)
+    return out[:count]
 
 
 def rel_logits_err(a, b):
@@ -105,3 +121,31 @@ def identity_quantizer(monkeypatch):
             yield
 
     return active
+
+
+def per_token_perplexity(weights, mode, corpus):
+    """Oracle: teacher-forced perplexity with a fresh prompt pass per token.
+
+    For each scored token x_t the context x_1..x_{t-2} runs through the
+    prompt pass at the mode's prefill precision and the immediately
+    preceding token x_{t-1} through a decode step at its decode precision.
+    """
+    total_nll = 0.0
+    scored = 0
+    for seq in corpus:
+        seq = [int(t) for t in seq]
+        if len(seq) > weights.config.max_seq_len:
+            raise ValueError("corpus sequence exceeds the model context")
+        for t in range(1, len(seq)):
+            if t == 1:
+                kv = KvCache(weights.config)
+            else:
+                kv = prefill(weights, seq[: t - 1], mode.prefill_precision).kv
+            logits = decode_step(weights, kv, seq[t - 1], mode.decode_precision)
+            shifted = logits - logits.max()
+            logprob = shifted[seq[t]] - np.log(np.exp(shifted).sum())
+            total_nll += -float(logprob)
+            scored += 1
+    if scored == 0:
+        raise ValueError("corpus has no scorable positions")
+    return float(np.exp(total_nll / scored))

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import toy_config, toy_weights
+from conftest import per_token_perplexity, toy_config, toy_weights
+from phasequant import analysis, model
 from phasequant.analysis import (
     compare_trajectories,
     cost_model,
@@ -11,7 +12,7 @@ from phasequant.analysis import (
     topk_mass,
 )
 from phasequant.engine import ExecutionMode, SamplerSpec, Trajectory, generate
-from phasequant.model import AttentionRecord
+from phasequant.model import AttentionRecord, Precision
 
 
 def softmax_rows(rng, n_rows, n_cols, scale=2.0):
@@ -241,3 +242,63 @@ class TestPerplexity:
             perplexity(weights, ExecutionMode.BASELINE16, [])
         with pytest.raises(ValueError):
             perplexity(weights, ExecutionMode.BASELINE16, [[3]])
+
+    def test_longer_than_context_rejected(self, weights):
+        too_long = [1] * (weights.config.max_seq_len + 1)
+        with pytest.raises(ValueError):
+            perplexity(weights, ExecutionMode.BASELINE16, [too_long])
+
+    @pytest.mark.parametrize("last", [-1, 64])
+    def test_last_token_outside_vocabulary_rejected(self, weights, last):
+        # the last token is only ever a target, never a model input
+        assert weights.config.vocab_size == 64
+        with pytest.raises(ValueError):
+            perplexity(weights, ExecutionMode.BASELINE16, [[1, 2, last]])
+
+    def test_bad_token_rejected_before_any_pass(self, weights, monkeypatch):
+        calls = []
+        monkeypatch.setattr(model, "forward_block",
+                            lambda *a, **k: calls.append(1))
+        with pytest.raises(ValueError):
+            perplexity(weights, ExecutionMode.BASELINE16,
+                       [[1, 2, 3, 4], [5, 6, 64]])
+        assert calls == []
+
+
+PER_TOKEN_SEQ = [int(t) for t in np.random.default_rng(17).integers(0, 64, 24)]
+
+
+@pytest.mark.parametrize("mode", list(ExecutionMode))
+def test_matches_per_token_oracle(weights, mode):
+    # one prefix per corpus pins each token's log-probability in turn; the
+    # two passes agree with a fresh prompt pass per token up to the
+    # forward's length and batch dependence
+    for n in range(2, len(PER_TOKEN_SEQ) + 1):
+        corpus = [PER_TOKEN_SEQ[:n]]
+        got = perplexity(weights, mode, corpus)
+        expected = per_token_perplexity(weights, mode, corpus)
+        assert abs(got - expected) <= 1e-5 * expected, n
+
+
+def test_one_prompt_pass_and_one_decode_pass_per_sequence(weights, monkeypatch):
+    prefills, blocks = [], []
+    real_prefill, real_block = analysis.prefill, model.forward_block
+
+    def counting_prefill(w, tokens, precision, *args, **kwargs):
+        prefills.append((len(tokens), precision))
+        return real_prefill(w, tokens, precision, *args, **kwargs)
+
+    def counting_block(w, layer, x, kv, positions, precision, *args, **kwargs):
+        blocks.append((len(x), precision, kwargs.get("own_diagonal", False)))
+        return real_block(w, layer, x, kv, positions, precision, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "prefill", counting_prefill)
+    monkeypatch.setattr(model, "forward_block", counting_block)
+    corpus = [list(range(1, 12)), [5, 9], [7]]
+    perplexity(weights, ExecutionMode.MIX_QUANT, corpus)
+
+    n_layers = weights.config.n_layers
+    assert prefills == [(9, Precision.NVFP4)]  # n - 2 = 9; none at n = 2
+    prompt_blocks = [(9, Precision.NVFP4, False)] * n_layers
+    decode_blocks = [(10, Precision.HIGH, True)] * n_layers
+    assert blocks == prompt_blocks + decode_blocks + [(1, Precision.HIGH, True)] * n_layers

@@ -1,22 +1,24 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 
-from conftest import rel_logits_err, toy_config, toy_weights
+from conftest import rel_logits_err, toy_config, toy_weights, whole_normal_stream
 from phasequant.errors import ConfigError, ContextOverflowError
 from phasequant.quantizer import QuantizedTensor
-from phasequant.rng import normal_stream
 from phasequant.model import (
     KvCache,
     ModelConfig,
     Precision,
     decode_step,
+    fnv1a64,
     full_forward_logits,
     init_model,
     load_model,
     prefill,
     save_model,
+    teacher_forced_logits,
 )
 
 
@@ -49,6 +51,14 @@ class TestConfig:
                         ffn_hidden=40, max_seq_len=8, seed=0)
         with pytest.raises(ConfigError):
             ModelConfig(vocab_size=16, d_model=32, n_layers=1, n_heads=3,
+                        max_seq_len=8, seed=0)
+
+    @pytest.mark.parametrize("d_model", [0, -16])
+    def test_zero_or_negative_width_rejected(self, d_model):
+        # both are multiples of 16, and head_dim and ffn_hidden derive from
+        # them, so only a lower bound keeps such a model out
+        with pytest.raises(ConfigError):
+            ModelConfig(vocab_size=16, d_model=d_model, n_layers=1, n_heads=1,
                         max_seq_len=8, seed=0)
 
     def test_defaults(self):
@@ -98,11 +108,19 @@ class TestInit:
     def test_stream_consumed_in_documented_order(self):
         # matrices take consecutive slices of one scaled normal stream; gains
         # are one and draw nothing
-        cfg = toy_config(7, n_layers=3)
+        self.check_documented_order(toy_config(7, n_layers=3))
+
+    def test_stream_spanning_several_chunks(self):
+        # 147,456 values: the generator makes them in three chunks
+        self.check_documented_order(toy_config(7, vocab_size=256, d_model=64,
+                                               n_heads=4, ffn_hidden=256))
+
+    @staticmethod
+    def check_documented_order(cfg):
         w = init_model(cfg)
         entries = documented_tensors(cfg)
         total = sum(math.prod(shape) for *_, shape in entries if len(shape) == 2)
-        stream = (0.02 * normal_stream(cfg.seed, total)).astype(np.float32)
+        stream = (0.02 * whole_normal_stream(cfg.seed, total)).astype(np.float32)
         pos = 0
         for layer, name, shape in entries:
             tensor = tensor_of(w, layer, name)
@@ -266,6 +284,55 @@ class TestTeacherForcing:
             logits = decode_step(w, kv, toks[pos], Precision.HIGH)
             assert rel_logits_err(logits, full[pos]) <= 1e-5
 
+    @staticmethod
+    def cut(kv, length):
+        """A fresh cache holding the first ``length`` entries of ``kv``."""
+        out = KvCache(kv.config)
+        for layer in range(kv.config.n_layers):
+            out.keys[layer][:length] = kv.keys[layer][:length]
+            out.values[layer][:length] = kv.values[layer][:length]
+        out.length = length
+        return out
+
+    @pytest.mark.parametrize("ctx_prec", list(Precision))
+    @pytest.mark.parametrize("prec", list(Precision))
+    def test_rows_match_decode_steps_on_cut_caches(self, weights, ctx_prec, prec):
+        # row j is the decode step of token j on the context's first j rows
+        rng = np.random.default_rng(41)
+        toks = list(rng.integers(0, weights.config.vocab_size, size=9))
+        context = prefill(weights, toks[:-1], ctx_prec).kv
+        rows = teacher_forced_logits(weights, toks, context, prec)
+        assert rows.shape == (len(toks), weights.config.vocab_size)
+        for j, tok in enumerate(toks):
+            step = decode_step(weights, self.cut(context, j), tok, prec)
+            assert rel_logits_err(rows[j], step) <= 1e-5, j
+
+    def test_context_cache_not_written(self, weights):
+        toks = [4, 8, 15, 16, 23, 42]
+        context = prefill(weights, toks[:-1], Precision.HIGH).kv
+        keys = [k.copy() for k in context.keys]
+        values = [v.copy() for v in context.values]
+        teacher_forced_logits(weights, toks, context, Precision.NVFP4)
+        assert context.length == 5
+        for layer in range(weights.config.n_layers):
+            assert np.array_equal(context.keys[layer], keys[layer])
+            assert np.array_equal(context.values[layer], values[layer])
+
+    def test_first_row_needs_no_context(self, weights):
+        rows = teacher_forced_logits(weights, [9], KvCache(weights.config),
+                                     Precision.HIGH)
+        step = decode_step(weights, KvCache(weights.config), 9, Precision.HIGH)
+        assert rel_logits_err(rows[0], step) <= 1e-5
+
+    def test_short_context_and_bad_tokens_rejected(self, weights):
+        context = prefill(weights, [1, 2], Precision.HIGH).kv
+        with pytest.raises(ValueError):
+            teacher_forced_logits(weights, [1, 2, 3, 4], context, Precision.HIGH)
+        with pytest.raises(ValueError):
+            teacher_forced_logits(weights, [1, -1, 3], context, Precision.HIGH)
+        with pytest.raises(ValueError):
+            teacher_forced_logits(weights, [], context, Precision.HIGH)
+
     def test_greedy_pick_consistent_at_l1(self, weights):
         res = prefill(weights, [9], Precision.HIGH)
         full = full_forward_logits(weights, [9], Precision.HIGH)
@@ -427,6 +494,15 @@ class TestWeightFile:
         assert raw[:4] == b"MXQW"
         assert int.from_bytes(raw[4:8], "little") == 1
         assert int.from_bytes(raw[8:16], "little") == w.config.digest()
+
+    def test_zero_width_file_rejected(self, tmp_path):
+        # a well-formed header whose config has d_model = 0 and no tensors
+        block = struct.pack("<IIIIIII d Q", 16, 0, 1, 1, 0, 0, 8, 10000.0, 0)
+        digest = fnv1a64(block)
+        path = tmp_path / "m.mxqw"
+        path.write_bytes(b"MXQW" + struct.pack("<IQ", 1, digest) + block)
+        with pytest.raises(ConfigError):
+            load_model(str(path))
 
     def test_corrupt_digest_rejected(self, tmp_path):
         w = toy_weights(23)

@@ -46,6 +46,37 @@ class TestTensorScale:
         assert type(scale) is np.float32
         assert scale == expected
 
+    # the largest float32 amax whose amax / 2688 rounds to 0
+    UNDERFLOW_LIMIT = np.float32(2688 * 2.0**-150)
+
+    @pytest.mark.parametrize("tiny", [1e-45, 1e-42, UNDERFLOW_LIMIT])
+    def test_underflowing_scale_degenerates_to_one(self, tiny):
+        # such a tensor takes the all-zero tensor's scale and encodes dead
+        x = np.full((1, 16), tiny, np.float32)
+        qt = quantize(x, AMAX)
+        assert qt.tensor_scale == 1.0
+        assert (qt.codes == 0).all() and (qt.block_scales == 0).all()
+
+    def test_underflowing_rows_match_single_row_quantize(self):
+        x = np.full((3, 32), 1e-42, np.float32)
+        x[1] = np.linspace(-3, 3, 32, dtype=np.float32)
+        x[2, 16:] = 7.0
+        rq = quantize_rows(x, AMAX)
+        assert rq.row_scales[0] == 1.0
+        assert (rq.codes[0] == 0).all()
+        for i in range(3):
+            single = quantize(x[i : i + 1], AMAX)
+            row = rq.row(i)
+            assert np.array_equal(single.codes, row.codes)
+            assert np.array_equal(single.block_scales, row.block_scales)
+            assert single.tensor_scale == row.tensor_scale
+
+    def test_smallest_non_underflowing_scale_unchanged(self):
+        amax = np.nextafter(self.UNDERFLOW_LIMIT, np.float32(1))
+        expected = amax / np.float32(2688.0)
+        assert expected > 0
+        assert quantize(np.full((1, 16), amax), AMAX).tensor_scale == expected
+
     def test_non_finite_rejected(self):
         x = np.zeros((1, 16), np.float32)
         x[0, 0] = np.inf

@@ -1,7 +1,10 @@
 import math
 
 import numpy as np
+import pytest
 
+from conftest import whole_normal_stream
+from phasequant import rng
 from phasequant.rng import SplitMix64, normal_stream, u64_stream, uniform_stream
 
 
@@ -82,3 +85,27 @@ def test_normal_stream_moments():
 
 def test_seed_sensitivity():
     assert list(u64_stream(3, 8)) != list(u64_stream(4, 8))
+
+
+_CHUNK = 2 * rng._CHUNK_PAIRS  # values per chunk
+
+
+@pytest.mark.parametrize("count", [
+    1, 2, 3, 17, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3, 3 * _CHUNK - 2,
+])
+def test_chunked_stream_matches_whole_array_formula(count):
+    # chunking changes only array lengths: every value, and every float32
+    # weight made from it, is the whole-array pass's bit for bit
+    expected = whole_normal_stream(11, count)
+    got = normal_stream(11, count)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, expected)
+    assert np.array_equal((0.02 * got).astype(np.float32),
+                          (0.02 * expected).astype(np.float32))
+
+
+def test_chunks_are_consecutive_and_bounded():
+    count = 2 * _CHUNK + 5
+    sizes = [chunk.size for chunk in rng.normal_chunks(11, count)]
+    assert sizes == [_CHUNK, _CHUNK, 5]
+    assert list(rng.normal_chunks(11, 0)) == []
