@@ -19,6 +19,7 @@ from .model import (
     KvCache,
     ModelConfig,
     ModelWeights,
+    Precision,
     prefill,
     teacher_forced_logits,
 )
@@ -247,8 +248,6 @@ def cost_model(
     decode_attn = cfg.n_layers * d * sum(
         prompt_len + t for t in range(1, gen_len + 1)
     )
-    from .model import Precision
-
     prefill_low = prefill_linear if mode.prefill_precision is Precision.NVFP4 else 0
     decode_low = decode_linear if mode.decode_precision is Precision.NVFP4 else 0
 

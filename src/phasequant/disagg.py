@@ -41,6 +41,7 @@ from __future__ import annotations
 import os
 import socket
 import struct
+import traceback
 import zlib
 from dataclasses import dataclass
 from enum import IntEnum
@@ -307,6 +308,8 @@ def encode_error(code: ErrorCode, message: str) -> bytes:
 
 
 def decode_error(body: bytes) -> Tuple[int, str]:
+    if len(body) < 4:
+        raise ProtocolError("malformed error frame")
     (code,) = struct.unpack_from("<I", body)
     return code, body[4:].decode("utf-8", errors="replace")
 
@@ -314,11 +317,15 @@ def decode_error(body: bytes) -> Tuple[int, str]:
 # ---------------------------------------------------------------------------
 # workers
 
-def _handshake(stream: FrameStream, digest: int):
+def _receive(stream: FrameStream, wanted: FrameType) -> bytes:
     ftype, body = stream.read_frame()
-    if ftype is not FrameType.HELLO:
-        raise WorkerError(ErrorCode.PROTOCOL, "expected hello")
-    version, peer_digest = decode_hello(body)
+    if ftype is not wanted:
+        raise WorkerError(ErrorCode.PROTOCOL, f"unexpected frame {ftype.name}")
+    return body
+
+
+def _handshake(stream: FrameStream, digest: int):
+    version, peer_digest = decode_hello(_receive(stream, FrameType.HELLO))
     if version != PROTOCOL_VERSION:
         raise WorkerError(ErrorCode.VERSION, f"protocol version {version} unsupported")
     if peer_digest not in (0, digest):
@@ -329,87 +336,81 @@ def _handshake(stream: FrameStream, digest: int):
     stream.write_frame(FrameType.HELLO, encode_hello(digest))
 
 
-def _reply_error(stream: FrameStream, code: ErrorCode, message: str):
-    # Best effort: the peer may already be gone.
+def _error_code(exc: Exception) -> ErrorCode:
+    if isinstance(exc, WorkerError):
+        return exc.code
+    if isinstance(exc, ContextOverflowError):
+        return ErrorCode.OVERFLOW
+    if isinstance(exc, BlobIntegrityError):
+        return ErrorCode.CORRUPT
+    if isinstance(exc, (ProtocolError, ValueError)):
+        return ErrorCode.PROTOCOL
+    return ErrorCode.INTERNAL
+
+
+def _serve(stream: FrameStream, weights: ModelWeights,
+           handle: Callable[[int], None]):
+    """Run the handshake, then ``handle(config digest)``.
+
+    Any failure of either becomes exactly one ERROR frame, so a bad request
+    never ends the worker; an unexpected one (INTERNAL) also prints its
+    traceback to stderr.
+    """
+    digest = weights.config.digest()
     try:
-        stream.write_frame(FrameType.ERROR, encode_error(code, message))
-    except OSError:
-        pass
+        _handshake(stream, digest)
+        handle(digest)
+    except Exception as exc:
+        code = _error_code(exc)
+        if code is ErrorCode.INTERNAL:
+            traceback.print_exc()
+        try:  # best effort: the peer may already be gone
+            stream.write_frame(FrameType.ERROR, encode_error(code, str(exc)))
+        except OSError:
+            pass
 
 
 def serve_prefill(stream: FrameStream, weights: ModelWeights,
                   precision: Precision):
     """Handle one prompt request: reply KV_BLOB then PREFILL_LOGITS."""
-    digest = weights.config.digest()
-    try:
-        _handshake(stream, digest)
-        ftype, body = stream.read_frame()
-        if ftype is not FrameType.GENERATE_REQ:
-            raise WorkerError(ErrorCode.PROTOCOL, f"unexpected frame {ftype.name}")
-        _, _, prompt = decode_generate_req(body)
+
+    def handle(digest: int):
+        _, _, prompt = decode_generate_req(_receive(stream, FrameType.GENERATE_REQ))
         if not prompt:
             raise WorkerError(ErrorCode.PROTOCOL, "empty prompt")
-        try:
-            result = prefill(weights, prompt, precision)
-        except ContextOverflowError as exc:
-            raise WorkerError(ErrorCode.OVERFLOW, str(exc))
-        except ValueError as exc:
-            raise WorkerError(ErrorCode.PROTOCOL, str(exc))
-        blob = serialize_kv(result.kv, digest, prompt)
-        stream.write_frame(FrameType.KV_BLOB, blob)
+        result = prefill(weights, prompt, precision)
+        stream.write_frame(FrameType.KV_BLOB, serialize_kv(result.kv, digest, prompt))
         stream.write_frame(FrameType.PREFILL_LOGITS, encode_logits(result.logits))
-    except WorkerError as exc:
-        _reply_error(stream, exc.code, str(exc))
-    except ProtocolError as exc:
-        _reply_error(stream, ErrorCode.PROTOCOL, str(exc))
+
+    _serve(stream, weights, handle)
 
 
 def serve_decode(stream: FrameStream, weights: ModelWeights,
                  precision: Precision):
     """Handle one decode request: consume blob + logits + request, reply TOKENS."""
-    digest = weights.config.digest()
-    try:
-        _handshake(stream, digest)
-        ftype, body = stream.read_frame()
-        if ftype is not FrameType.KV_BLOB:
-            raise WorkerError(ErrorCode.PROTOCOL, f"unexpected frame {ftype.name}")
-        try:
-            blob = deserialize_kv(body)
-        except BlobIntegrityError as exc:
-            raise WorkerError(ErrorCode.CORRUPT, str(exc))
+
+    def handle(digest: int):
+        blob = deserialize_kv(_receive(stream, FrameType.KV_BLOB))
         if blob.digest != digest:
             raise WorkerError(
                 ErrorCode.DIGEST_MISMATCH,
                 f"blob digest {blob.digest:016x} does not match model "
                 f"{digest:016x}",
             )
-        ftype, body = stream.read_frame()
-        if ftype is not FrameType.PREFILL_LOGITS:
-            raise WorkerError(ErrorCode.PROTOCOL, f"unexpected frame {ftype.name}")
-        first_logits = decode_logits(body)
+        first_logits = decode_logits(_receive(stream, FrameType.PREFILL_LOGITS))
         if first_logits.size != weights.config.vocab_size:
             raise WorkerError(ErrorCode.PROTOCOL, "logits size mismatch")
-        ftype, body = stream.read_frame()
-        if ftype is not FrameType.GENERATE_REQ:
-            raise WorkerError(ErrorCode.PROTOCOL, f"unexpected frame {ftype.name}")
-        mode, sampler, _ = decode_generate_req(body)
-        try:
-            kv = blob.to_cache(weights)
-            traj = run_decode_loop(
-                weights, kv, first_logits, precision, sampler, blob.prompt,
-                mode.value,
-            )
-        except ContextOverflowError as exc:
-            raise WorkerError(ErrorCode.OVERFLOW, str(exc))
-        except BlobIntegrityError as exc:
-            raise WorkerError(ErrorCode.CORRUPT, str(exc))
+        mode, sampler, _ = decode_generate_req(
+            _receive(stream, FrameType.GENERATE_REQ))
+        traj = run_decode_loop(
+            weights, blob.to_cache(weights), first_logits, precision, sampler,
+            blob.prompt, mode.value,
+        )
         stream.write_frame(
             FrameType.TOKENS, render_trajectory(traj).encode("utf-8")
         )
-    except WorkerError as exc:
-        _reply_error(stream, exc.code, str(exc))
-    except ProtocolError as exc:
-        _reply_error(stream, ErrorCode.PROTOCOL, str(exc))
+
+    _serve(stream, weights, handle)
 
 
 # ---------------------------------------------------------------------------

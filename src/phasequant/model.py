@@ -11,6 +11,9 @@ scale, 16-element blocks along the feature axis), so a token's codes never
 depend on what else shares the batch.  Norms, rotary embedding, softmax,
 residuals and the output head stay in float32 in every mode.
 
+``prefill``, ``decode_step`` and ``teacher_forced_logits`` all run one
+block loop (``_forward``), and every block one attention function.
+
 Weight initialization is fully pinned (see ``rng``): a single normal stream
 seeded from the config seed is consumed in this order, each matrix row-major
 in its stored [out, in] layout:
@@ -196,9 +199,6 @@ class ModelWeights:
         self._shadows: dict = {}
         self._shadow_lock = threading.Lock()
 
-    def digest(self) -> int:
-        return self.config.digest()
-
     def shadow(self, layer_idx: int, name: str) -> QuantizedTensor:
         """Quantized copy of one projection matrix, built once and cached
         together with its block-scale fold (``QuantizedTensor.folded_t``)."""
@@ -210,10 +210,6 @@ class ModelWeights:
                 qt.folded_t()
                 self._shadows[key] = qt
             return qt
-
-    def drop_shadows(self):
-        with self._shadow_lock:
-            self._shadows.clear()
 
 
 def _assemble(cfg: ModelConfig, tensors: list) -> ModelWeights:
@@ -255,14 +251,6 @@ class KvCache:
         self.values = [np.zeros(shape, dtype=np.float32) for _ in range(config.n_layers)]
         self.length = 0
 
-    def copy(self) -> "KvCache":
-        dup = KvCache(self.config)
-        for i in range(self.config.n_layers):
-            dup.keys[i][: self.length] = self.keys[i][: self.length]
-            dup.values[i][: self.length] = self.values[i][: self.length]
-        dup.length = self.length
-        return dup
-
 
 @dataclass
 class AttentionRecord:
@@ -280,7 +268,6 @@ class PrefillResult:
     kv: KvCache
     logits: np.ndarray
     attention: Optional[AttentionRecord] = None
-    all_logits: Optional[np.ndarray] = None
 
 
 def _rmsnorm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
@@ -317,50 +304,45 @@ def forward_block(
     layer_idx: int,
     x: np.ndarray,
     kv: KvCache,
-    positions: np.ndarray,
     precision: Precision,
     attn_record_row: Optional[np.ndarray] = None,
     own_diagonal: bool = False,
 ) -> np.ndarray:
     """One pre-norm residual block over a chunk of hidden states.
 
-    ``positions`` must continue the cache: they start at ``kv.length``
-    (which only advances once the caller has run every layer, so all layers
-    of one chunk see the same start).  Writes this layer's K/V at those
-    positions; reads keys up to the chunk end with a causal mask.  If
-    ``attn_record_row`` is given (shape [n_heads, q+1] for query position q
-    inside the chunk) the post-softmax rows are stored into it.
+    The start position is not passed but derived: the chunk's rows are the
+    positions from ``kv.length`` on (which only advances once the caller
+    has run every layer, so all layers of one chunk see the same start).
+    Writes this layer's K/V at those positions; reads keys up to the chunk
+    end with a causal mask.  If ``attn_record_row`` is given (shape
+    [n_heads, chunk end]) the post-softmax rows of the chunk's last
+    position are stored into it.  A chunk that would end past
+    ``max_seq_len`` raises ``ContextOverflowError`` before any write.
 
-    With ``own_diagonal`` the cache is read-only context and the rows do
-    not see each other: the row at position q attends to the cache entries
-    before q and to its own K/V at q, as if it were a decode step on a cache
-    holding exactly those q entries.  The cache must then hold every
-    position before the chunk's last, and nothing is written to it.
+    With ``own_diagonal`` the rows are the positions from 0 on, the cache
+    is read-only context and the rows do not see each other: the row at
+    position q attends to the cache entries before q and to its own K/V at
+    q, as if it were a decode step on a cache holding exactly those q
+    entries.  The cache must then hold every position before the chunk's
+    last, and nothing is written to it.
     """
     cfg = weights.config
     layer = weights.layers[layer_idx]
     p = x.shape[0]
-    pos0 = int(positions[0])
+    pos0 = 0 if own_diagonal else kv.length
     total = pos0 + p
-    if own_diagonal:
-        if kv.length < total - 1:
-            raise ValueError(
-                f"rows up to position {total - 1} need {total - 1} context "
-                f"entries but the cache holds {kv.length}"
-            )
-    elif pos0 != kv.length:
+    if own_diagonal and kv.length < total - 1:
         raise ValueError(
-            f"positions start at {pos0} but the cache holds {kv.length} entries"
+            f"rows up to position {total - 1} need {total - 1} context "
+            f"entries but the cache holds {kv.length}"
         )
-    if not np.array_equal(positions, np.arange(pos0, total)):
-        raise ValueError("positions must be contiguous")
     if total > cfg.max_seq_len:
         raise ContextOverflowError(
             f"position {total - 1} exceeds max_seq_len {cfg.max_seq_len}",
             position=total - 1,
         )
+    positions = np.arange(pos0, total)
     cos, sin = _rope_tables(cfg, positions)
-    scale = np.float32(1.0 / math.sqrt(cfg.head_dim))
 
     h = _rmsnorm(x, layer.attn_norm_gain)
     q = _linear(h, layer.attn_q, precision, weights, layer_idx, "attn_q")
@@ -370,43 +352,14 @@ def forward_block(
     k = _apply_rope(k.reshape(p, cfg.n_heads, cfg.head_dim), cos, sin)
     v = v.reshape(p, cfg.n_heads, cfg.head_dim)
 
-    if own_diagonal:
-        # Column q of row q is the row's own key; the context fills the
-        # columns before it.  The last column holds no cache entry.
-        keys = kv.keys[layer_idx][: total - 1]
-        vals = kv.values[layer_idx][: total - 1]
-        rows = np.arange(p)
+    if own_diagonal:  # own K/V stay out of the read-only cache
+        end, own = total - 1, (k, v)
     else:
         kv.keys[layer_idx][pos0:total] = k
         kv.values[layer_idx][pos0:total] = v
-        keys = kv.keys[layer_idx][:total]
-        vals = kv.values[layer_idx][:total]
-
-    allowed = np.arange(total)[None, :] <= positions[:, None]
-    attn_out = np.empty((p, cfg.n_heads, cfg.head_dim), dtype=np.float32)
-    for hidx in range(cfg.n_heads):
-        if own_diagonal:
-            scores = np.empty((p, total), dtype=np.float32)
-            scores[:, :-1] = q[:, hidx, :] @ keys[:, hidx, :].T
-            scores[rows, positions] = (q[:, hidx, :] * k[:, hidx, :]).sum(axis=-1)
-            scores *= scale
-        else:
-            scores = (q[:, hidx, :] @ keys[:, hidx, :].T) * scale
-        scores = np.where(allowed, scores, np.float32(-np.inf))
-        scores = scores - scores.max(axis=-1, keepdims=True)
-        e = np.exp(scores)
-        probs = e / e.sum(axis=-1, keepdims=True)
-        if own_diagonal:
-            own = probs[rows, positions]
-            ctx_probs = probs[:, :-1].copy()
-            ctx_probs[rows[:-1], positions[:-1]] = 0
-            attn_out[:, hidx, :] = (ctx_probs @ vals[:, hidx, :]
-                                    + own[:, None] * v[:, hidx, :])
-        else:
-            attn_out[:, hidx, :] = probs @ vals[:, hidx, :]
-        if attn_record_row is not None:
-            qlen = attn_record_row.shape[-1]
-            attn_record_row[hidx] = probs[qlen - 1 - pos0, :qlen]
+        end, own = total, None
+    attn_out = _attend(q, kv.keys[layer_idx][:end], kv.values[layer_idx][:end],
+                       positions, own, attn_record_row)
     proj = _linear(
         attn_out.reshape(p, cfg.d_model), layer.attn_out, precision, weights,
         layer_idx, "attn_out",
@@ -422,64 +375,80 @@ def forward_block(
     return x + down
 
 
-def _forward_chunk(
+def _attend(q: np.ndarray, keys: np.ndarray, vals: np.ndarray,
+            positions: np.ndarray, own: Optional[tuple] = None,
+            record: Optional[np.ndarray] = None) -> np.ndarray:
+    """Causal softmax attention, head by head; returns [p, n_heads, head_dim].
+
+    The queries ``q`` sit at the contiguous ``positions``; each row reads
+    the ``keys``/``vals`` entries up to its own position.  With ``own`` =
+    ``(k, v)`` of the chunk (rows from position 0, entries ending before the
+    last row's), a row's own key scores its diagonal column and its own
+    value takes that column's weight.  ``record`` [n_heads, positions[-1] +
+    1], if given, receives the last row's probabilities.
+    """
+    p, n_heads, head_dim = q.shape
+    total = int(positions[-1]) + 1
+    scale = np.float32(1.0 / math.sqrt(head_dim))
+    allowed = np.arange(total)[None, :] <= positions[:, None]
+    rows = np.arange(p)
+    out = np.empty((p, n_heads, head_dim), dtype=np.float32)
+    for hidx in range(n_heads):
+        qh = q[:, hidx, :]
+        if own is None:
+            scores = (qh @ keys[:, hidx, :].T) * scale
+        else:
+            scores = np.empty((p, total), dtype=np.float32)
+            scores[:, :-1] = qh @ keys[:, hidx, :].T
+            scores[rows, positions] = (qh * own[0][:, hidx, :]).sum(axis=-1)
+            scores *= scale
+        scores = np.where(allowed, scores, np.float32(-np.inf))
+        scores = scores - scores.max(axis=-1, keepdims=True)
+        e = np.exp(scores)
+        probs = e / e.sum(axis=-1, keepdims=True)
+        if record is not None:
+            record[hidx] = probs[-1]
+        if own is None:
+            out[:, hidx, :] = probs @ vals[:, hidx, :]
+        else:
+            own_probs = probs[rows, positions]
+            context = probs[:, :-1]
+            context[rows[:-1], positions[:-1]] = 0
+            out[:, hidx, :] = (context @ vals[:, hidx, :]
+                               + own_probs[:, None] * own[1][:, hidx, :])
+    return out
+
+
+def _forward(
     weights: ModelWeights,
-    tokens: np.ndarray,
+    tokens,
     kv: KvCache,
     precision: Precision,
-    attn_query_position: Optional[int] = None,
-) -> tuple:
-    """Run ``tokens`` as the next positions after ``kv.length``.
+    own_diagonal: bool = False,
+    record: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Run ``tokens`` through every block; returns each row's logits.
 
-    Writes the new KV entries and advances ``kv.length``.  Returns the
-    residual-stream hidden states of the chunk (pre final norm) and the
-    recorded attention rows, if a query position was given.
+    Without ``own_diagonal`` the tokens are the next positions after
+    ``kv.length``: their K/V entries are written and ``kv.length`` advances.
+    With it, see ``teacher_forced_logits``.  ``record``
+    [n_layers, n_heads, chunk end], if given, receives the last row's
+    post-softmax attention in every layer.
     """
     cfg = weights.config
-    p = len(tokens)
-    pos0 = kv.length
-    if p == 0:
-        raise ValueError("empty token chunk")
-    if pos0 + p > cfg.max_seq_len:
-        raise ContextOverflowError(
-            f"position {pos0 + p - 1} exceeds max_seq_len {cfg.max_seq_len}",
-            position=pos0 + p - 1,
-        )
-    positions = np.arange(pos0, pos0 + p)
-    total = pos0 + p
-
-    record_rows = None
-    if attn_query_position is not None:
-        if not (pos0 <= attn_query_position < total):
-            raise ValueError("attention query position outside this chunk")
-        record_rows = np.zeros(
-            (cfg.n_layers, cfg.n_heads, attn_query_position + 1), dtype=np.float32
-        )
-
-    x = weights.embedding[tokens]
-    for li in range(cfg.n_layers):
-        row = record_rows[li] if record_rows is not None else None
-        x = forward_block(weights, li, x, kv, positions, precision, row)
-
-    kv.length = total
-    record = None
-    if record_rows is not None:
-        record = AttentionRecord(query_position=attn_query_position, rows=record_rows)
-    return x, record
-
-
-def _logits(weights: ModelWeights, hidden: np.ndarray) -> np.ndarray:
-    final = _rmsnorm(hidden, weights.final_norm_gain)
-    return final @ weights.embedding.T
-
-
-def _token_array(weights: ModelWeights, tokens) -> np.ndarray:
     toks = np.asarray(tokens, dtype=np.int64)
     if toks.ndim != 1 or toks.size == 0:
         raise ValueError("tokens must be a non-empty 1-D sequence")
-    if toks.min() < 0 or toks.max() >= weights.config.vocab_size:
+    if toks.min() < 0 or toks.max() >= cfg.vocab_size:
         raise ValueError("token id outside vocabulary")
-    return toks
+    x = weights.embedding[toks]
+    for li in range(cfg.n_layers):
+        x = forward_block(weights, li, x, kv, precision,
+                          None if record is None else record[li],
+                          own_diagonal=own_diagonal)
+    if not own_diagonal:
+        kv.length += toks.size
+    return _rmsnorm(x, weights.final_norm_gain) @ weights.embedding.T
 
 
 def prefill(
@@ -488,7 +457,6 @@ def prefill(
     precision: Precision,
     kv: Optional[KvCache] = None,
     record_attention: bool = False,
-    return_all_logits: bool = False,
 ) -> PrefillResult:
     """Causal pass over a prompt (or appended prompt chunk).
 
@@ -496,30 +464,20 @@ def prefill(
     logits at the final processed position.  ``record_attention`` captures
     the post-softmax rows of the final position in every layer and head.
     """
-    toks = _token_array(weights, tokens)
-    if kv is None:
-        kv = KvCache(weights.config)
-    qpos = kv.length + toks.size - 1 if record_attention else None
-    hidden, record = _forward_chunk(weights, toks, kv, precision, qpos)
-    logits_all = _logits(weights, hidden)
-    return PrefillResult(
-        kv=kv,
-        logits=logits_all[-1],
-        attention=record,
-        all_logits=logits_all if return_all_logits else None,
-    )
+    cfg = weights.config
+    kv = KvCache(cfg) if kv is None else kv
+    shape = (cfg.n_layers, cfg.n_heads, kv.length + np.size(tokens))
+    record = np.zeros(shape, dtype=np.float32) if record_attention else None
+    logits = _forward(weights, tokens, kv, precision, record=record)
+    attention = AttentionRecord(kv.length - 1, record) if record_attention else None
+    return PrefillResult(kv=kv, logits=logits[-1], attention=attention)
 
 
 def decode_step(
     weights: ModelWeights, kv: KvCache, token: int, precision: Precision
 ) -> np.ndarray:
     """Single-position forward appending one KV entry; returns logits."""
-    if not (0 <= token < weights.config.vocab_size):
-        raise ValueError("token id outside vocabulary")
-    hidden, _ = _forward_chunk(
-        weights, np.asarray([token], dtype=np.int64), kv, precision
-    )
-    return _logits(weights, hidden)[0]
+    return _forward(weights, [token], kv, precision)[0]
 
 
 def teacher_forced_logits(
@@ -534,21 +492,7 @@ def teacher_forced_logits(
     single prompt pass over the first n - 1 tokens.  ``context`` must hold
     at least n - 1 entries and is not written.  Returns [n, vocab] logits.
     """
-    toks = _token_array(weights, tokens)
-    positions = np.arange(toks.size)
-    x = weights.embedding[toks]
-    for li in range(weights.config.n_layers):
-        x = forward_block(weights, li, x, context, positions, precision,
-                          own_diagonal=True)
-    return _logits(weights, x)
-
-
-def full_forward_logits(
-    weights: ModelWeights, tokens, precision: Precision
-) -> np.ndarray:
-    """One-shot pass over a whole sequence; logits at every position."""
-    result = prefill(weights, tokens, precision, return_all_logits=True)
-    return result.all_logits
+    return _forward(weights, tokens, context, precision, own_diagonal=True)
 
 
 def save_model(weights: ModelWeights, path: str):

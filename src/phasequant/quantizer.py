@@ -190,7 +190,7 @@ def _encode(blocks: np.ndarray, bmax: np.ndarray, alphas: np.ndarray):
     dead = combined == 0
     safe = np.where(dead, np.float32(1.0), combined)[:, :, None]
     codes = np.asarray(formats.encode_fp4(blocks / safe))
-    codes[np.broadcast_to(dead[:, :, None], codes.shape)] = 0
+    codes[dead] = 0
     return codes.reshape(rows, nblocks * g), scale_codes
 
 

