@@ -420,7 +420,12 @@ def _expect(stream: FrameStream, wanted: FrameType) -> bytes:
     ftype, body = stream.read_frame()
     if ftype is FrameType.ERROR:
         code, message = decode_error(body)
-        raise WorkerError(ErrorCode(code), message)
+        try:
+            known = ErrorCode(code)
+        except ValueError:
+            raise ProtocolError(
+                f"ERROR frame with unknown code {code}: {message}") from None
+        raise WorkerError(known, message)
     if ftype is not wanted:
         raise ProtocolError(f"expected {wanted.name}, got {ftype.name}")
     return body
@@ -511,6 +516,7 @@ class TcpWorker:
         self._server.bind((host, port))
         self._server.listen(1)
         self.address = self._server.getsockname()
+        self._closed = False
 
     def serve_one(self):
         conn, _ = self._server.accept()
@@ -522,14 +528,23 @@ class TcpWorker:
             conn.close()
 
     def serve_forever(self):
-        while True:
+        """Serve connections one by one until ``close``."""
+        while not self._closed:
             try:
                 self.serve_one()
             except OSError:
-                # a broken connection must not take the worker down
+                # a broken connection must not take the worker down; a
+                # closed listener ends the loop at the check above
                 continue
 
     def close(self):
+        """Stop listening; a ``serve_forever`` loop ends once its current
+        connection, if any, is done."""
+        self._closed = True
+        try:
+            self._server.shutdown(socket.SHUT_RDWR)  # wakes a blocked accept
+        except OSError:
+            pass
         self._server.close()
 
 

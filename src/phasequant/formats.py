@@ -56,13 +56,8 @@ def _build_e4m3_tables():
 
 E4M3_VALUES, E4M3_IS_NAN = _build_e4m3_tables()
 
-# Nonnegative grid in ascending value order; position i holds the decoded
-# value of code i (codes 0..126; code 127 is the NaN pattern).
-_E4M3_MAGNITUDES = E4M3_VALUES[:127].astype(np.float64)
-
 # Midpoints between adjacent magnitudes, exact in binary64.
 _FP4_MIDS = (_FP4_MAGNITUDES[:-1] + _FP4_MAGNITUDES[1:]) / 2.0
-_E4M3_MIDS = (_E4M3_MAGNITUDES[:-1] + _E4M3_MAGNITUDES[1:]) / 2.0
 _FP4_MID_FLOATS = tuple(float(m) for m in _FP4_MIDS)
 
 # Half-width of the grid interval enclosing each magnitude index, used by
@@ -124,15 +119,34 @@ def encode_e4m3(x) -> np.ndarray:
     """Round finite values to the nearest 8-bit code, saturating at +-448.
 
     Round-to-nearest, ties to even mantissa; never yields the NaN pattern.
+    Works on float32 input as float32 and on any other input as float64,
+    so each value is rounded once, from its own precision.
+
+    Below ``2**-6`` the codes are the subnormals, ``rint(mag * 2**9)``
+    (which reaches code 8, the smallest normal, at the top).  From there
+    the significand of the bit pattern is rounded to 3 bits, half to even,
+    and the exponent rebased: the result is the code itself, since both
+    formats lay out ``[exponent | mantissa]`` and a carry out of the
+    mantissa steps the exponent.
     """
     arr = np.asarray(x)
     _reject_non_finite(arr, "scale to encode")
-    v = arr.astype(np.float64, copy=False)
-    mag = np.minimum(np.abs(v), E4M3_MAX)
-    idx = _round_to_magnitude_grid(mag, _E4M3_MIDS)
-    codes = np.where(np.signbit(v), idx + 128, idx).astype(np.uint8)
+    if arr.dtype != np.float32:
+        arr = arr.astype(np.float64)
+    info = np.finfo(arr.dtype)
+    shift = info.nmant - 3  # significand bits below the kept three
+    rebase = (info.maxexp - 8) << 3  # exponent bias (maxexp - 1) down to 7
+    mag = np.minimum(np.abs(arr), E4M3_MAX)
+    bits = mag.view(f"i{arr.itemsize}")
+    # Adding half a kept step less one, plus the lowest kept bit, carries
+    # past a tie exactly when that bit is odd: round half to even.
+    below_half = (1 << (shift - 1)) - 1
+    normal = ((bits + below_half + ((bits >> shift) & 1)) >> shift) - rebase
+    subnormal = np.rint(mag * 512).astype(bits.dtype)
+    codes = np.where(mag < 2.0**-6, subnormal, normal).astype(np.uint8)
+    codes |= np.signbit(arr).astype(np.uint8) << np.uint8(7)
     if np.isscalar(x) or arr.ndim == 0:
-        return codes[()] if codes.ndim == 0 else codes
+        return codes[()]
     return codes
 
 

@@ -7,14 +7,24 @@ multiply:
 * Each operand is folded: every 4-bit value times its 8-bit block scale.
   That product is exact in float32 (2 significand bits times 4).  A weight
   shadow's fold is built once and cached with it
-  (``QuantizedTensor.folded_t``); an activation is folded per call.
-* Per 16-wide block the kernel runs one ``a_hat[:, blk] @ w_hat_t[blk]``
-  and one ``acc +=``, in ascending block order, and multiplies the tensor
-  scales in once at the end.  Each block term is exact: every partial sum
-  of a block's grid products is a multiple of 1/4 no larger than 576 in
+  (``QuantizedTensor.folded_t``), and so is an activation's
+  (``RowQuantizedActivation.folded``), which the products of one shared
+  input reuse.
+* The kernel forms every 16-wide block term ``a_hat[:, blk] @ w_hat_t[blk]``
+  of a tile of rows in one batched ``np.matmul``, over the operand views
+  ``a_hat`` as [blocks, rows, 16] and ``w_hat_t`` as [blocks, 16, n].  It
+  sums the terms in ascending block order, starting from +0.0, with one
+  ``np.add.reduce`` over the block axis, and multiplies the tensor scales in
+  once at the end.  Each block term is exact: every partial sum of a
+  block's grid products is a multiple of 1/4 no larger than 576 in
   magnitude (at most 12 significand bits), and the two block scales add at
   most 8.  So no term depends on the summation order inside the matmul,
   and the only rounding is the float32 accumulation across blocks.
+* Rows are independent, so the kernel runs tile by tile over them.  A tile
+  holds as many rows as fit their block terms into ``_TILE_BYTES``, a
+  fixed budget that keeps the terms in a core's L2 cache next to the
+  weight fold; when a single row's terms do not fit, its blocks go in
+  chunks, each continuing the sum where the last left it.
 
 ``qgemm_rows`` is this kernel with one tensor scale per activation row and
 ``qgemm`` the case of one shared scale.  ``qgemm_mirror`` runs it on
@@ -48,20 +58,39 @@ def _check_operands(a, w: QuantizedTensor) -> None:
         raise ShapeMismatchError("reduction dim must be divisible by 16")
 
 
+# Bytes of float32 block terms one tile may hold: small enough that they
+# stay in a core's L2 cache beside the weight fold they read.  Of 128 KiB
+# to 1 MiB, 1 MiB was fastest or tied on every benchmark shape at m = 512.
+_TILE_BYTES = 1 << 20
+
+
 def _block_loop(a_hat: np.ndarray, w_hat_t: np.ndarray,
                 out_scales: np.ndarray, group_size: int) -> np.ndarray:
     """``out_scales[i] * sum_b a_hat[i, b] @ w_hat_t[b]`` over blocks ``b``
-    of ``group_size`` columns, accumulated in ascending order in float32."""
+    of ``group_size`` columns, accumulated in ascending order in float32
+    from +0.0."""
     m, k = a_hat.shape
     n = w_hat_t.shape[1]
-    acc = np.zeros((m, n), dtype=np.float32)
-    term = np.empty((m, n), dtype=np.float32)
-    for lo in range(0, k, group_size):
-        np.matmul(a_hat[:, lo : lo + group_size], w_hat_t[lo : lo + group_size],
-                  out=term)  # exact
-        acc += term
-    acc *= out_scales[:, None]
-    return acc
+    nb = k // group_size
+    blocks = min(nb, max(1, _TILE_BYTES // (4 * n)))
+    rows = max(1, _TILE_BYTES // (4 * blocks * n))
+    a3 = a_hat.reshape(m, nb, group_size).transpose(1, 0, 2)
+    w3 = w_hat_t.reshape(nb, group_size, n)
+    out = np.zeros((m, n), dtype=np.float32)
+    terms = np.empty((blocks, min(rows, m), n), dtype=np.float32)
+    for r0 in range(0, m, rows):
+        acc = out[r0 : r0 + rows]
+        for b0 in range(0, nb, blocks):
+            t = terms[: min(blocks, nb - b0), : len(acc)]
+            np.matmul(a3[b0 : b0 + blocks, r0 : r0 + rows], w3[b0 : b0 + blocks],
+                      out=t)  # exact
+            t[0] += acc  # the sum so far, or +0.0: a -0.0 first term becomes +0.0
+            if acc.size > 1:
+                np.add.reduce(t, axis=0, out=acc)  # sequential over the block axis
+            else:  # numpy would sum a lone output element pairwise
+                acc[...] = np.add.accumulate(t, axis=0)[-1]
+    out *= out_scales[:, None]
+    return out
 
 
 def _shared_scales(a: QuantizedTensor, w: QuantizedTensor) -> np.ndarray:

@@ -8,8 +8,10 @@ can run either as a plain float32 matmul (high precision) or through the
 4-bit quantized path: the weight uses a cached quantized shadow copy and
 each activation row is quantized on the fly as its own tensor (per-token
 scale, 16-element blocks along the feature axis), so a token's codes never
-depend on what else shares the batch.  Norms, rotary embedding, softmax,
-residuals and the output head stay in float32 in every mode.
+depend on what else shares the batch.  Projections that read one input
+share one quantization of it: q/k/v, and the MLP's gate/up.  Norms,
+rotary embedding, softmax, residuals and the output head stay in float32
+in every mode.
 
 ``prefill``, ``decode_step`` and ``teacher_forced_logits`` all run one
 block loop (``_forward``), and every block one attention function.
@@ -291,12 +293,19 @@ def _apply_rope(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     return x * cos[:, None, :] + rotated * sin[:, None, :]
 
 
-def _linear(x: np.ndarray, weight: np.ndarray, precision: Precision,
-            weights: ModelWeights, layer_idx: int, name: str) -> np.ndarray:
+def _linears(x: np.ndarray, names: tuple, precision: Precision,
+             weights: ModelWeights, layer_idx: int) -> list:
+    """``x @ W.T`` for each projection ``W`` of the layer named in ``names``.
+
+    At 4 bits ``x`` is quantized once and that activation (and its cached
+    fold) feeds every product; per-projection quantization gives the same
+    codes, so every bit is the same.
+    """
     if precision is Precision.HIGH:
-        return x @ weight.T
+        layer = weights.layers[layer_idx]
+        return [x @ getattr(layer, name).T for name in names]
     act = quantize_rows(x, _ACTIVATION_QUANT)
-    return qgemm_rows(act, weights.shadow(layer_idx, name))
+    return [qgemm_rows(act, weights.shadow(layer_idx, name)) for name in names]
 
 
 def forward_block(
@@ -345,9 +354,8 @@ def forward_block(
     cos, sin = _rope_tables(cfg, positions)
 
     h = _rmsnorm(x, layer.attn_norm_gain)
-    q = _linear(h, layer.attn_q, precision, weights, layer_idx, "attn_q")
-    k = _linear(h, layer.attn_k, precision, weights, layer_idx, "attn_k")
-    v = _linear(h, layer.attn_v, precision, weights, layer_idx, "attn_v")
+    q, k, v = _linears(h, ("attn_q", "attn_k", "attn_v"), precision, weights,
+                       layer_idx)
     q = _apply_rope(q.reshape(p, cfg.n_heads, cfg.head_dim), cos, sin)
     k = _apply_rope(k.reshape(p, cfg.n_heads, cfg.head_dim), cos, sin)
     v = v.reshape(p, cfg.n_heads, cfg.head_dim)
@@ -360,18 +368,14 @@ def forward_block(
         end, own = total, None
     attn_out = _attend(q, kv.keys[layer_idx][:end], kv.values[layer_idx][:end],
                        positions, own, attn_record_row)
-    proj = _linear(
-        attn_out.reshape(p, cfg.d_model), layer.attn_out, precision, weights,
-        layer_idx, "attn_out",
-    )
+    (proj,) = _linears(attn_out.reshape(p, cfg.d_model), ("attn_out",),
+                       precision, weights, layer_idx)
     x = x + proj
 
     h = _rmsnorm(x, layer.mlp_norm_gain)
-    gate = _linear(h, layer.mlp_gate, precision, weights, layer_idx, "mlp_gate")
-    up = _linear(h, layer.mlp_up, precision, weights, layer_idx, "mlp_up")
+    gate, up = _linears(h, ("mlp_gate", "mlp_up"), precision, weights, layer_idx)
     act = gate * (np.float32(1.0) / (np.float32(1.0) + np.exp(-gate))) * up
-    down = _linear(act, layer.mlp_down, precision, weights, layer_idx,
-                   "mlp_down")
+    (down,) = _linears(act, ("mlp_down",), precision, weights, layer_idx)
     return x + down
 
 

@@ -230,23 +230,34 @@ class RowQuantizedActivation:
 
     Bitwise equivalent to calling ``quantize`` on each row alone (the
     calibration then sees only that token), which keeps a token's codes
-    independent of what else shares the batch.
+    independent of what else shares the batch.  The block-scale fold is
+    cached after its first use (``folded``), so every product of one
+    shared input reuses it.
     """
 
     codes: np.ndarray  # m x k uint8
     block_scales: np.ndarray  # m x (k/group) uint8
     row_scales: np.ndarray  # m float32
     group_size: int = GROUP_SIZE
+    _folded: Optional[np.ndarray] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def shape(self):
         return self.codes.shape
 
     def folded(self) -> np.ndarray:
-        """``fold_blocks`` of the codes with their decoded block scales."""
-        return fold_blocks(
-            self.codes, formats.decode_e4m3(self.block_scales), self.group_size
-        )
+        """``fold_blocks`` of the codes with their decoded block scales,
+        read-only; built on the first call and cached, so the codes and
+        scales must not change after it."""
+        if self._folded is None:
+            folded = fold_blocks(
+                self.codes, formats.decode_e4m3(self.block_scales), self.group_size
+            )
+            folded.flags.writeable = False
+            self._folded = folded
+        return self._folded
 
     def row(self, i: int) -> QuantizedTensor:
         return QuantizedTensor(

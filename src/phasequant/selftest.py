@@ -100,8 +100,10 @@ def _suite_identity_collapse() -> bool:
     weights = _toy_model(3)
     prompt = [1, 5, 9, 2]
     sampler = SamplerSpec(max_new_tokens=8)
-    # The quantizer as the identity: the 4-bit path runs the float32 matmul.
-    with mock.patch.object(model, "_linear", lambda x, weight, *_: x @ weight.T):
+    # The quantizer as the identity: the 4-bit path runs the float32 matmuls.
+    linears = model._linears
+    with mock.patch.object(model, "_linears", lambda x, names, _, *rest:
+                           linears(x, names, model.Precision.HIGH, *rest)):
         dumps = {
             mode: render_trajectory(generate(weights, prompt, mode, sampler))
             for mode in ExecutionMode

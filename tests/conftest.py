@@ -98,6 +98,19 @@ def scale_after_qgemm(a, w):
     return (np.float32(a.tensor_scale) * np.float32(w.tensor_scale)) * acc
 
 
+def searchsorted_encode_e4m3(x):
+    """Oracle: the route ``encode_e4m3`` took before its bit-pattern
+    rounding.  Float64 magnitudes clamped at 448, then the index of the
+    nearest of the 127 finite magnitudes by ``searchsorted`` over their
+    exact midpoints, ties to the even (mantissa-0) index."""
+    v = np.asarray(x).astype(np.float64)
+    mags = formats.E4M3_VALUES[:127].astype(np.float64)
+    mids = (mags[:-1] + mags[1:]) / 2.0
+    mag = np.minimum(np.abs(v), formats.E4M3_MAX)
+    idx = formats._round_to_magnitude_grid(mag, mids)
+    return np.where(np.signbit(v), idx + 128, idx).astype(np.uint8)
+
+
 def exact_scale_quantize(x, group_size=16):
     """Oracle: two-level quantization with unrounded block scales.
 
@@ -124,12 +137,16 @@ def exact_scale_quantize(x, group_size=16):
 @pytest.fixture
 def identity_quantizer(monkeypatch):
     """``with identity_quantizer():`` runs the 4-bit path as exact float32
-    matmuls, the branch ``model._linear`` takes for high precision."""
+    matmuls, the branch ``model._linears`` takes for high precision."""
+    linears = model._linears
+
+    def high(x, names, precision, *rest):
+        return linears(x, names, model.Precision.HIGH, *rest)
 
     @contextlib.contextmanager
     def active():
         with monkeypatch.context() as patch:
-            patch.setattr(model, "_linear", lambda x, weight, *_: x @ weight.T)
+            patch.setattr(model, "_linears", high)
             yield
 
     return active

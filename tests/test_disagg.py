@@ -140,6 +140,15 @@ class TestFraming:
         with pytest.raises(ProtocolError):
             disagg._expect(FrameStream(buf, buf), FrameType.TOKENS)
 
+    def test_unknown_error_code_is_a_protocol_error(self):
+        buf = io.BytesIO()
+        FrameStream(buf, buf).write_frame(FrameType.ERROR,
+                                          struct.pack("<I", 99) + b"odd")
+        buf.seek(0)
+        with pytest.raises(ProtocolError, match="unknown code 99") as err:
+            disagg._expect(FrameStream(buf, buf), FrameType.TOKENS)
+        assert not isinstance(err.value, WorkerError)
+
     def test_generate_req_round_trip(self):
         sampler = SamplerSpec(strategy="temperature", temperature=0.75, seed=42,
                               max_new_tokens=11, stop_token=7)
@@ -540,3 +549,13 @@ def test_tcp_nodelay_on_both_ends():
         thread.join(timeout=10)
         worker.close()
     assert client_flag and seen["worker"]
+
+
+def test_close_ends_serve_forever():
+    worker = TcpWorker("127.0.0.1", 0, lambda stream: None)
+    thread = threading.Thread(target=worker.serve_forever, daemon=True)
+    thread.start()
+    connect_tcp(*worker.address).close()  # one served connection first
+    worker.close()
+    thread.join(timeout=1.0)
+    assert not thread.is_alive()

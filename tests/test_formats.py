@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import searchsorted_encode_e4m3
 from phasequant import formats
 from phasequant.errors import NonFiniteError
 from phasequant.selftest import nearest_fp4_oracle
@@ -207,6 +208,52 @@ class TestEncodeE4m3:
             ]
         )
         assert np.array_equal(formats.encode_e4m3(x), nearest_e4m3_oracle(x))
+
+
+class TestEncodeE4m3AgainstSearchsorted:
+    """The bit-pattern encoder against the float64 ``searchsorted`` route."""
+
+    MAGS = formats.E4M3_VALUES[:127].astype(np.float64)
+    MIDS = (MAGS[:-1] + MAGS[1:]) / 2.0
+
+    def edge_values(self, dtype):
+        mids = self.MIDS.astype(dtype)
+        up = np.nextafter(mids, dtype(np.inf))
+        down = np.nextafter(mids, dtype(0))
+        info = np.finfo(dtype)
+        mags = np.concatenate([
+            mids, up, down, self.MAGS.astype(dtype),
+            np.array([448.0, 449.0, 464.0, 1e6, info.max, info.tiny,
+                      info.smallest_subnormal, 2.0**-6, 2.0**-10, 0.0], dtype),
+        ])
+        return np.concatenate([mags, -mags])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_midpoints_neighbours_and_saturation(self, dtype):
+        x = self.edge_values(dtype)
+        assert np.array_equal(formats.encode_e4m3(x), searchsorted_encode_e4m3(x))
+
+    def test_float32_bit_pattern_sweep(self):
+        # every 997th float32 pattern from +0 to 500, both signs
+        top = int(np.float32(500).view(np.int32))
+        mags = np.arange(0, top, 997, dtype=np.int32).view(np.float32)
+        x = np.concatenate([mags, -mags])
+        assert np.array_equal(formats.encode_e4m3(x), searchsorted_encode_e4m3(x))
+
+    def test_float64_rounds_once(self):
+        # Within half a float32 step of a midpoint: a float64 value rounded
+        # through float32 first would land on the midpoint and tie.
+        offsets = self.MIDS * 2.0**-30
+        x = np.concatenate([self.MIDS + offsets, self.MIDS - offsets])
+        assert np.array_equal(formats.encode_e4m3(x), searchsorted_encode_e4m3(x))
+        assert np.array_equal(formats.encode_e4m3(x), nearest_e4m3_oracle(x))
+
+    def test_scalars_keep_their_type(self):
+        for x in (0.5, -0.0, 3, np.float32(1e-3), np.float64(449.0)):
+            got = formats.encode_e4m3(x)
+            want = searchsorted_encode_e4m3(x)
+            assert got == want and isinstance(got, np.uint8)
+        assert formats.encode_e4m3(np.zeros((2, 0), np.float32)).shape == (2, 0)
 
 
 @settings(max_examples=300, deadline=None)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import scale_after_qgemm
-from phasequant import formats
+from phasequant import formats, gemm
 from phasequant.errors import ShapeMismatchError
 from phasequant.gemm import (
     qgemm,
@@ -308,3 +308,93 @@ class TestScaleAfterOracle:
         x = rng.normal(size=(8, 4096)).astype(np.float32)
         wm = rng.normal(size=(24, 4096)).astype(np.float32)
         assert_kernel_matches_oracles(x, wm)
+
+
+def spread_operands(rng, m, k, n):
+    """Activation and weight matrices whose 16-wide blocks are scaled by
+    powers of two in 2**-12..2**12, so block terms differ widely in
+    magnitude and any other accumulation order would round differently."""
+    def spread(rows):
+        scale = 2.0 ** rng.integers(-12, 13, size=(rows, k // 16))
+        return np.repeat(scale, 16, axis=1)
+    x = (rng.normal(size=(m, k)) * spread(m)).astype(np.float32)
+    wm = (rng.normal(size=(n, k)) * spread(n)).astype(np.float32)
+    return x, wm
+
+
+class TestTiledKernel:
+    """The kernel at the row counts where its row tiles start and end."""
+
+    SHAPES = [(256, 256), (256, 1024), (1024, 256)]
+
+    @staticmethod
+    def tile(k, n):
+        return gemm._TILE_BYTES // (4 * (k // 16) * n)
+
+    def check(self, x, wm):
+        rq = quantize_rows(x)
+        w = quantize(wm)
+        rows = qgemm_rows(rq, w)
+        assert rows.tobytes() == scale_after_qgemm(rq, w).tobytes()
+        m = x.shape[0]
+        for i in sorted({0, m // 2, m - 1}):
+            assert rows[i].tobytes() == qgemm_mirror(rq.row(i), w)[0].tobytes()
+        a = quantize(x)
+        shared = qgemm(a, w)
+        assert shared.tobytes() == scale_after_qgemm(a, w).tobytes()
+        assert shared.tobytes() == qgemm_mirror(a, w).tobytes()
+        return rows
+
+    @pytest.mark.parametrize("k, n", SHAPES)
+    def test_row_counts_around_the_tile(self, k, n):
+        tile = self.tile(k, n)
+        assert tile > 2
+        rng = np.random.default_rng(k + n)
+        for m in sorted({1, 2, tile - 1, tile, tile + 1, 513}):
+            x, wm = spread_operands(rng, m, k, n)
+            self.check(x, wm)
+
+    @pytest.mark.parametrize("k, n", SHAPES)
+    def test_tile_seams_match_single_rows(self, k, n):
+        tile = self.tile(k, n)
+        rng = np.random.default_rng(2 * k + n)
+        x, wm = spread_operands(rng, tile + 1, k, n)
+        rq = quantize_rows(x)
+        w = quantize(wm)
+        rows = qgemm_rows(rq, w)
+        for i in (tile - 1, tile):
+            assert rows[i].tobytes() == qgemm_mirror(rq.row(i), w)[0].tobytes()
+
+    @pytest.mark.parametrize("budget_blocks", [1, 3, 5])
+    def test_block_chunks_carry_the_sum(self, monkeypatch, budget_blocks):
+        # A budget below one row's terms splits the blocks into chunks, each
+        # continuing the running sum of the one before.
+        rng = np.random.default_rng(120 + budget_blocks)
+        k, n = 1024, 24
+        monkeypatch.setattr(gemm, "_TILE_BYTES", 4 * n * budget_blocks)
+        for m in (1, 3):
+            x, wm = spread_operands(rng, m, k, n)
+            self.check(x, wm)
+
+    def test_single_output_element(self):
+        # m = n = 1: one output element, summed over 64 block terms
+        rng = np.random.default_rng(121)
+        for _ in range(20):
+            x, wm = spread_operands(rng, 1, 1024, 1)
+            self.check(x, wm)
+
+    def test_all_block_terms_zero(self):
+        # Every block of x leads with a live element and rounds the rest to
+        # -0.0 (code 8); the weight is zero on every lead column.  So each
+        # block term is a sum of signed zeros.
+        k, n = 1024, 256
+        rng = np.random.default_rng(122)
+        x = np.full((3, k), -1e-30, np.float32)
+        x[:, ::16] = rng.uniform(1, 2, size=(3, k // 16)).astype(np.float32)
+        wm = rng.normal(size=(n, k)).astype(np.float32)
+        wm[:, ::16] = 0.0
+        rq = quantize_rows(x)
+        lead = np.arange(k) % 16 == 0
+        assert (rq.codes[:, ~lead] == 8).all()
+        rows = self.check(x, wm)
+        assert not np.signbit(rows).any() and not rows.any()

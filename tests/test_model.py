@@ -217,6 +217,57 @@ class TestWeightFoldCache:
         assert w._shadows == {}
 
 
+class TestSharedActivationQuantization:
+    """Each 4-bit input is quantized once, however many products read it."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from phasequant import gemm, model, quantizer
+
+        log = {"quantize": [], "gemm": []}
+
+        def quantize_rows(x, cfg):
+            act = quantizer.quantize_rows(x, cfg)
+            log["quantize"].append((np.array(x), cfg, act))
+            return act
+
+        def qgemm_rows(act, w):
+            out = gemm.qgemm_rows(act, w)
+            log["gemm"].append((act, w, out))
+            return out
+
+        monkeypatch.setattr(model, "quantize_rows", quantize_rows)
+        monkeypatch.setattr(model, "qgemm_rows", qgemm_rows)
+        return log
+
+    def test_four_quantizations_seven_products_per_layer(self, calls, weights):
+        from phasequant import gemm, quantizer
+
+        n_layers = weights.config.n_layers
+        kv = prefill(weights, [3, 1, 4, 1, 5, 9], Precision.NVFP4).kv
+        decode_step(weights, kv, 2, Precision.NVFP4)
+        assert len(calls["quantize"]) == 2 * 4 * n_layers
+        assert len(calls["gemm"]) == 2 * 7 * n_layers
+        sources = {id(act): (x, cfg) for x, cfg, act in calls["quantize"]}
+        shared = [id(act) for act, _, _ in calls["gemm"]]
+        for layer in range(2 * n_layers):  # q/k/v share, out, gate/up, down
+            qkv, out, gate_up, down = (shared[7 * layer : 7 * layer + 3],
+                                       shared[7 * layer + 3 : 7 * layer + 4],
+                                       shared[7 * layer + 4 : 7 * layer + 6],
+                                       shared[7 * layer + 6 :7 * layer + 7])
+            assert len(set(qkv)) == len(set(gate_up)) == 1
+            assert len(set(qkv + out + gate_up + down)) == 4
+        for act, w, out in calls["gemm"]:
+            x, cfg = sources[id(act)]
+            own = gemm.qgemm_rows(quantizer.quantize_rows(x, cfg), w)
+            assert out.tobytes() == own.tobytes()
+
+    def test_high_precision_quantizes_nothing(self, calls, weights):
+        kv = prefill(weights, [3, 1, 4], Precision.HIGH).kv
+        decode_step(weights, kv, 2, Precision.HIGH)
+        assert calls == {"quantize": [], "gemm": []}
+
+
 class TestPrefillDecode:
     def test_empty_prompt_rejected(self, weights):
         with pytest.raises(ValueError):
