@@ -52,6 +52,7 @@ import numpy as np
 from .engine import (
     ExecutionMode,
     SamplerSpec,
+    check_context,
     render_trajectory,
     run_decode_loop,
 )
@@ -402,10 +403,10 @@ def serve_decode(stream: FrameStream, weights: ModelWeights,
             raise WorkerError(ErrorCode.PROTOCOL, "logits size mismatch")
         mode, sampler, _ = decode_generate_req(
             _receive(stream, FrameType.GENERATE_REQ))
-        traj = run_decode_loop(
-            weights, blob.to_cache(weights), first_logits, precision, sampler,
-            blob.prompt, mode.value,
-        )
+        kv = blob.to_cache(weights)
+        check_context(weights.config, len(blob.prompt), sampler.max_new_tokens)
+        traj = run_decode_loop(weights, kv, first_logits, precision, sampler,
+                               blob.prompt, mode.value)
         stream.write_frame(
             FrameType.TOKENS, render_trajectory(traj).encode("utf-8")
         )
@@ -528,14 +529,15 @@ class TcpWorker:
             conn.close()
 
     def serve_forever(self):
-        """Serve connections one by one until ``close``."""
+        """Serve connections one by one until ``close``.  A connection
+        that fails in any way prints its traceback to stderr, and the
+        worker goes on serving."""
         while not self._closed:
             try:
                 self.serve_one()
-            except OSError:
-                # a broken connection must not take the worker down; a
-                # closed listener ends the loop at the check above
-                continue
+            except Exception:
+                if not self._closed:  # a closed listener ends the loop quietly
+                    traceback.print_exc()
 
     def close(self):
         """Stop listening; a ``serve_forever`` loop ends once its current

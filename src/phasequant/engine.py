@@ -37,6 +37,7 @@ import numpy as np
 from .errors import ContextOverflowError, NonFiniteError
 from .model import (
     KvCache,
+    ModelConfig,
     ModelWeights,
     Precision,
     decode_step,
@@ -185,6 +186,25 @@ def run_decode_loop(
     return traj
 
 
+def check_context(config: ModelConfig, prompt_len: int, max_new_tokens: int):
+    """Raise ``ContextOverflowError`` unless a prompt of ``prompt_len``
+    tokens and ``max_new_tokens`` generated ones fit ``max_seq_len``.  The
+    last generated token is never fed back, so it takes no position."""
+    if prompt_len > config.max_seq_len:
+        raise ContextOverflowError(
+            f"prompt length {prompt_len} exceeds max_seq_len "
+            f"{config.max_seq_len}",
+            position=prompt_len - 1,
+        )
+    need = prompt_len + max(max_new_tokens - 1, 0)
+    if need > config.max_seq_len:
+        raise ContextOverflowError(
+            f"generation would reach position {need - 1}, past max_seq_len "
+            f"{config.max_seq_len}",
+            position=need - 1,
+        )
+
+
 def generate(
     weights: ModelWeights,
     prompt,
@@ -194,19 +214,7 @@ def generate(
     """Full generation: prompt pass at the mode's prefill precision, then
     decoding at its decode precision, greedy ties to the lowest token id."""
     prompt = [int(t) for t in prompt]
-    cfg = weights.config
-    if len(prompt) > cfg.max_seq_len:
-        raise ContextOverflowError(
-            f"prompt length {len(prompt)} exceeds max_seq_len {cfg.max_seq_len}",
-            position=len(prompt) - 1,
-        )
-    need = len(prompt) + max(sampler.max_new_tokens - 1, 0)
-    if need > cfg.max_seq_len:
-        raise ContextOverflowError(
-            f"generation would reach position {need - 1}, past max_seq_len "
-            f"{cfg.max_seq_len}",
-            position=need - 1,
-        )
+    check_context(weights.config, len(prompt), sampler.max_new_tokens)
     result = prefill(weights, prompt, mode.prefill_precision)
     return run_decode_loop(
         weights,

@@ -14,7 +14,12 @@ rotary embedding, softmax, residuals and the output head stay in float32
 in every mode.
 
 ``prefill``, ``decode_step`` and ``teacher_forced_logits`` all run one
-block loop (``_forward``), and every block one attention function.
+block loop (``_forward``), and every block one attention function
+(``_attend``).  It takes heads in groups that fit a fixed score budget:
+one stacked matmul forms a group's scores, the softmax runs in place on
+them, and one stacked matmul forms the group's output.  Every head keeps
+the GEMM shapes of a single-head product, so the bits are those of a loop
+over single heads.
 
 Weight initialization is fully pinned (see ``rng``): a single normal stream
 seeded from the config seed is consumed in this order, each matrix row-major
@@ -379,10 +384,20 @@ def forward_block(
     return x + down
 
 
+# Score buffer of one head group: as many heads as fit their [p, T]
+# float32 scores in it, at least one.  So it holds at most 2 MiB, or one
+# head's scores where those alone are larger.  A loop over single heads
+# holds up to four [p, T] arrays at once, so once one head's scores reach
+# 512 KiB the peak is no higher than that loop's.  Budgets of 0.5-4 MiB
+# timed alike from decode to L = 640.
+_SCORE_BYTES = 2 << 20
+
+
 def _attend(q: np.ndarray, keys: np.ndarray, vals: np.ndarray,
             positions: np.ndarray, own: Optional[tuple] = None,
             record: Optional[np.ndarray] = None) -> np.ndarray:
-    """Causal softmax attention, head by head; returns [p, n_heads, head_dim].
+    """Causal softmax attention, head group by head group; returns
+    [p, n_heads, head_dim].
 
     The queries ``q`` sit at the contiguous ``positions``; each row reads
     the ``keys``/``vals`` entries up to its own position.  With ``own`` =
@@ -390,36 +405,53 @@ def _attend(q: np.ndarray, keys: np.ndarray, vals: np.ndarray,
     last row's), a row's own key scores its diagonal column and its own
     value takes that column's weight.  ``record`` [n_heads, positions[-1] +
     1], if given, receives the last row's probabilities.
+
+    A group's scores are one stacked ``np.matmul`` into one [g, p, T]
+    buffer, its output one stacked ``probs @ V``.  Each gives every head
+    the same BLAS call a single-head product makes: the same shape (m = p,
+    k = head_dim, then m = p, k = T), the same operand strides, and the
+    gemv path at p = 1.  Scale, mask, max, exp, sum and divide run in place
+    on the buffer: elementwise, or along each contiguous score row, so
+    every op sees the values and order a single head's would.  Every
+    output bit is that of a loop over single heads.
     """
     p, n_heads, head_dim = q.shape
     total = int(positions[-1]) + 1
     scale = np.float32(1.0 / math.sqrt(head_dim))
-    allowed = np.arange(total)[None, :] <= positions[:, None]
-    rows = np.arange(p)
+    group = min(n_heads, max(1, _SCORE_BYTES // (4 * p * total)))
+    scores = np.empty((group, p, total), dtype=np.float32)
+    # a single row sits at the last position and sees every entry
+    masked = np.arange(total)[None, :] > positions[:, None] if p > 1 else None
     out = np.empty((p, n_heads, head_dim), dtype=np.float32)
-    for hidx in range(n_heads):
-        qh = q[:, hidx, :]
+    q_h, k_h = q.transpose(1, 0, 2), keys.transpose(1, 2, 0)
+    v_h, out_h = vals.transpose(1, 0, 2), out.transpose(1, 0, 2)
+    if own is not None:
+        rows = np.arange(p)
+        own_scores = (q * own[0]).sum(axis=-1).T
+        own_v = own[1].transpose(1, 0, 2)
+    for h0 in range(0, n_heads, group):
+        heads = slice(h0, h0 + group)
+        s = scores[: min(group, n_heads - h0)]
         if own is None:
-            scores = (qh @ keys[:, hidx, :].T) * scale
+            np.matmul(q_h[heads], k_h[heads], out=s)
         else:
-            scores = np.empty((p, total), dtype=np.float32)
-            scores[:, :-1] = qh @ keys[:, hidx, :].T
-            scores[rows, positions] = (qh * own[0][:, hidx, :]).sum(axis=-1)
-            scores *= scale
-        scores = np.where(allowed, scores, np.float32(-np.inf))
-        scores = scores - scores.max(axis=-1, keepdims=True)
-        e = np.exp(scores)
-        probs = e / e.sum(axis=-1, keepdims=True)
+            np.matmul(q_h[heads], k_h[heads], out=s[:, :, :-1])
+            s[:, rows, positions] = own_scores[heads]
+        s *= scale
+        if masked is not None:
+            np.copyto(s, np.float32(-np.inf), where=masked)
+        s -= s.max(axis=-1, keepdims=True)
+        np.exp(s, out=s)
+        s /= s.sum(axis=-1, keepdims=True)
         if record is not None:
-            record[hidx] = probs[-1]
+            record[heads] = s[:, -1]
         if own is None:
-            out[:, hidx, :] = probs @ vals[:, hidx, :]
+            np.matmul(s, v_h[heads], out=out_h[heads])
         else:
-            own_probs = probs[rows, positions]
-            context = probs[:, :-1]
-            context[rows[:-1], positions[:-1]] = 0
-            out[:, hidx, :] = (context @ vals[:, hidx, :]
-                               + own_probs[:, None] * own[1][:, hidx, :])
+            own_probs = s[:, rows, positions]
+            s[:, rows[:-1], positions[:-1]] = 0
+            np.matmul(s[:, :, :-1], v_h[heads], out=out_h[heads])
+            out_h[heads] += own_probs[:, :, None] * own_v[heads]
     return out
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -57,6 +58,41 @@ def full_forward_logits(weights, tokens, precision):
     """One-shot causal pass over a whole sequence, as ``prefill`` runs it;
     logits at every position."""
     return model._forward(weights, tokens, KvCache(weights.config), precision)
+
+
+def per_head_attend(q, keys, vals, positions, own=None, record=None):
+    """Oracle: ``model._attend`` as one loop over single heads, the form it
+    had before head groups.  Same arguments and result."""
+    p, n_heads, head_dim = q.shape
+    total = int(positions[-1]) + 1
+    scale = np.float32(1.0 / math.sqrt(head_dim))
+    allowed = np.arange(total)[None, :] <= positions[:, None]
+    rows = np.arange(p)
+    out = np.empty((p, n_heads, head_dim), dtype=np.float32)
+    for hidx in range(n_heads):
+        qh = q[:, hidx, :]
+        if own is None:
+            scores = (qh @ keys[:, hidx, :].T) * scale
+        else:
+            scores = np.empty((p, total), dtype=np.float32)
+            scores[:, :-1] = qh @ keys[:, hidx, :].T
+            scores[rows, positions] = (qh * own[0][:, hidx, :]).sum(axis=-1)
+            scores *= scale
+        scores = np.where(allowed, scores, np.float32(-np.inf))
+        scores = scores - scores.max(axis=-1, keepdims=True)
+        e = np.exp(scores)
+        probs = e / e.sum(axis=-1, keepdims=True)
+        if record is not None:
+            record[hidx] = probs[-1]
+        if own is None:
+            out[:, hidx, :] = probs @ vals[:, hidx, :]
+        else:
+            own_probs = probs[rows, positions]
+            context = probs[:, :-1]
+            context[rows[:-1], positions[:-1]] = 0
+            out[:, hidx, :] = (context @ vals[:, hidx, :]
+                               + own_probs[:, None] * own[1][:, hidx, :])
+    return out
 
 
 def drop_shadows(weights):

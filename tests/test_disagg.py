@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import toy_weights
-from phasequant import disagg
+from phasequant import disagg, engine
 from phasequant.disagg import (
     ErrorCode,
     FileExchange,
@@ -462,6 +462,61 @@ class TestBadSamplerFields:
             stream.read_frame()  # exactly one ERROR frame, nothing after it
 
 
+class TestDecodeContextCheck:
+    """The decode worker checks that the whole generation fits the context
+    before it decodes anything, as ``generate`` does."""
+
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        calls = []
+        decode_step = engine.decode_step
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return decode_step(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "decode_step", counting)
+        return calls
+
+    def reply(self, weights, prompt, sampler):
+        blob, res = make_blob(weights, prompt)
+        request = io.BytesIO()
+        out = FrameStream(request, request)
+        out.write_frame(FrameType.HELLO, encode_hello(0))
+        out.write_frame(FrameType.KV_BLOB, blob)
+        out.write_frame(FrameType.PREFILL_LOGITS, disagg.encode_logits(res.logits))
+        out.write_frame(FrameType.GENERATE_REQ,
+                        encode_generate_req(ExecutionMode.BASELINE16, sampler, []))
+        reply = io.BytesIO()
+        serve_decode(FrameStream(io.BytesIO(request.getvalue()), reply), weights,
+                     Precision.HIGH)
+        reply.seek(0)
+        stream = FrameStream(reply, reply)
+        assert stream.read_frame()[0] is FrameType.HELLO
+        return stream
+
+    def test_overflow_is_one_error_frame_before_any_decode_step(self, weights,
+                                                                 steps):
+        prompt = [1] * (weights.config.max_seq_len - 3)
+        stream = self.reply(weights, prompt, SamplerSpec(max_new_tokens=5))
+        ftype, body = stream.read_frame()
+        assert ftype is FrameType.ERROR
+        assert decode_error(body)[0] == ErrorCode.OVERFLOW
+        with pytest.raises(ProtocolError):
+            stream.read_frame()  # exactly one ERROR frame, nothing after it
+        assert steps == []
+
+    def test_generation_that_just_fits_is_served(self, weights, steps):
+        prompt = [1] * (weights.config.max_seq_len - 3)
+        sampler = SamplerSpec(max_new_tokens=4)
+        stream = self.reply(weights, prompt, sampler)
+        ftype, body = stream.read_frame()
+        assert ftype is FrameType.TOKENS
+        assert len(steps) == 3
+        mono = generate(weights, prompt, ExecutionMode.BASELINE16, sampler)
+        assert body.decode("utf-8") == render_trajectory(mono)
+
+
 class TestUnexpectedFailures:
     def test_tcp_decode_worker_answers_nan_logits_then_serves_next(self,
                                                                    weights):
@@ -559,3 +614,35 @@ def test_close_ends_serve_forever():
     worker.close()
     thread.join(timeout=1.0)
     assert not thread.is_alive()
+
+
+def test_serve_forever_survives_a_failing_connection(capsys):
+    served = []
+
+    def handler(stream):
+        if not served:
+            served.append("failed")
+            raise RuntimeError("handler broke")
+        served.append("served")
+        stream.write_frame(FrameType.HELLO, encode_hello(0))
+
+    worker = TcpWorker("127.0.0.1", 0, handler)
+    thread = threading.Thread(target=worker.serve_forever, daemon=True)
+    thread.start()
+    try:
+        first = connect_tcp(*worker.address)
+        first._sock.settimeout(5)
+        with pytest.raises(ProtocolError):  # closed without a reply
+            first.read_frame()
+        first.close()
+        second = connect_tcp(*worker.address)
+        second._sock.settimeout(5)
+        ftype, _ = second.read_frame()
+        second.close()
+    finally:
+        worker.close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+    assert ftype is FrameType.HELLO
+    assert served == ["failed", "served"]
+    assert "RuntimeError: handler broke" in capsys.readouterr().err

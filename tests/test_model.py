@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,11 +8,13 @@ import pytest
 from conftest import (
     drop_shadows,
     full_forward_logits,
+    per_head_attend,
     rel_logits_err,
     toy_config,
     toy_weights,
     whole_normal_stream,
 )
+from phasequant import model
 from phasequant.errors import ConfigError, ContextOverflowError
 from phasequant.quantizer import QuantizedTensor
 from phasequant.model import (
@@ -448,6 +451,105 @@ class TestAttentionRecording:
         assert res.attention.query_position == 6
         assert (rows >= 0).all()
         assert np.abs(rows.sum(axis=-1) - 1.0).max() <= 1e-5
+
+
+def attention_inputs(p, total, n_heads=16, head_dim=16, own=False, seed=0):
+    """Arguments of ``_attend``: ``p`` rows at the last of ``total``
+    positions over ``total`` entries, or with ``own`` the teacher-forcing
+    layout (rows from position 0, entries before the last row's, the rows'
+    own K/V).  Defaults are the benchmark model's heads."""
+    rng = np.random.default_rng(seed)
+
+    def normal(*shape):
+        return rng.standard_normal(shape).astype(np.float32)
+
+    q = normal(p, n_heads, head_dim)
+    if own:
+        entries = p - 1
+        extra = {"own": (normal(p, n_heads, head_dim),
+                         normal(p, n_heads, head_dim))}
+    else:
+        entries = total
+        extra = {}
+    return dict(q=q, keys=normal(entries, n_heads, head_dim),
+                vals=normal(entries, n_heads, head_dim),
+                positions=np.arange(total - p, total), **extra)
+
+
+def assert_same_attention_bits(args):
+    """``_attend`` and the per-head oracle give the same output and record
+    bits."""
+    n_heads, total = args["q"].shape[1], int(args["positions"][-1]) + 1
+    records = [np.full((n_heads, total), np.nan, dtype=np.float32)
+               for _ in range(2)]
+    got = model._attend(**args, record=records[0])
+    want = per_head_attend(**args, record=records[1])
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert records[0].tobytes() == records[1].tobytes()
+
+
+class TestHeadGroupedAttention:
+    """``_attend`` runs heads in groups; every bit must equal the loop over
+    single heads it replaced (``conftest.per_head_attend``)."""
+
+    @pytest.mark.parametrize("p,total", [
+        (1, 1), (1, 41), (1, 200), (2, 2), (2, 3), (33, 100), (44, 300),
+        (129, 129), (257, 640), (512, 512), (513, 513), (768, 768),
+        (1024, 1024),
+    ])
+    def test_equals_per_head_loop(self, p, total):
+        assert_same_attention_bits(attention_inputs(p, total))
+
+    @pytest.mark.parametrize("p", [2, 3, 17, 129, 300, 513])
+    def test_own_diagonal_equals_per_head_loop(self, p):
+        assert_same_attention_bits(attention_inputs(p, p, own=True))
+
+    @pytest.mark.parametrize("group", [1, 2, 3])
+    @pytest.mark.parametrize("p,total,own", [
+        (1, 1, False), (1, 9, False), (5, 9, False), (40, 40, False),
+        (6, 6, True), (40, 40, True),
+    ])
+    def test_head_count_not_a_multiple_of_the_group(self, monkeypatch, group,
+                                                    p, total, own):
+        monkeypatch.setattr(model, "_SCORE_BYTES", group * 4 * p * total)
+        assert_same_attention_bits(
+            attention_inputs(p, total, n_heads=3, own=own, seed=p))
+
+    @pytest.mark.parametrize("prec", list(Precision))
+    def test_three_head_model_forward_equals_per_head_forward(
+            self, monkeypatch, prec):
+        weights = toy_weights(5, n_heads=3, d_model=48)
+        toks = [int(t) for t in
+                np.random.default_rng(3).integers(0, 64, size=40)]
+        # groups of two heads (2 + 1) in the prompt pass, all three in decode
+        monkeypatch.setattr(model, "_SCORE_BYTES", 2 * 4 * 40 * 40)
+
+        def run():
+            res = prefill(weights, toks, prec, record_attention=True)
+            step = decode_step(weights, res.kv, 9, prec)
+            forced = teacher_forced_logits(weights, toks, res.kv, prec)
+            return [res.logits, res.attention.rows, step, forced,
+                    *res.kv.keys, *res.kv.values]
+
+        grouped = run()
+        monkeypatch.setattr(model, "_attend", per_head_attend)
+        per_head = run()
+        for a, b in zip(grouped, per_head):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("length", [512, 768, 1024])
+    def test_peak_memory_not_above_per_head_loop(self, length):
+        args = attention_inputs(length, length)
+        peaks = []
+        for attend in (model._attend, per_head_attend):
+            tracemalloc.start()
+            try:
+                attend(**args)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= peaks[1]
 
 
 class TestIdentityQuantizer:
