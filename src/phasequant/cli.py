@@ -28,21 +28,17 @@ from .model import (
 )
 
 
-def _parse_tokens(text: str):
+def _int_list(text: str) -> list:
+    """argparse type: comma-separated integers; empty entries are skipped."""
     try:
         return [int(t) for t in text.split(",") if t.strip() != ""]
     except ValueError:
-        raise SystemExit("--prompt-tokens must be comma-separated integers")
-
-
-def _parse_ks(text: str):
-    return [int(t) for t in text.split(",") if t.strip() != ""]
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a comma-separated list of integers") from None
 
 
 def _sampler_from_args(args) -> SamplerSpec:
     if args.temperature is not None:
-        if args.seed is None:
-            raise SystemExit("--temperature requires --seed")
         return SamplerSpec(
             strategy="temperature",
             temperature=args.temperature,
@@ -59,8 +55,11 @@ def _sampler_from_args(args) -> SamplerSpec:
 
 def _add_sampler_flags(p: argparse.ArgumentParser):
     p.add_argument("--max-new", type=int, default=16)
-    p.add_argument("--greedy", action="store_true", help="greedy decoding (default)")
-    p.add_argument("--temperature", type=float, default=None)
+    strategy = p.add_mutually_exclusive_group()
+    strategy.add_argument("--greedy", action="store_true",
+                          help="greedy decoding (default)")
+    strategy.add_argument("--temperature", type=float, default=None,
+                          help="temperature sampling; needs --seed")
     p.add_argument("--seed", type=int, default=None, help="sampling seed")
     p.add_argument("--stop-token", type=int, default=None)
 
@@ -96,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="generate from a prompt under a mode")
     p.add_argument("--model", required=True)
     p.add_argument("--mode", required=True)
-    p.add_argument("--prompt-tokens", required=True)
+    p.add_argument("--prompt-tokens", type=_int_list, required=True)
     _add_sampler_flags(p)
 
     p = sub.add_parser(
@@ -104,15 +103,15 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run all four modes on one prompt and report divergences",
     )
     p.add_argument("--model", required=True)
-    p.add_argument("--prompt-tokens", required=True)
+    p.add_argument("--prompt-tokens", type=_int_list, required=True)
     p.add_argument("--max-new", type=int, default=16)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("analyze-attn", help="top-k attention mass report")
     p.add_argument("--model", required=True)
     p.add_argument("--mode", default="baseline16")
-    p.add_argument("--prompt-tokens", required=True)
-    p.add_argument("--k", default="1,2,4,8")
+    p.add_argument("--prompt-tokens", type=_int_list, required=True)
+    p.add_argument("--k", type=_int_list, default="1,2,4,8")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("cost", help="analytic compute model for a config")
@@ -166,17 +165,17 @@ def _cmd_generate(args) -> int:
     weights = load_model(args.model)
     mode = ExecutionMode.from_name(args.mode)
     sampler = _sampler_from_args(args)
-    traj = generate(weights, _parse_tokens(args.prompt_tokens), mode, sampler)
+    traj = generate(weights, args.prompt_tokens, mode, sampler)
     sys.stdout.write(render_trajectory(traj))
     return 0
 
 
 def _cmd_compare_modes(args) -> int:
     weights = load_model(args.model)
-    prompt = _parse_tokens(args.prompt_tokens)
     sampler = SamplerSpec(max_new_tokens=args.max_new)
     trajectories = {
-        mode: generate(weights, prompt, mode, sampler) for mode in ExecutionMode
+        mode: generate(weights, args.prompt_tokens, mode, sampler)
+        for mode in ExecutionMode
     }
     ref = trajectories[ExecutionMode.BASELINE16]
     for mode in (ExecutionMode.UNIFORM_FP4, ExecutionMode.MIX_QUANT,
@@ -192,10 +191,9 @@ def _cmd_compare_modes(args) -> int:
 def _cmd_analyze_attn(args) -> int:
     weights = load_model(args.model)
     record = analysis.record_attention(
-        weights, _parse_tokens(args.prompt_tokens),
-        ExecutionMode.from_name(args.mode),
+        weights, args.prompt_tokens, ExecutionMode.from_name(args.mode),
     )
-    report = analysis.topk_mass(record, _parse_ks(args.k))
+    report = analysis.topk_mass(record, args.k)
     if args.json:
         sys.stdout.write(analysis.dump_json(report) + "\n")
     else:
@@ -289,10 +287,10 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "temperature", None) is not None and args.seed is None:
+        parser.error("--temperature requires --seed")
     try:
         return _COMMANDS[args.command](args)
-    except SystemExit:
-        raise
     except (ValueError, OSError, ProtocolError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -67,6 +67,9 @@ PROTOCOL_VERSION = 1
 BLOB_MAGIC = b"MXQK"
 BLOB_VERSION = 1
 MAX_FRAME_BYTES = 1 << 30
+# File names of the request/response pair in a blob directory.
+REQUEST_FILE = "request.bin"
+RESPONSE_FILE = "response.bin"
 
 
 class FrameType(IntEnum):
@@ -117,20 +120,27 @@ def serialize_kv(kv: KvCache, config_digest: int, prompt) -> bytes:
     for layer in range(cfg.n_layers):
         parts.append(kv.keys[layer][: kv.length].astype("<f4").tobytes())
         parts.append(kv.values[layer][: kv.length].astype("<f4").tobytes())
-    body = b"".join(parts)
-    return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    parts.append(struct.pack("<I", crc))
+    return b"".join(parts)
 
 
 @dataclass
 class KvBlob:
+    """A parsed cache blob.  ``keys`` and ``values`` are read-only
+    [n_layers, seq_len, n_heads, head_dim] float32 views of the blob bytes:
+    ``to_cache`` makes the one copy."""
+
     digest: int
     n_layers: int
     n_heads: int
     head_dim: int
     seq_len: int
     prompt: List[int]
-    keys: List[np.ndarray]
-    values: List[np.ndarray]
+    keys: np.ndarray
+    values: np.ndarray
 
     def to_cache(self, weights: ModelWeights) -> KvCache:
         cfg = weights.config
@@ -169,20 +179,12 @@ def deserialize_kv(data: bytes) -> KvBlob:
     (stored_crc,) = struct.unpack_from("<I", data, len(data) - 4)
     if (zlib.crc32(data[:-4]) & 0xFFFFFFFF) != stored_crc:
         raise BlobIntegrityError("blob checksum mismatch")
-    off = head
-    prompt = np.frombuffer(data, dtype="<u4", count=seq_len, offset=off)
-    off += 4 * seq_len
-    keys, values = [], []
-    shape = (seq_len, n_heads, head_dim)
-    for _ in range(n_layers):
-        k = np.frombuffer(data, dtype="<f4", count=shape[0] * shape[1] * shape[2],
-                          offset=off).reshape(shape).astype(np.float32)
-        off += per_tensor
-        v = np.frombuffer(data, dtype="<f4", count=shape[0] * shape[1] * shape[2],
-                          offset=off).reshape(shape).astype(np.float32)
-        off += per_tensor
-        keys.append(k)
-        values.append(v)
+    prompt = np.frombuffer(data, dtype="<u4", count=seq_len, offset=head)
+    # [layer, K or V, seq, head, dim]: the payload order, as one view
+    kv = np.frombuffer(data, dtype="<f4", count=n_layers * 2 * per_tensor // 4,
+                       offset=head + 4 * seq_len)
+    kv = kv.reshape(n_layers, 2, seq_len, n_heads, head_dim)
+    kv.flags.writeable = False
     return KvBlob(
         digest=digest,
         n_layers=n_layers,
@@ -190,8 +192,8 @@ def deserialize_kv(data: bytes) -> KvBlob:
         head_dim=head_dim,
         seq_len=seq_len,
         prompt=[int(t) for t in prompt],
-        keys=keys,
-        values=values,
+        keys=kv[:, 0],
+        values=kv[:, 1],
     )
 
 
@@ -524,7 +526,6 @@ class TcpWorker:
         try:
             stream = _SocketStream(_no_delay(conn))
             self._handler(stream)
-            stream._writer.flush()
         finally:
             conn.close()
 
@@ -550,12 +551,10 @@ class TcpWorker:
         self._server.close()
 
 
-def serve_blob_dir(directory: str, handler: Callable[[FrameStream], None],
-                   request_name: str = "request.bin",
-                   response_name: str = "response.bin"):
+def serve_blob_dir(directory: str, handler: Callable[[FrameStream], None]):
     """File-pair transport: read all request frames, write response frames."""
-    req = os.path.join(directory, request_name)
-    resp = os.path.join(directory, response_name)
+    req = os.path.join(directory, REQUEST_FILE)
+    resp = os.path.join(directory, RESPONSE_FILE)
     with open(req, "rb") as reader, open(resp, "wb") as writer:
         handler(FrameStream(reader, writer))
 
@@ -572,14 +571,14 @@ class FileExchange:
     def __init__(self, directory: str, run_worker: Callable[[str], None]):
         self._dir = directory
         self._run_worker = run_worker
-        self._request = open(os.path.join(directory, "request.bin"), "wb")
+        self._request = open(os.path.join(directory, REQUEST_FILE), "wb")
         self._response = None
 
     def _reader(self):
         if self._response is None:
             self._request.close()
             self._run_worker(self._dir)
-            self._response = open(os.path.join(self._dir, "response.bin"), "rb")
+            self._response = open(os.path.join(self._dir, RESPONSE_FILE), "rb")
         return self._response
 
     def stream(self) -> FrameStream:

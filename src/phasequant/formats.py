@@ -56,9 +56,9 @@ def _build_e4m3_tables():
 
 E4M3_VALUES, E4M3_IS_NAN = _build_e4m3_tables()
 
-# Midpoints between adjacent magnitudes, exact in binary64.
-_FP4_MIDS = (_FP4_MAGNITUDES[:-1] + _FP4_MAGNITUDES[1:]) / 2.0
-_FP4_MID_FLOATS = tuple(float(m) for m in _FP4_MIDS)
+# Midpoints between adjacent magnitudes, exact in float32 and binary64.
+_FP4_MID_FLOATS = tuple(float(lo + hi) / 2
+                        for lo, hi in zip(_FP4_MAGNITUDES, _FP4_MAGNITUDES[1:]))
 
 # Half-width of the grid interval enclosing each magnitude index, used by
 # reconstruction-error bounds.  Entry i is the largest distance a value
@@ -71,19 +71,6 @@ FP4_HALF_GAPS = np.array(
 def _reject_non_finite(x: np.ndarray, what: str) -> None:
     if not np.isfinite(x).all():
         raise NonFiniteError(f"{what} must be finite")
-
-
-def _round_to_magnitude_grid(mag: np.ndarray, mids: np.ndarray) -> np.ndarray:
-    """Index of the nearest magnitude, ties toward even (mantissa-0) index.
-
-    ``mids`` are the exact midpoints of an ascending magnitude grid whose
-    entries alternate mantissa parity starting even, so at any midpoint the
-    even-mantissa neighbour is the even index.
-    """
-    idx = np.searchsorted(mids, mag, side="left")
-    at_mid = (idx < mids.size) & (mag == mids[np.minimum(idx, mids.size - 1)])
-    idx = idx + (at_mid & (idx % 2 == 1))
-    return idx
 
 
 def encode_fp4(x) -> np.ndarray:
@@ -159,10 +146,11 @@ def decode_e4m3(codes) -> np.ndarray:
 
 
 def fp4_half_gap(scaled_magnitude) -> np.ndarray:
-    """Half-width of the 4-bit grid interval enclosing ``|scaled value|``."""
+    """Half-width of the 4-bit grid interval enclosing ``|scaled value|``:
+    the entry of ``FP4_HALF_GAPS`` at the magnitude ``encode_fp4`` rounds it
+    to, after clamping at 6.  Raises NonFiniteError on NaN."""
     mag = np.minimum(np.abs(np.asarray(scaled_magnitude, dtype=np.float64)), FP4_MAX)
-    idx = _round_to_magnitude_grid(mag, _FP4_MIDS)
-    return FP4_HALF_GAPS[idx]
+    return FP4_HALF_GAPS[encode_fp4(mag)]
 
 
 def _shortest_decimal(v: np.float32) -> str:

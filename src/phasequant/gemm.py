@@ -1,8 +1,9 @@
 """W4A4 matrix multiplication over quantized tensors.
 
 ``qgemm(a, w)`` computes ``a @ w.T`` where both operands are quantized
-along the shared reduction axis.  The production route is fold, then
-multiply:
+along the shared reduction axis in 16-wide blocks (``GROUP_SIZE``, the one
+width the quantizer produces, so two operands always agree on it).  The
+production route is fold, then multiply:
 
 * Each operand is folded: every 4-bit value times its 8-bit block scale.
   That product is exact in float32 (2 significand bits times 4).  A weight
@@ -40,21 +41,19 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeMismatchError
-from .quantizer import QuantizedTensor, RowQuantizedActivation
+from .quantizer import GROUP_SIZE, QuantizedTensor, RowQuantizedActivation
 
 
 def _check_operands(a, w: QuantizedTensor) -> None:
-    """Reject ``a @ w.T`` unless the reduction dims and group sizes agree,
-    m, n and k are positive and k is a multiple of 16.  ``a`` is a
-    ``QuantizedTensor`` or a ``RowQuantizedActivation``."""
+    """Reject ``a @ w.T`` unless the reduction dims agree, m, n and k are
+    positive and k is a multiple of 16.  ``a`` is a ``QuantizedTensor`` or a
+    ``RowQuantizedActivation``."""
     (m, k), (n, k_w) = a.codes.shape, w.codes.shape
     if k != k_w:
         raise ShapeMismatchError(f"reduction dims differ: {k} vs {k_w}")
-    if a.group_size != w.group_size:
-        raise ShapeMismatchError("operands quantized with different group sizes")
     if min(m, n, k) < 1:
         raise ShapeMismatchError("gemm dims must be positive")
-    if k % 16 != 0:
+    if k % GROUP_SIZE != 0:
         raise ShapeMismatchError("reduction dim must be divisible by 16")
 
 
@@ -65,17 +64,16 @@ _TILE_BYTES = 1 << 20
 
 
 def _block_loop(a_hat: np.ndarray, w_hat_t: np.ndarray,
-                out_scales: np.ndarray, group_size: int) -> np.ndarray:
+                out_scales: np.ndarray) -> np.ndarray:
     """``out_scales[i] * sum_b a_hat[i, b] @ w_hat_t[b]`` over blocks ``b``
-    of ``group_size`` columns, accumulated in ascending order in float32
-    from +0.0."""
+    of 16 columns, accumulated in ascending order in float32 from +0.0."""
     m, k = a_hat.shape
     n = w_hat_t.shape[1]
-    nb = k // group_size
+    nb = k // GROUP_SIZE
     blocks = min(nb, max(1, _TILE_BYTES // (4 * n)))
     rows = max(1, _TILE_BYTES // (4 * blocks * n))
-    a3 = a_hat.reshape(m, nb, group_size).transpose(1, 0, 2)
-    w3 = w_hat_t.reshape(nb, group_size, n)
+    a3 = a_hat.reshape(m, nb, GROUP_SIZE).transpose(1, 0, 2)
+    w3 = w_hat_t.reshape(nb, GROUP_SIZE, n)
     out = np.zeros((m, n), dtype=np.float32)
     terms = np.empty((blocks, min(rows, m), n), dtype=np.float32)
     for r0 in range(0, m, rows):
@@ -104,8 +102,7 @@ def qgemm(a: QuantizedTensor, w: QuantizedTensor) -> np.ndarray:
     Caches ``w``'s fold on ``w``, as for a weight shadow.
     """
     _check_operands(a, w)
-    return _block_loop(a.folded(), w.folded_t(), _shared_scales(a, w),
-                       a.group_size)
+    return _block_loop(a.folded(), w.folded_t(), _shared_scales(a, w))
 
 
 def qgemm_mirror(a: QuantizedTensor, w: QuantizedTensor) -> np.ndarray:
@@ -115,8 +112,7 @@ def qgemm_mirror(a: QuantizedTensor, w: QuantizedTensor) -> np.ndarray:
     codes it was built from.
     """
     _check_operands(a, w)
-    return _block_loop(a.folded(), w.folded().T, _shared_scales(a, w),
-                       a.group_size)
+    return _block_loop(a.folded(), w.folded().T, _shared_scales(a, w))
 
 
 def qgemm_rows(act: RowQuantizedActivation, w: QuantizedTensor) -> np.ndarray:
@@ -128,8 +124,7 @@ def qgemm_rows(act: RowQuantizedActivation, w: QuantizedTensor) -> np.ndarray:
     """
     _check_operands(act, w)
     return _block_loop(act.folded(), w.folded_t(),
-                       act.row_scales * np.float32(w.tensor_scale),
-                       act.group_size)
+                       act.row_scales * np.float32(w.tensor_scale))
 
 
 def reference_gemm(a_values: np.ndarray, w_values: np.ndarray) -> np.ndarray:

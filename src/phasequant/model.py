@@ -34,7 +34,8 @@ nothing.
 
 Weight file layout (all little-endian): magic ``MXQW``, version u32, config
 digest u64, the config block (vocab_size, d_model, n_layers, n_heads,
-head_dim, ffn_hidden, max_seq_len as u32; rope_base f64; seed u64), then
+head_dim, ffn_hidden, max_seq_len as u32; rope_base f64; seed u64; a
+``head_dim`` other than ``d_model / n_heads`` is rejected on load), then
 every tensor as float32 row-major in the order listed above with the two
 norm gains of each layer preceding their sublayer and the final norm gain
 last.  The table ``_WEIGHT_SCHEMA`` is the single source of both orders:
@@ -54,22 +55,13 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, ContextOverflowError
-from .quantizer import (
-    QuantConfig,
-    QuantizedTensor,
-    TensorScalePolicy,
-    quantize,
-    quantize_rows,
-)
+from .quantizer import QuantizedTensor, quantize, quantize_rows
 from .gemm import qgemm_rows
 from .rng import normal_chunks
 
 RMSNORM_EPS = np.float32(1e-6)
 WEIGHT_FILE_MAGIC = b"MXQW"
 WEIGHT_FILE_VERSION = 1
-
-_ACTIVATION_QUANT = QuantConfig(policy=TensorScalePolicy.AMAX_CALIBRATED)
-_WEIGHT_QUANT = QuantConfig(policy=TensorScalePolicy.AMAX_CALIBRATED)
 
 
 class Precision(Enum):
@@ -85,30 +77,30 @@ class ModelConfig:
     n_heads: int
     max_seq_len: int
     seed: int
-    head_dim: int = 0
     ffn_hidden: int = 0
     rope_base: float = 10000.0
 
     def __post_init__(self):
-        if self.head_dim == 0:
-            if self.d_model % self.n_heads != 0:
-                raise ConfigError("d_model must be divisible by n_heads")
-            object.__setattr__(self, "head_dim", self.d_model // self.n_heads)
         if self.ffn_hidden == 0:
             object.__setattr__(self, "ffn_hidden", 4 * self.d_model)
         self.validate()
+
+    @property
+    def head_dim(self) -> int:
+        """Width of one attention head, ``d_model / n_heads``."""
+        return self.d_model // self.n_heads
 
     def validate(self):
         if self.vocab_size < 1 or self.n_layers < 1 or self.n_heads < 1:
             raise ConfigError("vocab_size, n_layers, n_heads must be positive")
         if self.max_seq_len < 1:
             raise ConfigError("max_seq_len must be positive")
+        if self.d_model % self.n_heads != 0:
+            raise ConfigError("d_model must be divisible by n_heads")
         for name in ("d_model", "head_dim", "ffn_hidden"):
             value = getattr(self, name)
             if value < 16 or value % 16 != 0:
                 raise ConfigError(f"{name} must be a positive multiple of 16")
-        if self.n_heads * self.head_dim != self.d_model:
-            raise ConfigError("n_heads * head_dim must equal d_model")
         if not (self.rope_base > 0 and math.isfinite(self.rope_base)):
             raise ConfigError("rope_base must be positive and finite")
 
@@ -131,18 +123,22 @@ class ModelConfig:
 
     @classmethod
     def from_config_block(cls, block: bytes) -> "ModelConfig":
+        """Inverse of ``config_block``; rejects a stored ``head_dim`` other
+        than ``d_model / n_heads``."""
         vocab, d, nl, nh, hd, ffn, msl, rope, seed = struct.unpack("<IIIIIII d Q", block)
-        return cls(
+        cfg = cls(
             vocab_size=vocab,
             d_model=d,
             n_layers=nl,
             n_heads=nh,
-            head_dim=hd,
             ffn_hidden=ffn,
             max_seq_len=msl,
             rope_base=rope,
             seed=seed,
         )
+        if hd != cfg.head_dim:
+            raise ConfigError(f"stored head_dim {hd} is not d_model / n_heads")
+        return cfg
 
 
 _CONFIG_BLOCK_SIZE = struct.calcsize("<IIIIIII d Q")
@@ -213,7 +209,7 @@ class ModelWeights:
         with self._shadow_lock:
             qt = self._shadows.get(key)
             if qt is None:
-                qt = quantize(getattr(self.layers[layer_idx], name), _WEIGHT_QUANT)
+                qt = quantize(getattr(self.layers[layer_idx], name))
                 qt.folded_t()
                 self._shadows[key] = qt
             return qt
@@ -309,7 +305,7 @@ def _linears(x: np.ndarray, names: tuple, precision: Precision,
     if precision is Precision.HIGH:
         layer = weights.layers[layer_idx]
         return [x @ getattr(layer, name).T for name in names]
-    act = quantize_rows(x, _ACTIVATION_QUANT)
+    act = quantize_rows(x)
     return [qgemm_rows(act, weights.shadow(layer_idx, name)) for name in names]
 
 

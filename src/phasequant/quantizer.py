@@ -1,8 +1,10 @@
 """Two-level block quantization of real matrices to the 4-bit grid.
 
 A matrix is quantized along its columns (the GEMM reduction axis) in groups
-of 16 elements.  Each element becomes a 4-bit code, each group carries an
-8-bit scale code, and the whole tensor carries one positive float32 scale:
+of 16 elements (``GROUP_SIZE``), the block width the NVFP4 format fixes; no
+other width is accepted anywhere.  Each element becomes a 4-bit code, each
+group carries an 8-bit scale code, and the whole tensor carries one
+positive float32 scale:
 
     stored code   q = round_fp4( x / (tensor_scale * block_scale) )
     reconstruction    x_hat = (tensor_scale * block_scale) * q
@@ -22,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import formats
-from .errors import ConfigError, NonFiniteError, ShapeMismatchError
+from .errors import NonFiniteError, ShapeMismatchError
 
 GROUP_SIZE = 16
 
@@ -38,15 +40,9 @@ class TensorScalePolicy(Enum):
 
 @dataclass(frozen=True)
 class QuantConfig:
-    """Quantization parameters.  ``group_size`` must stay 16 outside unit
-    tests."""
+    """Quantization parameters: how the tensor scale is chosen."""
 
-    group_size: int = GROUP_SIZE
     policy: TensorScalePolicy = TensorScalePolicy.AMAX_CALIBRATED
-
-    def __post_init__(self):
-        if self.group_size < 1:
-            raise ConfigError("group_size must be positive")
 
 
 @dataclass
@@ -54,7 +50,7 @@ class QuantizedTensor:
     """A quantized matrix: 4-bit codes, per-block scales, one tensor scale.
 
     ``codes`` is rows x cols uint8 (values 0..15); ``block_scales`` is
-    rows x (cols/group) uint8 codes of the 8-bit grid.  Blocking is always
+    rows x (cols/16) uint8 codes of the 8-bit grid.  Blocking is always
     along the column axis.  The block-scale fold a product needs is cached
     on the tensor after its first use (``folded_t``).
     """
@@ -62,7 +58,6 @@ class QuantizedTensor:
     codes: np.ndarray
     block_scales: np.ndarray
     tensor_scale: np.float32
-    group_size: int = GROUP_SIZE
     _folded_t: Optional[np.ndarray] = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -73,9 +68,7 @@ class QuantizedTensor:
 
     def folded(self) -> np.ndarray:
         """``fold_blocks`` of this tensor: rows x cols float32, fresh."""
-        return fold_blocks(
-            self.codes, formats.decode_e4m3(self.block_scales), self.group_size
-        )
+        return fold_blocks(self.codes, formats.decode_e4m3(self.block_scales))
 
     def folded_t(self) -> np.ndarray:
         """``folded()`` transposed to a contiguous read-only cols x rows array.
@@ -96,7 +89,7 @@ class QuantizedTensor:
         block scale bytes row-major."""
         rows, cols = self.codes.shape
         head = b"MXQT" + struct.pack(
-            "<IIII", 1, rows, cols, self.group_size
+            "<IIII", 1, rows, cols, GROUP_SIZE
         ) + struct.pack("<f", float(self.tensor_scale))
         flat = self.codes.reshape(-1)
         packed = (flat[0::2] | (flat[1::2] << np.uint8(4))).astype(np.uint8)
@@ -104,8 +97,9 @@ class QuantizedTensor:
 
     @classmethod
     def deserialize(cls, data: bytes) -> "QuantizedTensor":
-        """Inverse of ``serialize``; rejects a header that disagrees with
-        itself or with the length of ``data``."""
+        """Inverse of ``serialize``; rejects a group size other than 16 and
+        a header that disagrees with itself or with the length of
+        ``data``."""
         if data[:4] != b"MXQT":
             raise ValueError("bad magic")
         if len(data) < 24:
@@ -113,10 +107,12 @@ class QuantizedTensor:
         version, rows, cols, group = struct.unpack_from("<IIII", data, 4)
         if version != 1:
             raise ValueError(f"unsupported version {version}")
-        if group < 1 or cols % group != 0:
-            raise ValueError(f"{cols} columns do not split into groups of {group}")
+        if group != GROUP_SIZE:
+            raise ValueError(f"group size {group}, not {GROUP_SIZE}")
+        if cols % GROUP_SIZE != 0:
+            raise ValueError(f"{cols} columns do not split into groups of 16")
         n_code_bytes = rows * cols // 2
-        n_scales = rows * (cols // group)
+        n_scales = rows * (cols // GROUP_SIZE)
         if len(data) != 24 + n_code_bytes + n_scales:
             raise ValueError(
                 f"{len(data)} bytes where the header implies "
@@ -132,14 +128,13 @@ class QuantizedTensor:
         )
         return cls(
             codes=codes.reshape(rows, cols),
-            block_scales=scales.reshape(rows, cols // group).copy(),
+            block_scales=scales.reshape(rows, cols // GROUP_SIZE).copy(),
             tensor_scale=np.float32(tscale),
-            group_size=group,
         )
 
 
-def _blocks(x, group_size: int):
-    """``x`` checked and viewed as float32 rows x nblocks x group, and the
+def _blocks(x):
+    """``x`` checked and viewed as float32 rows x nblocks x 16, and the
     ``max|x|`` of each block.
 
     The block max is reduced across the rows of a transposed copy: numpy is
@@ -150,14 +145,14 @@ def _blocks(x, group_size: int):
     if arr.ndim != 2:
         raise ShapeMismatchError("expected a 2-D matrix")
     rows, cols = arr.shape
-    if cols % group_size != 0:
+    if cols % GROUP_SIZE != 0:
         raise ShapeMismatchError(
-            f"columns ({cols}) not divisible by group size ({group_size})"
+            f"columns ({cols}) not divisible by group size ({GROUP_SIZE})"
         )
     if not np.isfinite(arr).all():
         raise NonFiniteError("matrix entries must be finite")
-    blocks = arr.reshape(rows, cols // group_size, group_size)
-    mag_t = np.ascontiguousarray(np.abs(arr).reshape(-1, group_size).T)
+    blocks = arr.reshape(rows, cols // GROUP_SIZE, GROUP_SIZE)
+    mag_t = np.ascontiguousarray(np.abs(arr).reshape(-1, GROUP_SIZE).T)
     return blocks, np.maximum.reduce(mag_t, axis=0).reshape(blocks.shape[:2])
 
 
@@ -197,14 +192,13 @@ def _encode(blocks: np.ndarray, bmax: np.ndarray, alphas: np.ndarray):
 def quantize(x, cfg: QuantConfig = QuantConfig()) -> QuantizedTensor:
     """Quantize a finite float32 matrix blocked along columns, with one
     tensor scale calibrated on the whole matrix."""
-    blocks, bmax = _blocks(x, cfg.group_size)
+    blocks, bmax = _blocks(x)
     alpha = np.float32(_tensor_scales(bmax.max(initial=np.float32(0)), cfg.policy))
     codes, scale_codes = _encode(blocks, bmax, np.full(len(blocks), alpha))
-    return QuantizedTensor(codes, scale_codes, alpha, cfg.group_size)
+    return QuantizedTensor(codes, scale_codes, alpha)
 
 
-def fold_blocks(codes: np.ndarray, block_scales: np.ndarray,
-                group_size: int) -> np.ndarray:
+def fold_blocks(codes: np.ndarray, block_scales: np.ndarray) -> np.ndarray:
     """``decode_fp4(code) * block_scale`` per element, as float32.
 
     Exact when the block scales are on the 8-bit grid: a 4-bit value has at
@@ -212,7 +206,7 @@ def fold_blocks(codes: np.ndarray, block_scales: np.ndarray,
     fits float32 (and the smallest, ``0.5 * 2**-9``, is a normal number).
     """
     rows, cols = codes.shape
-    values = formats.decode_fp4(codes).reshape(rows, cols // group_size, group_size)
+    values = formats.decode_fp4(codes).reshape(rows, cols // GROUP_SIZE, GROUP_SIZE)
     values *= block_scales[:, :, None]  # in place: decode_fp4 returns a new array
     return values.reshape(rows, cols)
 
@@ -220,7 +214,7 @@ def fold_blocks(codes: np.ndarray, block_scales: np.ndarray,
 def dequantize(qt: QuantizedTensor) -> np.ndarray:
     """Reconstruct the float32 matrix: ``(tensor_scale * block_scale) * q``."""
     combined = np.float32(qt.tensor_scale) * formats.decode_e4m3(qt.block_scales)
-    expanded = np.repeat(combined, qt.group_size, axis=1)
+    expanded = np.repeat(combined, GROUP_SIZE, axis=1)
     return expanded * formats.decode_fp4(qt.codes)
 
 
@@ -236,9 +230,8 @@ class RowQuantizedActivation:
     """
 
     codes: np.ndarray  # m x k uint8
-    block_scales: np.ndarray  # m x (k/group) uint8
+    block_scales: np.ndarray  # m x (k/16) uint8
     row_scales: np.ndarray  # m float32
-    group_size: int = GROUP_SIZE
     _folded: Optional[np.ndarray] = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -252,9 +245,7 @@ class RowQuantizedActivation:
         read-only; built on the first call and cached, so the codes and
         scales must not change after it."""
         if self._folded is None:
-            folded = fold_blocks(
-                self.codes, formats.decode_e4m3(self.block_scales), self.group_size
-            )
+            folded = fold_blocks(self.codes, formats.decode_e4m3(self.block_scales))
             folded.flags.writeable = False
             self._folded = folded
         return self._folded
@@ -264,7 +255,6 @@ class RowQuantizedActivation:
             codes=self.codes[i : i + 1],
             block_scales=self.block_scales[i : i + 1],
             tensor_scale=np.float32(self.row_scales[i]),
-            group_size=self.group_size,
         )
 
 
@@ -275,7 +265,7 @@ def quantize_rows(x, cfg: QuantConfig = QuantConfig()) -> RowQuantizedActivation
     calibrated per row, so ``quantize_rows(x).row(i)`` matches
     ``quantize(x[i:i+1])`` bit-for-bit under the same policy.
     """
-    blocks, bmax = _blocks(x, cfg.group_size)
+    blocks, bmax = _blocks(x)
     alphas = _tensor_scales(bmax.max(axis=1, initial=np.float32(0)), cfg.policy)
     codes, scale_codes = _encode(blocks, bmax, alphas)
-    return RowQuantizedActivation(codes, scale_codes, alphas, cfg.group_size)
+    return RowQuantizedActivation(codes, scale_codes, alphas)

@@ -119,7 +119,7 @@ def scale_after_qgemm(a, w):
     """
     m, k = a.codes.shape
     n = w.codes.shape[0]
-    g = a.group_size
+    g = 16
     a_vals = formats.decode_fp4(a.codes)
     w_vals = formats.decode_fp4(w.codes)
     sa = formats.decode_e4m3(a.block_scales)
@@ -134,6 +134,33 @@ def scale_after_qgemm(a, w):
     return (np.float32(a.tensor_scale) * np.float32(w.tensor_scale)) * acc
 
 
+# Midpoints between adjacent 4-bit magnitudes, exact in binary64.
+FP4_MIDS = (formats.FP4_VALUES[:7].astype(np.float64) + formats.FP4_VALUES[1:8]) / 2.0
+
+
+def round_to_magnitude_grid(mag, mids):
+    """Index of the nearest magnitude, ties toward even (mantissa-0) index.
+
+    ``mids`` are the exact midpoints of an ascending magnitude grid whose
+    entries alternate mantissa parity starting even, so at any midpoint the
+    even-mantissa neighbour is the even index.
+    """
+    idx = np.searchsorted(mids, mag, side="left")
+    at_mid = (idx < mids.size) & (mag == mids[np.minimum(idx, mids.size - 1)])
+    idx = idx + (at_mid & (idx % 2 == 1))
+    return idx
+
+
+def searchsorted_encode_fp4(x):
+    """Oracle: the ``searchsorted`` route ``encode_fp4`` took before its
+    midpoint comparisons: float64 magnitudes clamped at 6, then the index
+    of the nearest magnitude over ``FP4_MIDS``, ties to even."""
+    v = np.asarray(x).astype(np.float64)
+    mag = np.minimum(np.abs(v), formats.FP4_MAX)
+    idx = round_to_magnitude_grid(mag, FP4_MIDS)
+    return np.where(np.signbit(v), idx + 8, idx).astype(np.uint8)
+
+
 def searchsorted_encode_e4m3(x):
     """Oracle: the route ``encode_e4m3`` took before its bit-pattern
     rounding.  Float64 magnitudes clamped at 448, then the index of the
@@ -143,11 +170,11 @@ def searchsorted_encode_e4m3(x):
     mags = formats.E4M3_VALUES[:127].astype(np.float64)
     mids = (mags[:-1] + mags[1:]) / 2.0
     mag = np.minimum(np.abs(v), formats.E4M3_MAX)
-    idx = formats._round_to_magnitude_grid(mag, mids)
+    idx = round_to_magnitude_grid(mag, mids)
     return np.where(np.signbit(v), idx + 128, idx).astype(np.uint8)
 
 
-def exact_scale_quantize(x, group_size=16):
+def exact_scale_quantize(x):
     """Oracle: two-level quantization with unrounded block scales.
 
     The tensor scale is calibrated as ``max|x| / (6 * 448)`` (1.0 for an
@@ -159,7 +186,7 @@ def exact_scale_quantize(x, group_size=16):
     """
     arr = np.asarray(x, dtype=np.float32)
     rows, cols = arr.shape
-    blocks = arr.reshape(rows, cols // group_size, group_size)
+    blocks = arr.reshape(rows, cols // 16, 16)
     amax = np.abs(arr).max()
     alpha = np.float32(amax) / np.float32(6 * 448) if amax else np.float32(1)
     bmax = np.abs(blocks).max(axis=2)

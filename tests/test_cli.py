@@ -73,9 +73,23 @@ class TestGenerate:
         assert runs[0][0] == 0
 
     def test_temperature_without_seed_is_usage_error(self, model_file):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as err:
             run_cli("generate", "--model", model_file, "--mode", "baseline16",
                     "--prompt-tokens", "1", "--temperature", "0.5")
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("generate", "--mode", "baseline16", "--prompt-tokens", "1,x"),
+        ("generate", "--mode", "baseline16", "--prompt-tokens", "1",
+         "--greedy", "--temperature", "0.7", "--seed", "5"),
+        ("analyze-attn", "--prompt-tokens", "1,2", "--k", "1,x"),
+    ], ids=["prompt-tokens", "greedy-and-temperature", "k"])
+    def test_usage_errors_exit_two(self, model_file, argv):
+        err = io.StringIO()
+        with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(err):
+            main([argv[0], "--model", model_file, *argv[1:]])
+        assert exc.value.code == 2
+        assert "usage:" in err.getvalue()
 
     def test_unknown_mode_exits_one(self, model_file):
         code, _, err = run_cli("generate", "--model", model_file, "--mode",

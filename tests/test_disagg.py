@@ -51,6 +51,21 @@ class TestKvBlob:
             assert np.array_equal(kv.values[layer][:4],
                                   result.kv.values[layer][:4])
 
+    def test_payload_is_a_read_only_view(self, weights):
+        blob, result = make_blob(weights, [4, 8, 15])
+        parsed = deserialize_kv(blob)
+        cfg = weights.config
+        shape = (cfg.n_layers, 3, cfg.n_heads, cfg.head_dim)
+        for tensors, cached in ((parsed.keys, result.kv.keys),
+                                (parsed.values, result.kv.values)):
+            assert tensors.shape == shape
+            assert not tensors.flags.writeable
+            for layer in range(cfg.n_layers):
+                assert np.array_equal(tensors[layer], cached[layer][:3])
+        kv = parsed.to_cache(weights)
+        kv.keys[0][0] += 1  # the cache owns its copy
+        assert np.array_equal(parsed.keys[0], result.kv.keys[0][:3])
+
     def test_header_fields(self, weights):
         blob, _ = make_blob(weights, [1, 2, 3])
         assert blob[:4] == b"MXQK"

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import searchsorted_encode_e4m3
+from conftest import searchsorted_encode_e4m3, searchsorted_encode_fp4
 from phasequant import formats
 from phasequant.errors import NonFiniteError
 from phasequant.selftest import nearest_fp4_oracle
@@ -103,16 +103,6 @@ class TestEncodeFp4:
         assert formats.fp4_half_gap(5.5) == 1.0
 
 
-def searchsorted_encode_fp4(x):
-    """The ``searchsorted`` route ``encode_fp4`` took before its midpoint
-    comparisons: float64 magnitudes clamped at 6, then the shared
-    ``_round_to_magnitude_grid``."""
-    v = np.asarray(x).astype(np.float64)
-    mag = np.minimum(np.abs(v), formats.FP4_MAX)
-    idx = formats._round_to_magnitude_grid(mag, formats._FP4_MIDS)
-    return np.where(np.signbit(v), idx + 8, idx).astype(np.uint8)
-
-
 class TestEncodeFp4AgainstSearchsorted:
     MIDS = np.array([0.25, 0.75, 1.25, 1.75, 2.5, 3.5, 5.0], dtype=np.float32)
 
@@ -167,6 +157,19 @@ class TestEncodeFp4AgainstSearchsorted:
                       np.array([bad], np.float64)):
                 with pytest.raises(NonFiniteError):
                     formats.encode_fp4(x)
+
+    def test_half_gap_at_the_searchsorted_magnitude(self):
+        # fp4_half_gap reads FP4_HALF_GAPS at encode_fp4's code; the
+        # searchsorted index it used before gives the same entry, infinities
+        # included (they clamp to 6).  NaN has no magnitude and is an error.
+        x = self.edge_values().astype(np.float64)
+        x = np.concatenate([x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf),
+                            [np.inf, -np.inf]])
+        want = formats.FP4_HALF_GAPS[searchsorted_encode_fp4(x) & 7]
+        assert np.array_equal(formats.fp4_half_gap(x), want)
+        for bad in (np.nan, np.array([0.5, np.nan])):
+            with pytest.raises(NonFiniteError):
+                formats.fp4_half_gap(bad)
 
 
 class TestEncodeE4m3:

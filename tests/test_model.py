@@ -229,7 +229,7 @@ class TestSharedActivationQuantization:
 
         log = {"quantize": [], "gemm": []}
 
-        def quantize_rows(x, cfg):
+        def quantize_rows(x, cfg=quantizer.QuantConfig()):
             act = quantizer.quantize_rows(x, cfg)
             log["quantize"].append((np.array(x), cfg, act))
             return act
@@ -674,6 +674,18 @@ class TestWeightFile:
         path = tmp_path / "m.mxqw"
         path.write_bytes(b"MXQW" + struct.pack("<IQ", 1, digest) + block)
         with pytest.raises(ConfigError):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("head_dim", [0, 8, 32])
+    def test_head_dim_other_than_d_model_over_n_heads_rejected(
+            self, tmp_path, head_dim):
+        # d_model 32 over 2 heads is 16; the stored field must say so, and
+        # the digest matches the block, so only that field is wrong
+        block = struct.pack("<IIIIIII d Q", 64, 32, 1, 2, head_dim, 64, 8,
+                            10000.0, 0)
+        path = tmp_path / "m.mxqw"
+        path.write_bytes(b"MXQW" + struct.pack("<IQ", 1, fnv1a64(block)) + block)
+        with pytest.raises(ConfigError, match="head_dim"):
             load_model(str(path))
 
     def test_corrupt_digest_rejected(self, tmp_path):

@@ -291,21 +291,6 @@ class TestRowQuantization:
         assert rq.row_scales[1] == 1.0
 
 
-class TestNonProductionGroupSize:
-    def test_group_size_8_round_trips(self):
-        # permitted in unit tests only; production paths stay at 16
-        cfg = QuantConfig(group_size=8, policy=TensorScalePolicy.UNIT)
-        x = np.array([[0.5, 1, 1.5, 2, 3, 4, 6, 0.5,
-                       3, 3, 3, 3, 3, 3, 3, 3]], np.float32)
-        qt = quantize(x, cfg)
-        assert qt.block_scales.shape == (1, 2)
-        assert np.array_equal(dequantize(qt), x)
-
-    def test_group_size_must_be_positive(self):
-        with pytest.raises(Exception):
-            QuantConfig(group_size=0)
-
-
 class TestSerialization:
     def test_round_trip(self):
         rng = np.random.default_rng(19)
@@ -316,7 +301,7 @@ class TestSerialization:
         assert np.array_equal(back.codes, qt.codes)
         assert np.array_equal(back.block_scales, qt.block_scales)
         assert back.tensor_scale == qt.tensor_scale
-        assert back.group_size == qt.group_size
+        assert struct.unpack_from("<I", blob, 16) == (16,)
 
     def test_packing_low_nibble_first(self):
         codes = np.arange(16, dtype=np.uint8).reshape(1, 16)
@@ -348,6 +333,20 @@ class TestSerialization:
         # byte: trim the blob to that length so only the group check fails
         blob = self.with_group(self.blob(), 32)[: 24 + 24 + 1]
         with pytest.raises(ValueError):
+            QuantizedTensor.deserialize(blob)
+        # 40 columns in groups of 16 would read 20 code bytes and 2 scale
+        # bytes: a blob of that length fails only the column check
+        blob = self.blob()
+        blob = blob[:12] + struct.pack("<I", 40) + blob[16:24] + bytes(20 + 2)
+        with pytest.raises(ValueError, match="40 columns"):
+            QuantizedTensor.deserialize(blob)
+
+    def test_consistent_header_with_another_group_rejected(self):
+        # 48 columns in groups of 8: 24 code bytes and 6 scale bytes, so
+        # the header agrees with itself and with the length; only the
+        # format's fixed 16-wide block rules it out
+        blob = self.with_group(self.blob(), 8)[: 24 + 24] + bytes(6)
+        with pytest.raises(ValueError, match="group size 8"):
             QuantizedTensor.deserialize(blob)
 
     def test_length_must_match_header(self):
