@@ -37,6 +37,20 @@ def _int_list(text: str) -> list:
             f"{text!r} is not a comma-separated list of integers") from None
 
 
+def _host_port(text: str) -> tuple:
+    """argparse type: ``HOST:PORT`` (or a bare ``PORT``) with the port in
+    0..65535; an empty host is 127.0.0.1."""
+    host, _, port = text.rpartition(":")
+    try:
+        number = int(port)
+    except ValueError:
+        number = -1
+    if not 0 <= number <= 65535:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not HOST:PORT with a port in 0-65535")
+    return host or "127.0.0.1", number
+
+
 def _sampler_from_args(args) -> SamplerSpec:
     if args.temperature is not None:
         return SamplerSpec(
@@ -70,7 +84,7 @@ def _worker_flags(p: argparse.ArgumentParser, default_precision: str):
         "--precision", choices=["high", "nvfp4"], default=default_precision
     )
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--listen", metavar="HOST:PORT")
+    group.add_argument("--listen", type=_host_port, metavar="HOST:PORT")
     group.add_argument("--blob-dir", metavar="PATH")
 
 
@@ -249,8 +263,7 @@ def _run_worker(args, serve) -> int:
     if args.blob_dir:
         disagg.serve_blob_dir(args.blob_dir, handler)
         return 0
-    host, _, port = args.listen.rpartition(":")
-    worker = disagg.TcpWorker(host or "127.0.0.1", int(port), handler)
+    worker = disagg.TcpWorker(*args.listen, handler)
     print(f"listening {worker.address[0]}:{worker.address[1]}", file=sys.stderr)
     try:
         worker.serve_forever()

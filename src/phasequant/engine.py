@@ -114,33 +114,38 @@ class Trajectory:
     config_digest: int = 0
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max()
-    return shifted - np.log(np.exp(shifted).sum())
+class Distribution(tuple):
+    """The pair ``(token, probs)`` of one decode step, with ``logprobs``:
+    the float32 log-probabilities a trajectory stores, taken from the same
+    softmax terms as ``probs``."""
 
+    logprobs: np.ndarray
 
-def _sampling_logits(logits: np.ndarray, sampler: SamplerSpec) -> np.ndarray:
-    arr = np.asarray(logits, dtype=np.float32)
-    if not np.isfinite(arr).all():
-        raise NonFiniteError("logits must be finite")
-    if sampler.strategy == "temperature":
-        arr = arr / np.float32(sampler.temperature)
-    return arr
+    def __new__(cls, token: int, probs: np.ndarray, logprobs: np.ndarray):
+        pair = super().__new__(cls, (token, probs))
+        pair.logprobs = logprobs
+        return pair
 
 
 def decode_distribution(logits: np.ndarray, sampler: SamplerSpec,
-                        rng: Optional[SplitMix64] = None):
+                        rng: Optional[SplitMix64] = None) -> Distribution:
     """Pick the next token and return it with the normalized probabilities.
 
     Softmax is computed in float32 with max subtraction.  Greedy takes the
     argmax, lowest id on exact ties.  Temperature divides the logits by t
     and samples by inverse CDF over ascending token ids using one uniform
-    draw from the pinned generator.
+    draw from the pinned generator.  The log-probabilities are the shifted
+    logits minus the log of the same exponential sum.
     """
-    arr = _sampling_logits(logits, sampler)
+    arr = np.asarray(logits, dtype=np.float32)
+    if not np.isfinite(arr).all():
+        raise NonFiniteError("logits must be finite")
+    if sampler.strategy == "temperature":
+        arr = arr / np.float32(sampler.temperature)
     shifted = arr - arr.max()
     e = np.exp(shifted)
-    probs = e / e.sum()
+    total = e.sum()
+    probs = e / total
     if sampler.strategy == "greedy":
         token = int(np.argmax(arr))
     else:
@@ -150,7 +155,7 @@ def decode_distribution(logits: np.ndarray, sampler: SamplerSpec,
         u = rng.next_float() * cdf[-1]
         token = int(np.searchsorted(cdf, u, side="right"))
         token = min(token, arr.size - 1)
-    return token, probs
+    return Distribution(token, probs, shifted - np.log(total))
 
 
 def run_decode_loop(
@@ -176,9 +181,10 @@ def run_decode_loop(
     rng = SplitMix64(sampler.seed) if sampler.strategy == "temperature" else None
     logits = first_logits
     for step in range(sampler.max_new_tokens):
-        token, _ = decode_distribution(logits, sampler, rng)
+        dist = decode_distribution(logits, sampler, rng)
+        token = dist[0]
         traj.tokens.append(token)
-        traj.logprobs.append(_log_softmax(_sampling_logits(logits, sampler)))
+        traj.logprobs.append(dist.logprobs)
         if sampler.stop_token is not None and token == sampler.stop_token:
             break
         if step + 1 < sampler.max_new_tokens:

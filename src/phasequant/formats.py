@@ -81,16 +81,28 @@ def encode_fp4(x) -> np.ndarray:
     """
     arr = np.asarray(x)
     _reject_non_finite(arr, "value to encode")
-    mag = np.abs(arr)
-    # The magnitude index counts the midpoints below ``mag``.  Midpoint j
-    # lies between indices j and j + 1, so a tie there goes to the even one:
-    # down (strict compare) for even j, up (inclusive compare) for odd j.
-    # Compared in the input's own dtype; every midpoint is exact in float32.
-    codes = np.signbit(arr).astype(np.uint8) << np.uint8(3)
-    for j, mid in enumerate(_FP4_MID_FLOATS):
-        codes += (mag >= mid) if j % 2 else (mag > mid)
+    codes = fp4_magnitude_codes(np.abs(arr))
+    codes |= np.signbit(arr).astype(np.uint8) << np.uint8(3)
     if np.isscalar(x) or arr.ndim == 0:
         return codes[()] if codes.ndim == 0 else codes
+    return codes
+
+
+def fp4_magnitude_codes(mag) -> np.ndarray:
+    """4-bit code (0..7) of the grid magnitude nearest each finite ``mag >=
+    0``, saturating at 6, as a new uint8 array of ``mag``'s shape.
+
+    The rounding rule of ``encode_fp4``, which adds the sign bit; unchecked,
+    so a caller vouches that ``mag`` is finite and nonnegative.
+    """
+    mag = np.asarray(mag)
+    # The magnitude code counts the midpoints below ``mag``.  Midpoint j
+    # lies between codes j and j + 1, so a tie there goes to the even one:
+    # down (strict compare) for even j, up (inclusive compare) for odd j.
+    # Compared in the input's own dtype; every midpoint is exact in float32.
+    codes = np.zeros(mag.shape, dtype=np.uint8)
+    for j, mid in enumerate(_FP4_MID_FLOATS):
+        codes += (mag >= mid) if j % 2 else (mag > mid)
     return codes
 
 
@@ -108,7 +120,24 @@ def encode_e4m3(x) -> np.ndarray:
     Round-to-nearest, ties to even mantissa; never yields the NaN pattern.
     Works on float32 input as float32 and on any other input as float64,
     so each value is rounded once, from its own precision.
+    """
+    arr = np.asarray(x)
+    _reject_non_finite(arr, "scale to encode")
+    if arr.dtype != np.float32:
+        arr = arr.astype(np.float64)
+    codes = e4m3_magnitude_codes(np.abs(arr))
+    codes |= np.signbit(arr).astype(np.uint8) << np.uint8(7)
+    if np.isscalar(x) or arr.ndim == 0:
+        return codes[()]
+    return codes
 
+
+def e4m3_magnitude_codes(mag) -> np.ndarray:
+    """8-bit code (0..126) of the grid magnitude nearest each finite float32
+    or float64 ``mag >= 0``, saturating at 448, as uint8.
+
+    The rounding rule of ``encode_e4m3``, which adds the sign bit;
+    unchecked, so a caller vouches that ``mag`` is finite and nonnegative.
     Below ``2**-6`` the codes are the subnormals, ``rint(mag * 2**9)``
     (which reaches code 8, the smallest normal, at the top).  From there
     the significand of the bit pattern is rounded to 3 bits, half to even,
@@ -116,33 +145,25 @@ def encode_e4m3(x) -> np.ndarray:
     formats lay out ``[exponent | mantissa]`` and a carry out of the
     mantissa steps the exponent.
     """
-    arr = np.asarray(x)
-    _reject_non_finite(arr, "scale to encode")
-    if arr.dtype != np.float32:
-        arr = arr.astype(np.float64)
-    info = np.finfo(arr.dtype)
+    mag = np.minimum(mag, E4M3_MAX)
+    info = np.finfo(mag.dtype)
     shift = info.nmant - 3  # significand bits below the kept three
     rebase = (info.maxexp - 8) << 3  # exponent bias (maxexp - 1) down to 7
-    mag = np.minimum(np.abs(arr), E4M3_MAX)
-    bits = mag.view(f"i{arr.itemsize}")
+    bits = mag.view(f"i{mag.itemsize}")
     # Adding half a kept step less one, plus the lowest kept bit, carries
     # past a tie exactly when that bit is odd: round half to even.
     below_half = (1 << (shift - 1)) - 1
     normal = ((bits + below_half + ((bits >> shift) & 1)) >> shift) - rebase
     subnormal = np.rint(mag * 512).astype(bits.dtype)
-    codes = np.where(mag < 2.0**-6, subnormal, normal).astype(np.uint8)
-    codes |= np.signbit(arr).astype(np.uint8) << np.uint8(7)
-    if np.isscalar(x) or arr.ndim == 0:
-        return codes[()]
-    return codes
+    return np.where(mag < 2.0**-6, subnormal, normal).astype(np.uint8)
 
 
 def decode_e4m3(codes) -> np.ndarray:
     """Decoded grid value of each 8-bit code; the NaN pattern is an error."""
-    c = np.asarray(codes)
-    if E4M3_IS_NAN[c].any():
+    values = E4M3_VALUES[np.asarray(codes)]
+    if np.isnan(values).any():
         raise ValueError("cannot decode the NaN pattern")
-    return E4M3_VALUES[c]
+    return values
 
 
 def fp4_half_gap(scaled_magnitude) -> np.ndarray:

@@ -7,19 +7,20 @@ production route is fold, then multiply:
 
 * Each operand is folded: every 4-bit value times its 8-bit block scale.
   That product is exact in float32 (2 significand bits times 4).  A weight
-  shadow's fold is built once and cached with it
-  (``QuantizedTensor.folded_t``), and so is an activation's
-  (``RowQuantizedActivation.folded``), which the products of one shared
-  input reuse.
+  shadow's fold is built from its codes once and cached with it
+  (``QuantizedTensor.folded_t``).  An activation's comes built from
+  ``quantize_rows``, in the pass that made its codes, and the products of
+  one shared input reuse it (``RowQuantizedActivation.folded``); this
+  module never folds an activation that the quantizer made.
 * The kernel forms every 16-wide block term ``a_hat[:, blk] @ w_hat_t[blk]``
   of a tile of rows in one batched ``np.matmul``, over the operand views
   ``a_hat`` as [blocks, rows, 16] and ``w_hat_t`` as [blocks, 16, n].  It
   sums the terms in ascending block order, starting from +0.0, with one
-  ``np.add.reduce`` over the block axis, and multiplies the tensor scales in
-  once at the end.  Each block term is exact: every partial sum of a
-  block's grid products is a multiple of 1/4 no larger than 576 in
-  magnitude (at most 12 significand bits), and the two block scales add at
-  most 8.  So no term depends on the summation order inside the matmul,
+  ``np.add.reduce`` over the block axis straight into the output rows, and
+  multiplies the tensor scales in once at the end.  Each block term is
+  exact: every partial sum of a block's grid products is a multiple of 1/4
+  no larger than 576 in magnitude (at most 12 significand bits), and the
+  two block scales add at most 8.  So no term depends on the summation order inside the matmul,
   and the only rounding is the float32 accumulation across blocks.
 * Rows are independent, so the kernel runs tile by tile over them.  A tile
   holds as many rows as fit their block terms into ``_TILE_BYTES``, a
@@ -74,7 +75,7 @@ def _block_loop(a_hat: np.ndarray, w_hat_t: np.ndarray,
     rows = max(1, _TILE_BYTES // (4 * blocks * n))
     a3 = a_hat.reshape(m, nb, GROUP_SIZE).transpose(1, 0, 2)
     w3 = w_hat_t.reshape(nb, GROUP_SIZE, n)
-    out = np.zeros((m, n), dtype=np.float32)
+    out = np.empty((m, n), dtype=np.float32)
     terms = np.empty((blocks, min(rows, m), n), dtype=np.float32)
     for r0 in range(0, m, rows):
         acc = out[r0 : r0 + rows]
@@ -82,11 +83,12 @@ def _block_loop(a_hat: np.ndarray, w_hat_t: np.ndarray,
             t = terms[: min(blocks, nb - b0), : len(acc)]
             np.matmul(a3[b0 : b0 + blocks, r0 : r0 + rows], w3[b0 : b0 + blocks],
                       out=t)  # exact
-            t[0] += acc  # the sum so far, or +0.0: a -0.0 first term becomes +0.0
-            if acc.size > 1:
-                np.add.reduce(t, axis=0, out=acc)  # sequential over the block axis
+            if b0:
+                t[0] += acc  # the sum of the earlier chunks
+            if acc.size > 1:  # sequential over the block axis, from +0.0
+                np.add.reduce(t, axis=0, out=acc, initial=0.0)
             else:  # numpy would sum a lone output element pairwise
-                acc[...] = np.add.accumulate(t, axis=0)[-1]
+                acc[...] = np.add.accumulate(t, axis=0)[-1] + np.float32(0.0)
     out *= out_scales[:, None]
     return out
 

@@ -12,6 +12,16 @@ positive float32 scale:
 with all arithmetic in float32 and the combined per-block factor
 ``tensor_scale * block_scale`` computed once and reused by both directions,
 so quantize and dequantize agree bit-for-bit on the products they form.
+
+Quantization is one pass: ``|x|`` once, the block maxima, the tensor
+scales, the scale codes (``formats.e4m3_magnitude_codes``) and the element
+codes (``formats.fp4_magnitude_codes``, the encoders' rounding rules), each
+input check made once on the way.  ``quantize_rows`` also builds the
+activation's fold, every 4-bit value times its decoded block scale, from
+the scales that pass already decoded, so the GEMM never folds an
+activation it made; an activation built directly from codes folds on first
+use.  A weight's fold (``QuantizedTensor.folded_t``) is built from its
+codes on first use and cached.
 """
 
 from __future__ import annotations
@@ -134,12 +144,14 @@ class QuantizedTensor:
 
 
 def _blocks(x):
-    """``x`` checked and viewed as float32 rows x nblocks x 16, and the
-    ``max|x|`` of each block.
+    """``x`` checked as a finite float32 matrix with a width divisible by
+    16, its magnitudes viewed as rows x nblocks x 16 (a new array, the
+    caller's to overwrite), and the ``max|x|`` of each block.
 
     The block max is reduced across the rows of a transposed copy: numpy is
     several times slower reducing a 16-wide inner axis, and a max is exact
-    either way.
+    either way.  A max is NaN or infinite exactly when its block holds a
+    NaN or an infinity, so the block maxima carry the finiteness check.
     """
     arr = np.asarray(x, dtype=np.float32)
     if arr.ndim != 2:
@@ -149,11 +161,12 @@ def _blocks(x):
         raise ShapeMismatchError(
             f"columns ({cols}) not divisible by group size ({GROUP_SIZE})"
         )
-    if not np.isfinite(arr).all():
+    mag = np.abs(arr)
+    bmax = np.maximum.reduce(np.ascontiguousarray(mag.reshape(-1, GROUP_SIZE).T), axis=0)
+    if not np.isfinite(bmax).all():
         raise NonFiniteError("matrix entries must be finite")
-    blocks = arr.reshape(rows, cols // GROUP_SIZE, GROUP_SIZE)
-    mag_t = np.ascontiguousarray(np.abs(arr).reshape(-1, GROUP_SIZE).T)
-    return blocks, np.maximum.reduce(mag_t, axis=0).reshape(blocks.shape[:2])
+    nblocks = cols // GROUP_SIZE
+    return arr, mag.reshape(rows, nblocks, GROUP_SIZE), bmax.reshape(rows, nblocks)
 
 
 def _tensor_scales(amax: np.ndarray, policy: TensorScalePolicy) -> np.ndarray:
@@ -170,31 +183,43 @@ def _tensor_scales(amax: np.ndarray, policy: TensorScalePolicy) -> np.ndarray:
     return np.where(scales == 0, np.float32(1.0), scales)
 
 
-def _encode(blocks: np.ndarray, bmax: np.ndarray, alphas: np.ndarray):
-    """4-bit codes (rows x cols) and 8-bit block-scale codes of ``blocks``,
-    with ``alphas[i]`` the tensor scale of row ``i``.
+def _encode(arr: np.ndarray, mag: np.ndarray, bmax: np.ndarray,
+            alphas: np.ndarray):
+    """4-bit codes (rows x cols), 8-bit block-scale codes and their decoded
+    values for the blocks of ``arr`` (magnitudes ``mag``, block maxima
+    ``bmax``, both from ``_blocks``), with ``alphas[i]`` the tensor scale of
+    row ``i``.  Overwrites ``mag``.
 
     Block scale code: ``round(max|block| / (alpha * 6))``.  Element code:
-    ``round(x / (alpha * block_scale))``; a block whose combined factor is 0
+    ``round(x / (alpha * block_scale))``, its sign bit from ``x`` and its
+    magnitude from ``|x| / (alpha * block_scale)``, which is ``|x /
+    (alpha * block_scale)|`` exactly; a block whose combined factor is 0
     gets code 0 throughout.
     """
-    rows, nblocks, g = blocks.shape
+    rows, nblocks, g = mag.shape
     ratios = bmax / (alphas[:, None] * np.float32(formats.FP4_MAX))
-    scale_codes = np.asarray(formats.encode_e4m3(ratios), dtype=np.uint8)
-    combined = alphas[:, None] * formats.decode_e4m3(scale_codes)
+    if not np.isfinite(ratios).all():
+        raise NonFiniteError("scale to encode must be finite")
+    scale_codes = formats.e4m3_magnitude_codes(ratios)
+    scales = formats.decode_e4m3(scale_codes)
+    combined = alphas[:, None] * scales
     dead = combined == 0
-    safe = np.where(dead, np.float32(1.0), combined)[:, :, None]
-    codes = np.asarray(formats.encode_fp4(blocks / safe))
+    combined[dead] = 1
+    scaled = np.divide(mag, combined[:, :, None], out=mag)
+    if not np.isfinite(scaled).all():
+        raise NonFiniteError("value to encode must be finite")
+    codes = formats.fp4_magnitude_codes(scaled)
+    codes |= np.signbit(arr).reshape(mag.shape).view(np.uint8) << np.uint8(3)
     codes[dead] = 0
-    return codes.reshape(rows, nblocks * g), scale_codes
+    return codes.reshape(rows, nblocks * g), scale_codes, scales
 
 
 def quantize(x, cfg: QuantConfig = QuantConfig()) -> QuantizedTensor:
     """Quantize a finite float32 matrix blocked along columns, with one
     tensor scale calibrated on the whole matrix."""
-    blocks, bmax = _blocks(x)
+    arr, mag, bmax = _blocks(x)
     alpha = np.float32(_tensor_scales(bmax.max(initial=np.float32(0)), cfg.policy))
-    codes, scale_codes = _encode(blocks, bmax, np.full(len(blocks), alpha))
+    codes, scale_codes, _ = _encode(arr, mag, bmax, np.full(len(arr), alpha))
     return QuantizedTensor(codes, scale_codes, alpha)
 
 
@@ -224,9 +249,10 @@ class RowQuantizedActivation:
 
     Bitwise equivalent to calling ``quantize`` on each row alone (the
     calibration then sees only that token), which keeps a token's codes
-    independent of what else shares the batch.  The block-scale fold is
-    cached after its first use (``folded``), so every product of one
-    shared input reuses it.
+    independent of what else shares the batch.  ``quantize_rows`` hands
+    over the block-scale fold with the codes; one built directly folds
+    them on its first use (``folded``).  Either way the fold is cached, so
+    every product of one shared input reuses it.
     """
 
     codes: np.ndarray  # m x k uint8
@@ -242,8 +268,9 @@ class RowQuantizedActivation:
 
     def folded(self) -> np.ndarray:
         """``fold_blocks`` of the codes with their decoded block scales,
-        read-only; built on the first call and cached, so the codes and
-        scales must not change after it."""
+        read-only.  ``quantize_rows`` builds it with the codes; an
+        activation built directly folds on the first call and caches the
+        result, so its codes and scales must not change after it."""
         if self._folded is None:
             folded = fold_blocks(self.codes, formats.decode_e4m3(self.block_scales))
             folded.flags.writeable = False
@@ -263,9 +290,16 @@ def quantize_rows(x, cfg: QuantConfig = QuantConfig()) -> RowQuantizedActivation
 
     Runs the operation sequence of ``quantize`` with a tensor scale
     calibrated per row, so ``quantize_rows(x).row(i)`` matches
-    ``quantize(x[i:i+1])`` bit-for-bit under the same policy.
+    ``quantize(x[i:i+1])`` bit-for-bit under the same policy.  The fold
+    (``fold_blocks`` of the codes and their decoded block scales) is built
+    in the same pass from the scales already decoded, and comes with the
+    activation, read-only.
     """
-    blocks, bmax = _blocks(x)
+    arr, mag, bmax = _blocks(x)
     alphas = _tensor_scales(bmax.max(axis=1, initial=np.float32(0)), cfg.policy)
-    codes, scale_codes = _encode(blocks, bmax, alphas)
-    return RowQuantizedActivation(codes, scale_codes, alphas)
+    codes, scale_codes, scales = _encode(arr, mag, bmax, alphas)
+    fold = fold_blocks(codes, scales)
+    fold.flags.writeable = False
+    act = RowQuantizedActivation(codes, scale_codes, alphas)
+    act._folded = fold
+    return act

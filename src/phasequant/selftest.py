@@ -64,11 +64,25 @@ def _suite_quantizer() -> bool:
     x = rng.normal(size=(8, 64)).astype(np.float32)
     q1 = qz.quantize(x, cfg)
     q2 = qz.quantize(qz.dequantize(q1), cfg)
-    return (
+    if not (
         np.array_equal(q1.codes, q2.codes)
         and np.array_equal(q1.block_scales, q2.block_scales)
         and q1.tensor_scale == q2.tensor_scale
-    )
+    ):
+        return False
+    # quantize_rows: each row as quantize alone, and the fold it carries
+    # equal to a fold of its codes; with a dead block and a -0.0 row.
+    x[2, 16:32] *= np.float32(1e-30)
+    x[5] = -0.0
+    rq = qz.quantize_rows(x)
+    for i in range(len(x)):
+        one, row = qz.quantize(x[i : i + 1]), rq.row(i)
+        if (one.codes.tobytes() != row.codes.tobytes()
+                or one.block_scales.tobytes() != row.block_scales.tobytes()
+                or one.tensor_scale.tobytes() != row.tensor_scale.tobytes()):
+            return False
+    fold = qz.fold_blocks(rq.codes, formats.decode_e4m3(rq.block_scales))
+    return rq.folded().tobytes() == fold.tobytes()
 
 
 def _suite_qgemm() -> bool:

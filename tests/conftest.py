@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from phasequant import formats, model
+from phasequant.errors import NonFiniteError, ShapeMismatchError
 from phasequant.model import KvCache, ModelConfig, decode_step, init_model, prefill
+from phasequant.quantizer import GROUP_SIZE, TensorScalePolicy
 from phasequant.rng import uniform_stream
 
 
@@ -195,6 +197,102 @@ def exact_scale_quantize(x):
     codes = np.asarray(formats.encode_fp4((blocks / safe) * np.float32(6)))
     codes[np.broadcast_to((bmax == 0)[:, :, None], codes.shape)] = 0
     return codes.reshape(rows, cols), combined
+
+
+# The two-pass ``quantize_rows`` route the one-pass quantizer replaced,
+# kept verbatim as its bitwise oracle: ``_blocks`` and ``_encode`` check and
+# round through the public encoders, and ``fold_blocks`` folds afresh.
+
+_SCALE_DENOM = np.float32(formats.FP4_MAX * formats.E4M3_MAX)  # 2688
+
+
+def _blocks(x):
+    """``x`` checked and viewed as float32 rows x nblocks x 16, and the
+    ``max|x|`` of each block.
+
+    The block max is reduced across the rows of a transposed copy: numpy is
+    several times slower reducing a 16-wide inner axis, and a max is exact
+    either way.
+    """
+    arr = np.asarray(x, dtype=np.float32)
+    if arr.ndim != 2:
+        raise ShapeMismatchError("expected a 2-D matrix")
+    rows, cols = arr.shape
+    if cols % GROUP_SIZE != 0:
+        raise ShapeMismatchError(
+            f"columns ({cols}) not divisible by group size ({GROUP_SIZE})"
+        )
+    if not np.isfinite(arr).all():
+        raise NonFiniteError("matrix entries must be finite")
+    blocks = arr.reshape(rows, cols // GROUP_SIZE, GROUP_SIZE)
+    mag_t = np.ascontiguousarray(np.abs(arr).reshape(-1, GROUP_SIZE).T)
+    return blocks, np.maximum.reduce(mag_t, axis=0).reshape(blocks.shape[:2])
+
+
+def _tensor_scales(amax: np.ndarray, policy: TensorScalePolicy) -> np.ndarray:
+    """Tensor scale for each float32 ``max|x|`` in ``amax``.
+
+    Calibrated: ``amax / (6 * 448)``, or 1.0 where that is 0: an all-zero
+    tensor, or one so small (``amax`` at most ``2688 * 2**-150``, about
+    1.9e-42) that the quotient underflows.  Every block of such a tensor then encodes as dead.
+    Unit: always 1.0.
+    """
+    if policy is TensorScalePolicy.UNIT:
+        return np.ones_like(amax)
+    scales = amax / _SCALE_DENOM
+    return np.where(scales == 0, np.float32(1.0), scales)
+
+
+def _encode(blocks: np.ndarray, bmax: np.ndarray, alphas: np.ndarray):
+    """4-bit codes (rows x cols) and 8-bit block-scale codes of ``blocks``,
+    with ``alphas[i]`` the tensor scale of row ``i``.
+
+    Block scale code: ``round(max|block| / (alpha * 6))``.  Element code:
+    ``round(x / (alpha * block_scale))``; a block whose combined factor is 0
+    gets code 0 throughout.
+    """
+    rows, nblocks, g = blocks.shape
+    ratios = bmax / (alphas[:, None] * np.float32(formats.FP4_MAX))
+    scale_codes = np.asarray(formats.encode_e4m3(ratios), dtype=np.uint8)
+    combined = alphas[:, None] * formats.decode_e4m3(scale_codes)
+    dead = combined == 0
+    safe = np.where(dead, np.float32(1.0), combined)[:, :, None]
+    codes = np.asarray(formats.encode_fp4(blocks / safe))
+    codes[dead] = 0
+    return codes.reshape(rows, nblocks * g), scale_codes
+
+
+def fold_blocks(codes: np.ndarray, block_scales: np.ndarray) -> np.ndarray:
+    """``decode_fp4(code) * block_scale`` per element, as float32.
+
+    Exact when the block scales are on the 8-bit grid: a 4-bit value has at
+    most 2 significand bits and an 8-bit scale at most 4, so their product
+    fits float32 (and the smallest, ``0.5 * 2**-9``, is a normal number).
+    """
+    rows, cols = codes.shape
+    values = formats.decode_fp4(codes).reshape(rows, cols // GROUP_SIZE, GROUP_SIZE)
+    values *= block_scales[:, :, None]  # in place: decode_fp4 returns a new array
+    return values.reshape(rows, cols)
+
+
+def two_pass_quantize(x, policy=TensorScalePolicy.AMAX_CALIBRATED):
+    """Oracle: ``quantize`` by the two-pass route; the codes, the
+    block-scale codes and the tensor scale."""
+    blocks, bmax = _blocks(x)
+    alpha = np.float32(_tensor_scales(bmax.max(initial=np.float32(0)), policy))
+    codes, scale_codes = _encode(blocks, bmax, np.full(len(blocks), alpha))
+    return codes, scale_codes, alpha
+
+
+def two_pass_quantize_rows(x, policy=TensorScalePolicy.AMAX_CALIBRATED):
+    """Oracle: ``quantize_rows`` as two passes, the codes first and the
+    fold from them afterwards.  Returns the codes, the block-scale codes,
+    the row scales and the fold."""
+    blocks, bmax = _blocks(x)
+    alphas = _tensor_scales(bmax.max(axis=1, initial=np.float32(0)), policy)
+    codes, scale_codes = _encode(blocks, bmax, alphas)
+    return codes, scale_codes, alphas, fold_blocks(
+        codes, formats.decode_e4m3(scale_codes))
 
 
 @pytest.fixture

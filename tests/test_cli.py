@@ -83,7 +83,11 @@ class TestGenerate:
         ("generate", "--mode", "baseline16", "--prompt-tokens", "1",
          "--greedy", "--temperature", "0.7", "--seed", "5"),
         ("analyze-attn", "--prompt-tokens", "1,2", "--k", "1,x"),
-    ], ids=["prompt-tokens", "greedy-and-temperature", "k"])
+        ("prefill-worker", "--listen", "127.0.0.1:abc"),
+        ("decode-worker", "--listen", "127.0.0.1:65536"),
+        ("prefill-worker", "--listen", "localhost:-1"),
+    ], ids=["prompt-tokens", "greedy-and-temperature", "k", "listen-port-not-int",
+            "listen-port-too-large", "listen-port-negative"])
     def test_usage_errors_exit_two(self, model_file, argv):
         err = io.StringIO()
         with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(err):

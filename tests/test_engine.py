@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phasequant import engine
 from phasequant.engine import (
     ExecutionMode,
     SamplerSpec,
@@ -97,6 +98,38 @@ class TestDecodeDistribution:
 
         assert decode_distribution(logits, sampler, FakeRng(0.2))[0] == 0
         assert decode_distribution(logits, sampler, FakeRng(0.8))[0] == 1
+
+    @pytest.mark.parametrize("sampler", [
+        SamplerSpec(),
+        SamplerSpec(strategy="temperature", temperature=0.7, seed=4),
+    ], ids=["greedy", "temperature"])
+    def test_log_probabilities_from_the_same_softmax(self, sampler):
+        # the stored log-probabilities, bit for bit as a separate
+        # log-softmax of the sampling logits computes them
+        rng = np.random.default_rng(2)
+        for _ in range(20):
+            logits = rng.normal(scale=4.0, size=64).astype(np.float32)
+            dist = decode_distribution(logits, sampler, SplitMix64(4))
+            token, probs = dist
+            arr = logits / np.float32(sampler.temperature) \
+                if sampler.strategy == "temperature" else logits
+            shifted = arr - arr.max()
+            want = shifted - np.log(np.exp(shifted).sum())
+            assert dist.logprobs.dtype == np.float32
+            assert dist.logprobs.tobytes() == want.tobytes()
+            assert (token, probs.tobytes()) == (dist[0], dist[1].tobytes())
+
+    def test_one_distribution_per_step(self, weights, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(args[0])
+            return decode_distribution(*args)
+
+        monkeypatch.setattr(engine, "decode_distribution", spy)
+        traj = generate(weights, [3, 1, 4], ExecutionMode.MIX_QUANT,
+                        SamplerSpec(max_new_tokens=5))
+        assert len(calls) == len(traj.tokens) == 5
 
 
 @settings(max_examples=100, deadline=None)

@@ -402,3 +402,42 @@ class TestTiledKernel:
         assert (rq.codes[:, ~lead] == 8).all()
         rows = self.check(x, wm)
         assert not np.signbit(rows).any() and not rows.any()
+
+    class NegativeZeroTerms:
+        """numpy with a ``matmul`` that writes every zero term as -0.0, as a
+        BLAS summing from the first product would for terms that are sums
+        of -0.0 products (OpenBLAS writes +0.0 there)."""
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def matmul(a, b, out):
+            np.matmul(a, b, out=out)
+            out[out == 0] = -0.0
+            return out
+
+    @pytest.mark.parametrize("m, n, budget_blocks", [
+        (3, 256, None),  # one row tile
+        (40, 256, None),  # three row tiles
+        (3, 24, 3),  # block chunks carrying the sum
+        (1, 1, None),  # one output element
+        (1, 1, 3),  # one output element, in chunks
+    ], ids=["one-tile", "multi-tile", "multi-chunk", "lone", "lone-chunks"])
+    def test_negative_zero_terms_sum_to_positive_zero(self, monkeypatch, m, n,
+                                                      budget_blocks):
+        # Row 0 of x leads every block with a live element and rounds the
+        # rest to -0.0; the weight is zero on every lead column.  So all of
+        # row 0's block terms are zero, written as -0.0, and its sum from
+        # +0.0 is +0.0.  The other rows are spread-scale products.
+        k = 1024
+        rng = np.random.default_rng(123 + m + n)
+        x, wm = spread_operands(rng, m, k, n)
+        x[0] = -1e-30
+        x[0, ::16] = rng.uniform(1, 2, size=k // 16).astype(np.float32)
+        wm[:, ::16] = 0.0
+        monkeypatch.setattr(gemm, "np", self.NegativeZeroTerms())
+        if budget_blocks:
+            monkeypatch.setattr(gemm, "_TILE_BYTES", 4 * n * budget_blocks)
+        rows = self.check(x, wm)
+        assert not np.signbit(rows[0]).any() and not rows[0].any()

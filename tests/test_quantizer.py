@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import exact_scale_quantize
+from conftest import exact_scale_quantize, two_pass_quantize, two_pass_quantize_rows
 from phasequant import formats
 from phasequant.errors import NonFiniteError, ShapeMismatchError
 from phasequant.quantizer import (
@@ -14,6 +14,7 @@ from phasequant.quantizer import (
     QuantizedTensor,
     TensorScalePolicy,
     dequantize,
+    fold_blocks,
     quantize,
     quantize_rows,
 )
@@ -289,6 +290,144 @@ class TestRowQuantization:
         rq = quantize_rows(x, AMAX)
         assert (rq.codes[1:] == 0).all()
         assert rq.row_scales[1] == 1.0
+
+
+FP4_MIDS = np.array([0.25, 0.75, 1.25, 1.75, 2.5, 3.5, 5.0], np.float32)
+FP4_GRID = formats.FP4_VALUES[:8]
+# the largest float32 amax whose amax / 2688 rounds to 0
+UNDERFLOW_LIMIT = np.float32(2688 * 2.0**-150)
+
+
+def hard_rows(rng, kind, m, k):
+    """``m`` rows of width ``k`` that probe the rounding of the quantizer.
+
+    ``grid``: every block has an exact scale: the row's tensor scale is a
+    power of two (one element is 2688 times it), each block max is 6 times
+    that scale times a block scale on the 8-bit grid, and the other scaled
+    values are the 4-bit midpoints, their float32 neighbours (on blocks
+    with a power-of-two scale, so they stay exact), the grid points and
+    signed zeros.  ``saturate``: blocks whose scale rounds down, so their
+    largest elements scale past 6.  ``dead``: Gaussian rows with blocks far
+    below the row max, of either sign, and all-zero blocks of either sign.
+    ``underflow``: rows at the tensor-scale underflow limit and next to it.
+    ``gauss``: Gaussian rows over six decades.
+    """
+    nb = k // 16
+    sign = rng.choice(np.float32([-1, 1]), size=(m, nb, 16))
+    if kind == "gauss":
+        return (rng.normal(size=(m, k)) * 10.0 ** rng.uniform(-3, 3, (m, 1))).astype(np.float32)
+    if kind == "underflow":
+        above = np.nextafter(UNDERFLOW_LIMIT, np.float32(1))
+        tops = rng.choice(np.float32([
+            np.nextafter(UNDERFLOW_LIMIT, np.float32(0)), UNDERFLOW_LIMIT,
+            above, np.nextafter(above, np.float32(1))]), size=(m, 1, 1))
+        x = rng.choice(np.float32([1, 0.5, 0]), size=(m, nb, 16)) * tops * sign
+        x[:, 0, 0] = tops[:, 0, 0]
+        return x.reshape(m, k)
+    alpha = np.float32(2.0) ** rng.integers(-20, 21, size=(m, 1, 1)).astype(np.float32)
+    if kind == "dead":
+        x = rng.normal(size=(m, nb, 16)).astype(np.float32)
+        x *= np.where(rng.random((m, nb, 1)) < 0.4, np.float32(1e-30), np.float32(1))
+        x[rng.random((m, nb)) < 0.1] = -0.0
+        x[rng.random((m, nb)) < 0.1] = 0.0
+        return (x * alpha).reshape(m, k)
+    pow2 = rng.random((m, nb, 1)) < 0.5
+    scales = np.where(pow2, np.float32(2.0) ** rng.integers(-9, 9, size=(m, nb, 1)),
+                      rng.choice(formats.E4M3_VALUES[1:127], size=(m, nb, 1)))
+    near = np.concatenate([np.nextafter(FP4_MIDS, np.float32(0)),
+                           np.nextafter(FP4_MIDS, np.float32(7))])
+    values = np.where(pow2, rng.choice(np.concatenate([FP4_MIDS, near, FP4_GRID, [-0.0]]),
+                                       size=(m, nb, 16)),
+                      rng.choice(np.concatenate([FP4_MIDS, FP4_GRID, [-0.0]]),
+                                 size=(m, nb, 16))).astype(np.float32)
+    values[:, :, 0] = 6.0
+    if kind == "saturate":
+        values[:, :, 0] = np.float32(6 * (1 + 2.0**-5))  # the scale rounds down
+        values[:, :, 1] = np.float32(6 * (1 + 2.0**-6))
+    x = values * sign * scales * alpha
+    x[:, 0, 0] = np.float32(2688) * alpha[:, 0, 0] * sign[:, 0, 0]  # amax: alpha exact
+    return x.reshape(m, k).astype(np.float32)  # every value is exact in float32
+
+
+class TestOnePassAgainstTwoPass:
+    """``quantize_rows`` and ``quantize`` are bit-equal to the two-pass
+    route they replaced (``conftest.two_pass_quantize_rows``), fold
+    included."""
+
+    KINDS = ("grid", "saturate", "dead", "underflow", "gauss")
+
+    @staticmethod
+    def check(x):
+        for policy, cfg in ((TensorScalePolicy.AMAX_CALIBRATED, AMAX),
+                            (TensorScalePolicy.UNIT, UNIT)):
+            codes, scale_codes, row_scales, fold = two_pass_quantize_rows(x, policy)
+            rq = quantize_rows(x, cfg)
+            assert rq.codes.tobytes() == codes.tobytes()
+            assert rq.block_scales.tobytes() == scale_codes.tobytes()
+            assert rq.row_scales.tobytes() == row_scales.tobytes()
+            assert rq.folded().tobytes() == fold.tobytes()
+            codes, scale_codes, alpha = two_pass_quantize(x, policy)
+            qt = quantize(x, cfg)
+            assert qt.codes.tobytes() == codes.tobytes()
+            assert qt.block_scales.tobytes() == scale_codes.tobytes()
+            assert qt.tensor_scale.tobytes() == alpha.tobytes()
+
+    @pytest.mark.parametrize("k", [16, 256, 1024])
+    @pytest.mark.parametrize("m", [1, 2, 17, 512])
+    def test_bit_equal(self, m, k):
+        rng = np.random.default_rng(1000 * m + k)
+        for kind in self.KINDS:
+            self.check(hard_rows(rng, kind, m, k))
+        mixed = np.concatenate([hard_rows(rng, kind, m, k) for kind in self.KINDS])
+        self.check(rng.permutation(mixed)[:m])
+
+    def test_inputs_reach_every_case(self):
+        # the cases the row kinds are built for do occur
+        rng = np.random.default_rng(7)
+        grid = hard_rows(rng, "grid", 64, 256)
+        rq = quantize_rows(grid, AMAX)
+        scaled = grid.reshape(64, 16, 16) / (
+            rq.row_scales[:, None, None]
+            * formats.decode_e4m3(rq.block_scales)[:, :, None])
+        mags = np.abs(scaled)
+        assert np.isin(FP4_MIDS, mags).all()
+        assert np.isin(np.nextafter(FP4_MIDS, np.float32(0)), mags).all()
+        assert np.isin(np.nextafter(FP4_MIDS, np.float32(7)), mags).all()
+        assert (rq.codes == 8).any()  # -0.0
+        sat = quantize_rows(hard_rows(rng, "saturate", 64, 256), AMAX)
+        lead = np.abs(formats.decode_fp4(sat.codes)).reshape(64, 16, 16)[:, 1:, :2]
+        assert (lead == 6).all()
+        dead = quantize_rows(hard_rows(rng, "dead", 64, 256), AMAX)
+        assert (dead.block_scales == 0).any()
+        low = hard_rows(rng, "underflow", 64, 256)
+        amax = np.abs(low).max(axis=1)
+        assert (amax <= UNDERFLOW_LIMIT).any() and (amax > UNDERFLOW_LIMIT).any()
+
+    def test_fold_is_read_only_and_from_the_codes(self):
+        rng = np.random.default_rng(8)
+        rq = quantize_rows(hard_rows(rng, "dead", 9, 64))
+        fold = rq.folded()
+        assert not fold.flags.writeable
+        assert fold is rq.folded()
+        want = fold_blocks(rq.codes, formats.decode_e4m3(rq.block_scales))
+        assert fold.tobytes() == want.tobytes()
+        with pytest.raises(ValueError):
+            fold[0, 0] = 1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("k", [16, 256])
+    def test_non_finite_anywhere_rejected(self, bad, k):
+        rng = np.random.default_rng(9)
+        x = gaussian(rng, 3, k)
+        x[:, :16] *= np.float32(1e-30)  # a dead block
+        for i, j in ((0, 0), (2, k - 1), (1, 5)):
+            y = x.copy()
+            y[i, j] = bad
+            for cfg in (AMAX, UNIT):
+                with pytest.raises(NonFiniteError):
+                    quantize_rows(y, cfg)
+                with pytest.raises(NonFiniteError):
+                    quantize(y, cfg)
 
 
 class TestSerialization:
