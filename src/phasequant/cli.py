@@ -51,22 +51,6 @@ def _host_port(text: str) -> tuple:
     return host or "127.0.0.1", number
 
 
-def _sampler_from_args(args) -> SamplerSpec:
-    if args.temperature is not None:
-        return SamplerSpec(
-            strategy="temperature",
-            temperature=args.temperature,
-            seed=args.seed,
-            max_new_tokens=args.max_new,
-            stop_token=args.stop_token,
-        )
-    return SamplerSpec(
-        strategy="greedy",
-        max_new_tokens=args.max_new,
-        stop_token=args.stop_token,
-    )
-
-
 def _add_sampler_flags(p: argparse.ArgumentParser):
     p.add_argument("--max-new", type=int, default=16)
     strategy = p.add_mutually_exclusive_group()
@@ -175,10 +159,25 @@ def _cmd_init_model(args) -> int:
     return 0
 
 
+def _emit(report, args):
+    """Write ``report`` to stdout: one JSON line with ``--json``, else its
+    ``key=value`` text."""
+    if args.json:
+        sys.stdout.write(analysis.dump_json(report) + "\n")
+    else:
+        sys.stdout.write(report.render())
+
+
 def _cmd_generate(args) -> int:
     weights = load_model(args.model)
     mode = ExecutionMode.from_name(args.mode)
-    sampler = _sampler_from_args(args)
+    sampler = SamplerSpec(
+        strategy="greedy" if args.temperature is None else "temperature",
+        temperature=args.temperature,
+        seed=args.seed,
+        max_new_tokens=args.max_new,
+        stop_token=args.stop_token,
+    )
     traj = generate(weights, args.prompt_tokens, mode, sampler)
     sys.stdout.write(render_trajectory(traj))
     return 0
@@ -194,11 +193,7 @@ def _cmd_compare_modes(args) -> int:
     ref = trajectories[ExecutionMode.BASELINE16]
     for mode in (ExecutionMode.UNIFORM_FP4, ExecutionMode.MIX_QUANT,
                  ExecutionMode.P16D4):
-        report = analysis.compare_trajectories(ref, trajectories[mode])
-        if args.json:
-            sys.stdout.write(analysis.dump_json(report) + "\n")
-        else:
-            sys.stdout.write(report.render())
+        _emit(analysis.compare_trajectories(ref, trajectories[mode]), args)
     return 0
 
 
@@ -207,11 +202,7 @@ def _cmd_analyze_attn(args) -> int:
     record = analysis.record_attention(
         weights, args.prompt_tokens, ExecutionMode.from_name(args.mode),
     )
-    report = analysis.topk_mass(record, args.k)
-    if args.json:
-        sys.stdout.write(analysis.dump_json(report) + "\n")
-    else:
-        sys.stdout.write(report.render())
+    _emit(analysis.topk_mass(record, args.k), args)
     return 0
 
 
@@ -225,14 +216,10 @@ def _cmd_cost(args) -> int:
         max_seq_len=max(args.prompt_len + args.gen_len, 1),
         seed=0,
     )
-    report = analysis.cost_model(
+    _emit(analysis.cost_model(
         cfg, args.prompt_len, args.gen_len,
         ExecutionMode.from_name(args.mode), args.throughput_ratio,
-    )
-    if args.json:
-        sys.stdout.write(analysis.dump_json(report) + "\n")
-    else:
-        sys.stdout.write(report.render())
+    ), args)
     return 0
 
 

@@ -22,7 +22,8 @@ payload's first byte is the frame type, the rest its body.
     GENERATE_REQ   u8 mode + u8 strategy (0 greedy, 1 temperature) +
                    f32 temperature + u64 seed + u32 max_new +
                    i64 stop token (-1 none) + u32 count + count x u32
-                   prompt tokens
+                   prompt tokens; a greedy request carries seed 0 and
+                   temperature 1.0, the ``SamplerSpec`` normal form
     TOKENS         UTF-8 trajectory dump
     ERROR          u32 code + UTF-8 message
 
@@ -32,12 +33,18 @@ worker's HELLO (digest echo).  A prompt worker then takes GENERATE_REQ
 PREFILL_LOGITS, because decoding must start from the exact final-position logits
 of the prompt pass, which the cache alone cannot reproduce.  A decode
 worker takes KV_BLOB, PREFILL_LOGITS and GENERATE_REQ and answers TOKENS.
-Any failure produces an ERROR frame.  Transports are interchangeable byte
-streams: a TCP connection or a request/response file pair.
+A worker runs one precision, so it refuses a request whose mode puts its
+phase at another (a prompt worker checks ``mode.prefill_precision``, a
+decode worker ``mode.decode_precision``) with a PROTOCOL error rather than
+label another mode's result with that mode.  Any failure produces exactly
+one ERROR frame.  Transports are interchangeable byte streams: a TCP
+connection or a request/response file pair; the client closes each stream
+it opens once its request is done.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import socket
 import struct
@@ -70,6 +77,11 @@ MAX_FRAME_BYTES = 1 << 30
 # File names of the request/response pair in a blob directory.
 REQUEST_FILE = "request.bin"
 RESPONSE_FILE = "response.bin"
+
+# Fixed-size record layouts, field by field as in the module docstring.
+_BLOB_HEADER = struct.Struct("<4sIQIIII")  # magic .. seq_len
+_HELLO = struct.Struct("<IQ")
+_GENERATE_REQ = struct.Struct("<BBfQIqI")  # the fields before the prompt
 
 
 class FrameType(IntEnum):
@@ -109,12 +121,8 @@ def serialize_kv(kv: KvCache, config_digest: int, prompt) -> bytes:
         )
     cfg = kv.config
     parts = [
-        BLOB_MAGIC,
-        struct.pack("<I", BLOB_VERSION),
-        struct.pack("<Q", config_digest),
-        struct.pack(
-            "<IIII", cfg.n_layers, cfg.n_heads, cfg.head_dim, kv.length
-        ),
+        _BLOB_HEADER.pack(BLOB_MAGIC, BLOB_VERSION, config_digest,
+                          cfg.n_layers, cfg.n_heads, cfg.head_dim, kv.length),
         np.asarray(prompt, dtype="<u4").tobytes(),
     ]
     for layer in range(cfg.n_layers):
@@ -160,16 +168,15 @@ class KvBlob:
 
 def deserialize_kv(data: bytes) -> KvBlob:
     """Parse and integrity-check a cache blob; raises BlobIntegrityError."""
-    head = 4 + 4 + 8 + 16
+    head = _BLOB_HEADER.size
     if len(data) < head + 4:
         raise BlobIntegrityError("blob truncated")
-    if data[:4] != BLOB_MAGIC:
+    magic, version, digest, n_layers, n_heads, head_dim, seq_len = \
+        _BLOB_HEADER.unpack_from(data)
+    if magic != BLOB_MAGIC:
         raise BlobIntegrityError("bad blob magic")
-    (version,) = struct.unpack_from("<I", data, 4)
     if version != BLOB_VERSION:
         raise BlobIntegrityError(f"unsupported blob version {version}")
-    (digest,) = struct.unpack_from("<Q", data, 8)
-    n_layers, n_heads, head_dim, seq_len = struct.unpack_from("<IIII", data, 16)
     per_tensor = seq_len * n_heads * head_dim * 4
     expected = head + 4 * seq_len + n_layers * 2 * per_tensor + 4
     if len(data) != expected:
@@ -207,6 +214,11 @@ class FrameStream:
         self._reader = reader
         self._writer = writer
 
+    def close(self):
+        """Close the reader and the writer."""
+        self._reader.close()
+        self._writer.close()
+
     def write_frame(self, ftype: FrameType, body: bytes = b""):
         payload = bytes([int(ftype)]) + body
         self._writer.write(struct.pack(">I", len(payload)) + payload)
@@ -237,13 +249,13 @@ class FrameStream:
 
 
 def encode_hello(digest: int) -> bytes:
-    return struct.pack("<IQ", PROTOCOL_VERSION, digest)
+    return _HELLO.pack(PROTOCOL_VERSION, digest)
 
 
 def decode_hello(body: bytes) -> Tuple[int, int]:
-    if len(body) != 12:
+    if len(body) != _HELLO.size:
         raise ProtocolError("malformed hello")
-    return struct.unpack("<IQ", body)
+    return _HELLO.unpack(body)
 
 
 _STRATEGIES = ("greedy", "temperature")
@@ -252,13 +264,11 @@ _STRATEGIES = ("greedy", "temperature")
 def encode_generate_req(mode: ExecutionMode, sampler: SamplerSpec,
                         prompt) -> bytes:
     prompt = [int(t) for t in prompt]
-    seed = sampler.seed if sampler.seed is not None else 0
-    return struct.pack(
-        "<BBfQIq I",
+    return _GENERATE_REQ.pack(
         list(ExecutionMode).index(mode),
         _STRATEGIES.index(sampler.strategy),
         float(sampler.temperature),
-        seed & 0xFFFFFFFFFFFFFFFF,
+        sampler.seed or 0,
         sampler.max_new_tokens,
         sampler.stop_token if sampler.stop_token is not None else -1,
         len(prompt),
@@ -266,23 +276,21 @@ def encode_generate_req(mode: ExecutionMode, sampler: SamplerSpec,
 
 
 def decode_generate_req(body: bytes) -> Tuple[ExecutionMode, SamplerSpec, List[int]]:
-    fixed = struct.calcsize("<BBfQIq I")
+    fixed = _GENERATE_REQ.size
     if len(body) < fixed:
         raise ProtocolError("malformed generation request")
-    mode_i, strat_i, temp, seed, max_new, stop, count = struct.unpack_from(
-        "<BBfQIq I", body
-    )
+    mode_i, strat_i, temp, seed, max_new, stop, count = \
+        _GENERATE_REQ.unpack_from(body)
     if mode_i >= len(ExecutionMode) or strat_i >= len(_STRATEGIES):
         raise ProtocolError("malformed generation request")
     if len(body) != fixed + 4 * count:
         raise ProtocolError("generation request length mismatch")
     prompt = list(np.frombuffer(body, dtype="<u4", count=count, offset=fixed))
-    strategy = _STRATEGIES[strat_i]
     try:
         sampler = SamplerSpec(
-            strategy=strategy,
-            temperature=temp if strategy == "temperature" else 1.0,
-            seed=seed if strategy == "temperature" else None,
+            strategy=_STRATEGIES[strat_i],
+            temperature=temp,
+            seed=seed,
             max_new_tokens=max_new,
             stop_token=None if stop < 0 else int(stop),
         )
@@ -325,6 +333,21 @@ def _receive(stream: FrameStream, wanted: FrameType) -> bytes:
     if ftype is not wanted:
         raise WorkerError(ErrorCode.PROTOCOL, f"unexpected frame {ftype.name}")
     return body
+
+
+def _receive_request(stream: FrameStream, phase: str, precision: Precision):
+    """Read GENERATE_REQ and refuse a mode whose ``phase`` precision is not
+    the worker's own ``precision``."""
+    mode, sampler, prompt = decode_generate_req(
+        _receive(stream, FrameType.GENERATE_REQ))
+    wanted = getattr(mode, f"{phase}_precision")
+    if wanted is not precision:
+        raise WorkerError(
+            ErrorCode.PROTOCOL,
+            f"mode {mode.value} runs {phase} at {wanted.value}; this worker "
+            f"runs {precision.value}",
+        )
+    return mode, sampler, prompt
 
 
 def _handshake(stream: FrameStream, digest: int):
@@ -378,7 +401,7 @@ def serve_prefill(stream: FrameStream, weights: ModelWeights,
     """Handle one prompt request: reply KV_BLOB then PREFILL_LOGITS."""
 
     def handle(digest: int):
-        _, _, prompt = decode_generate_req(_receive(stream, FrameType.GENERATE_REQ))
+        _, _, prompt = _receive_request(stream, "prefill", precision)
         if not prompt:
             raise WorkerError(ErrorCode.PROTOCOL, "empty prompt")
         result = prefill(weights, prompt, precision)
@@ -403,8 +426,7 @@ def serve_decode(stream: FrameStream, weights: ModelWeights,
         first_logits = decode_logits(_receive(stream, FrameType.PREFILL_LOGITS))
         if first_logits.size != weights.config.vocab_size:
             raise WorkerError(ErrorCode.PROTOCOL, "logits size mismatch")
-        mode, sampler, _ = decode_generate_req(
-            _receive(stream, FrameType.GENERATE_REQ))
+        mode, sampler, _ = _receive_request(stream, "decode", precision)
         kv = blob.to_cache(weights)
         check_context(weights.config, len(blob.prompt), sampler.max_new_tokens)
         traj = run_decode_loop(weights, kv, first_logits, precision, sampler,
@@ -475,13 +497,14 @@ def disaggregated_generate(
     """Run one generation through a prompt worker and a decode worker.
 
     The blob and logits bytes are forwarded untouched, so the decode worker
-    sees exactly what the prompt worker produced.
+    sees exactly what the prompt worker produced.  Each stream is closed
+    once its request is done, or has failed.
     """
-    pstream = prefill_connect()
-    blob, logits = request_prefill(pstream, prompt, mode, sampler)
-    (digest,) = struct.unpack_from("<Q", blob, 8)
-    dstream = decode_connect()
-    return request_decode(dstream, blob, logits, mode, sampler, digest=digest)
+    with contextlib.closing(prefill_connect()) as stream:
+        blob, logits = request_prefill(stream, prompt, mode, sampler)
+    digest = _BLOB_HEADER.unpack_from(blob)[2]
+    with contextlib.closing(decode_connect()) as stream:
+        return request_decode(stream, blob, logits, mode, sampler, digest=digest)
 
 
 # ---------------------------------------------------------------------------
@@ -489,23 +512,21 @@ def disaggregated_generate(
 
 class _SocketStream(FrameStream):
     def __init__(self, sock: socket.socket):
+        # Both ends write a large frame and then a small one; with Nagle's
+        # algorithm the small one waits for the peer's delayed ACK (~40 ms).
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._sock = sock
         fh = sock.makefile("rwb")
         super().__init__(fh, fh)
 
     def close(self):
+        """Close the file object over the socket, then the socket."""
+        super().close()
         self._sock.close()
 
 
-def _no_delay(sock: socket.socket) -> socket.socket:
-    # Both ends write a large frame and then a small one; with Nagle's
-    # algorithm the small one waits for the peer's delayed ACK (~40 ms).
-    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    return sock
-
-
 def connect_tcp(host: str, port: int) -> FrameStream:
-    return _SocketStream(_no_delay(socket.create_connection((host, port))))
+    return _SocketStream(socket.create_connection((host, port)))
 
 
 class TcpWorker:
@@ -523,11 +544,8 @@ class TcpWorker:
 
     def serve_one(self):
         conn, _ = self._server.accept()
-        try:
-            stream = _SocketStream(_no_delay(conn))
+        with conn, contextlib.closing(_SocketStream(conn)) as stream:
             self._handler(stream)
-        finally:
-            conn.close()
 
     def serve_forever(self):
         """Serve connections one by one until ``close``.  A connection
@@ -587,6 +605,9 @@ class FileExchange:
         class _LazyReader:
             def read(self, n):
                 return exchange._reader().read(n)
+
+            def close(self):
+                exchange.close()
 
         return FrameStream(_LazyReader(), self._request)
 

@@ -12,6 +12,11 @@ repeated ``decode_step(decode_precision)``; the first generated token is
 sampled from the prompt pass's final-position logits.  Every step stores the
 full log-probability vector in float32.
 
+A ``SamplerSpec`` is kept in its normal form: a greedy spec draws nothing,
+so it carries no seed and temperature 1.0, whatever it was built with.
+The dump header, the wire request and every comparison see only that form,
+so a spec renders the same in process and through the worker pair.
+
 Trajectory dump format (line-delimited text): one header line
 
     mode=<m> sampler=<greedy|temperature> temperature=<t|-> seed=<s|->
@@ -30,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
@@ -80,7 +85,8 @@ _MODE_PRECISIONS = {
 @dataclass(frozen=True)
 class SamplerSpec:
     """Decoding strategy. Greedy is deterministic; temperature sampling is
-    deterministic given its seed (which it requires)."""
+    deterministic given its seed (which it requires).  A greedy spec is
+    normalized to no seed and temperature 1.0 (see the module docstring)."""
 
     strategy: str = "greedy"
     temperature: float = 1.0
@@ -93,15 +99,17 @@ class SamplerSpec:
             raise ValueError(f"unknown sampling strategy {self.strategy!r}")
         if self.max_new_tokens < 0:
             raise ValueError("max_new_tokens must be nonnegative")
-        if self.seed is not None:
-            # the generator state is 64-bit; normalize so the recorded seed
-            # is the one actually used
-            object.__setattr__(self, "seed", self.seed & 0xFFFFFFFFFFFFFFFF)
-        if self.strategy == "temperature":
-            if not self.temperature > 0:
-                raise ValueError("temperature must be positive")
-            if self.seed is None:
-                raise ValueError("temperature sampling requires a seed")
+        if self.strategy == "greedy":  # draws nothing, so nothing to record
+            object.__setattr__(self, "seed", None)
+            object.__setattr__(self, "temperature", 1.0)
+            return
+        if not self.temperature > 0:
+            raise ValueError("temperature must be positive")
+        if self.seed is None:
+            raise ValueError("temperature sampling requires a seed")
+        # the generator state is 64-bit; normalize so the recorded seed is
+        # the one actually used
+        object.__setattr__(self, "seed", self.seed & 0xFFFFFFFFFFFFFFFF)
 
 
 @dataclass
@@ -114,17 +122,14 @@ class Trajectory:
     config_digest: int = 0
 
 
-class Distribution(tuple):
-    """The pair ``(token, probs)`` of one decode step, with ``logprobs``:
+class Distribution(NamedTuple):
+    """One decode step: the token picked, the normalized probabilities and
     the float32 log-probabilities a trajectory stores, taken from the same
     softmax terms as ``probs``."""
 
+    token: int
+    probs: np.ndarray
     logprobs: np.ndarray
-
-    def __new__(cls, token: int, probs: np.ndarray, logprobs: np.ndarray):
-        pair = super().__new__(cls, (token, probs))
-        pair.logprobs = logprobs
-        return pair
 
 
 def decode_distribution(logits: np.ndarray, sampler: SamplerSpec,
@@ -181,10 +186,9 @@ def run_decode_loop(
     rng = SplitMix64(sampler.seed) if sampler.strategy == "temperature" else None
     logits = first_logits
     for step in range(sampler.max_new_tokens):
-        dist = decode_distribution(logits, sampler, rng)
-        token = dist[0]
+        token, _, logprobs = decode_distribution(logits, sampler, rng)
         traj.tokens.append(token)
-        traj.logprobs.append(dist.logprobs)
+        traj.logprobs.append(logprobs)
         if sampler.stop_token is not None and token == sampler.stop_token:
             break
         if step + 1 < sampler.max_new_tokens:

@@ -174,13 +174,6 @@ def fp4_half_gap(scaled_magnitude) -> np.ndarray:
     return FP4_HALF_GAPS[encode_fp4(mag)]
 
 
-def _shortest_decimal(v: np.float32) -> str:
-    f = float(v)
-    if np.isnan(f):
-        return "nan"
-    return repr(f)
-
-
 def format_tables() -> str:
     """All codes of both grids as ``code,value`` lines for diffing.
 
@@ -190,7 +183,7 @@ def format_tables() -> str:
     """
     lines = []
     for code in range(16):
-        lines.append(f"{code},{_shortest_decimal(FP4_VALUES[code])}")
+        lines.append(f"{code},{float(FP4_VALUES[code])!r}")
     for code in range(256):
-        lines.append(f"{code},{_shortest_decimal(E4M3_VALUES[code])}")
+        lines.append(f"{code},{float(E4M3_VALUES[code])!r}")
     return "\n".join(lines) + "\n"

@@ -28,9 +28,12 @@ production route is fold, then multiply:
   weight fold; when a single row's terms do not fit, its blocks go in
   chunks, each continuing the sum where the last left it.
 
-``qgemm_rows`` is this kernel with one tensor scale per activation row and
-``qgemm`` the case of one shared scale.  ``qgemm_mirror`` runs it on
-operands folded afresh from their codes, never on a cached fold.
+``qgemm_rows`` is the one entry to this kernel, and ``qgemm`` another name
+for it.  Its left operand is a ``RowQuantizedActivation`` (one tensor scale
+per row) or a ``QuantizedTensor`` (one scale, which ``row_scales`` repeats
+per row); either way row i is scaled by ``float32(row_scale_i *
+w.tensor_scale)``.  ``qgemm_mirror`` runs the kernel on operands folded
+afresh from their codes, never on a cached fold.
 
 The other route, the block inner product of the raw grid values scaled
 after the product, is the test suite's independent bitwise oracle.  Every
@@ -45,7 +48,8 @@ from .errors import ShapeMismatchError
 from .quantizer import GROUP_SIZE, QuantizedTensor, RowQuantizedActivation
 
 
-def _check_operands(a, w: QuantizedTensor) -> None:
+def _check_operands(a: RowQuantizedActivation | QuantizedTensor,
+                    w: QuantizedTensor) -> None:
     """Reject ``a @ w.T`` unless the reduction dims agree, m, n and k are
     positive and k is a multiple of 16.  ``a`` is a ``QuantizedTensor`` or a
     ``RowQuantizedActivation``."""
@@ -93,18 +97,23 @@ def _block_loop(a_hat: np.ndarray, w_hat_t: np.ndarray,
     return out
 
 
-def _shared_scales(a: QuantizedTensor, w: QuantizedTensor) -> np.ndarray:
-    scale = np.float32(a.tensor_scale) * np.float32(w.tensor_scale)
-    return np.full(a.codes.shape[0], scale, dtype=np.float32)
+def qgemm_rows(a: RowQuantizedActivation | QuantizedTensor,
+               w: QuantizedTensor) -> np.ndarray:
+    """Product of an m x k quantized left operand and an n x k quantized
+    tensor, as float32 m x n; ``a`` is a ``RowQuantizedActivation`` or a
+    ``QuantizedTensor``.
 
-
-def qgemm(a: QuantizedTensor, w: QuantizedTensor) -> np.ndarray:
-    """Product of an m x k and an n x k quantized tensor, as float32 m x n.
-
-    Caches ``w``'s fold on ``w``, as for a weight shadow.
+    For an activation it is bitwise equal to stacking ``qgemm(a.row(i),
+    w)`` over i: the block loop is elementwise across rows and the final
+    scale multiplies row i by ``float32(row_scale_i * w.tensor_scale)``, as
+    for a single row.  Caches ``w``'s fold on ``w``, as for a weight shadow.
     """
     _check_operands(a, w)
-    return _block_loop(a.folded(), w.folded_t(), _shared_scales(a, w))
+    return _block_loop(a.folded(), w.folded_t(),
+                       a.row_scales * np.float32(w.tensor_scale))
+
+
+qgemm = qgemm_rows
 
 
 def qgemm_mirror(a: QuantizedTensor, w: QuantizedTensor) -> np.ndarray:
@@ -114,19 +123,8 @@ def qgemm_mirror(a: QuantizedTensor, w: QuantizedTensor) -> np.ndarray:
     codes it was built from.
     """
     _check_operands(a, w)
-    return _block_loop(a.folded(), w.folded().T, _shared_scales(a, w))
-
-
-def qgemm_rows(act: RowQuantizedActivation, w: QuantizedTensor) -> np.ndarray:
-    """``qgemm`` with per-row activation tensor scales, batched.
-
-    Bitwise equal to stacking ``qgemm(act.row(i), w)`` over i: the block
-    loop is elementwise across rows and the final scale multiplies row i by
-    ``float32(row_scale_i * w.tensor_scale)`` exactly as the scalar path.
-    """
-    _check_operands(act, w)
-    return _block_loop(act.folded(), w.folded_t(),
-                       act.row_scales * np.float32(w.tensor_scale))
+    return _block_loop(a.folded(), w.folded().T,
+                       a.row_scales * np.float32(w.tensor_scale))
 
 
 def reference_gemm(a_values: np.ndarray, w_values: np.ndarray) -> np.ndarray:

@@ -62,6 +62,10 @@ from .rng import normal_chunks
 RMSNORM_EPS = np.float32(1e-6)
 WEIGHT_FILE_MAGIC = b"MXQW"
 WEIGHT_FILE_VERSION = 1
+# The weight file header (magic, version, config digest) and the config
+# block that follows it, field by field as in the module docstring.
+_FILE_HEADER = struct.Struct("<4sIQ")
+_CONFIG_BLOCK = struct.Struct("<IIIIIII d Q")
 
 
 class Precision(Enum):
@@ -105,8 +109,7 @@ class ModelConfig:
             raise ConfigError("rope_base must be positive and finite")
 
     def config_block(self) -> bytes:
-        return struct.pack(
-            "<IIIIIII d Q",
+        return _CONFIG_BLOCK.pack(
             self.vocab_size,
             self.d_model,
             self.n_layers,
@@ -125,7 +128,7 @@ class ModelConfig:
     def from_config_block(cls, block: bytes) -> "ModelConfig":
         """Inverse of ``config_block``; rejects a stored ``head_dim`` other
         than ``d_model / n_heads``."""
-        vocab, d, nl, nh, hd, ffn, msl, rope, seed = struct.unpack("<IIIIIII d Q", block)
+        vocab, d, nl, nh, hd, ffn, msl, rope, seed = _CONFIG_BLOCK.unpack(block)
         cfg = cls(
             vocab_size=vocab,
             d_model=d,
@@ -139,9 +142,6 @@ class ModelConfig:
         if hd != cfg.head_dim:
             raise ConfigError(f"stored head_dim {hd} is not d_model / n_heads")
         return cfg
-
-
-_CONFIG_BLOCK_SIZE = struct.calcsize("<IIIIIII d Q")
 
 
 def fnv1a64(data: bytes) -> int:
@@ -530,9 +530,8 @@ def teacher_forced_logits(
 def save_model(weights: ModelWeights, path: str):
     cfg = weights.config
     with open(path, "wb") as fh:
-        fh.write(WEIGHT_FILE_MAGIC)
-        fh.write(struct.pack("<I", WEIGHT_FILE_VERSION))
-        fh.write(struct.pack("<Q", cfg.digest()))
+        fh.write(_FILE_HEADER.pack(WEIGHT_FILE_MAGIC, WEIGHT_FILE_VERSION,
+                                   cfg.digest()))
         fh.write(cfg.config_block())
         for layer_idx, name, _, _ in _layout(cfg):
             owner = weights if layer_idx is None else weights.layers[layer_idx]
@@ -544,16 +543,14 @@ def load_model(path: str) -> ModelWeights:
         data = fh.read()
     if data[:4] != WEIGHT_FILE_MAGIC:
         raise ValueError("not a model weight file")
-    (version,) = struct.unpack_from("<I", data, 4)
+    _, version, stored_digest = _FILE_HEADER.unpack_from(data)
     if version != WEIGHT_FILE_VERSION:
         raise ValueError(f"unsupported weight file version {version}")
-    (stored_digest,) = struct.unpack_from("<Q", data, 8)
-    block = data[16 : 16 + _CONFIG_BLOCK_SIZE]
-    cfg = ModelConfig.from_config_block(block)
+    off = _FILE_HEADER.size + _CONFIG_BLOCK.size
+    cfg = ModelConfig.from_config_block(data[_FILE_HEADER.size : off])
     if cfg.digest() != stored_digest:
         raise ValueError("config digest mismatch in weight file")
 
-    off = 16 + _CONFIG_BLOCK_SIZE
     tensors = []
     for _, _, shape, _ in _layout(cfg):
         count = math.prod(shape)

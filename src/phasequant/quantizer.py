@@ -38,6 +38,9 @@ from .errors import NonFiniteError, ShapeMismatchError
 
 GROUP_SIZE = 16
 
+# The MXQT header: magic, version, rows, cols, group size, tensor scale.
+_MXQT_HEADER = struct.Struct("<4sIIIIf")
+
 # Product of the two grid maxima; the calibrated tensor scale divides the
 # matrix amax by this so every block-scale ratio stays on the 8-bit grid.
 _SCALE_DENOM = np.float32(formats.FP4_MAX * formats.E4M3_MAX)  # 2688
@@ -76,6 +79,12 @@ class QuantizedTensor:
     def shape(self):
         return self.codes.shape
 
+    @property
+    def row_scales(self) -> np.ndarray:
+        """The tensor scale once per row, as float32: the per-row scales of
+        a ``RowQuantizedActivation``, for a tensor with one scale."""
+        return np.full(self.codes.shape[0], self.tensor_scale, dtype=np.float32)
+
     def folded(self) -> np.ndarray:
         """``fold_blocks`` of this tensor: rows x cols float32, fresh."""
         return fold_blocks(self.codes, formats.decode_e4m3(self.block_scales))
@@ -98,9 +107,8 @@ class QuantizedTensor:
         packed codes (two per byte, low nibble first, row-major), then the
         block scale bytes row-major."""
         rows, cols = self.codes.shape
-        head = b"MXQT" + struct.pack(
-            "<IIII", 1, rows, cols, GROUP_SIZE
-        ) + struct.pack("<f", float(self.tensor_scale))
+        head = _MXQT_HEADER.pack(b"MXQT", 1, rows, cols, GROUP_SIZE,
+                                 float(self.tensor_scale))
         flat = self.codes.reshape(-1)
         packed = (flat[0::2] | (flat[1::2] << np.uint8(4))).astype(np.uint8)
         return head + packed.tobytes() + self.block_scales.reshape(-1).tobytes()
@@ -112,9 +120,10 @@ class QuantizedTensor:
         ``data``."""
         if data[:4] != b"MXQT":
             raise ValueError("bad magic")
-        if len(data) < 24:
+        head = _MXQT_HEADER.size
+        if len(data) < head:
             raise ValueError("truncated header")
-        version, rows, cols, group = struct.unpack_from("<IIII", data, 4)
+        _, version, rows, cols, group, tscale = _MXQT_HEADER.unpack_from(data)
         if version != 1:
             raise ValueError(f"unsupported version {version}")
         if group != GROUP_SIZE:
@@ -123,18 +132,17 @@ class QuantizedTensor:
             raise ValueError(f"{cols} columns do not split into groups of 16")
         n_code_bytes = rows * cols // 2
         n_scales = rows * (cols // GROUP_SIZE)
-        if len(data) != 24 + n_code_bytes + n_scales:
+        if len(data) != head + n_code_bytes + n_scales:
             raise ValueError(
                 f"{len(data)} bytes where the header implies "
-                f"{24 + n_code_bytes + n_scales}"
+                f"{head + n_code_bytes + n_scales}"
             )
-        (tscale,) = struct.unpack_from("<f", data, 20)
-        packed = np.frombuffer(data, dtype=np.uint8, count=n_code_bytes, offset=24)
+        packed = np.frombuffer(data, dtype=np.uint8, count=n_code_bytes, offset=head)
         codes = np.empty(rows * cols, dtype=np.uint8)
         codes[0::2] = packed & np.uint8(0x0F)
         codes[1::2] = packed >> np.uint8(4)
         scales = np.frombuffer(
-            data, dtype=np.uint8, count=n_scales, offset=24 + n_code_bytes
+            data, dtype=np.uint8, count=n_scales, offset=head + n_code_bytes
         )
         return cls(
             codes=codes.reshape(rows, cols),

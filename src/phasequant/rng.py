@@ -62,15 +62,6 @@ def _u64_block(seed: int, start: int, count: int) -> np.ndarray:
         return z ^ (z >> np.uint64(31))
 
 
-def u64_stream(seed: int, count: int) -> np.ndarray:
-    """First ``count`` outputs of the stream, vectorised."""
-    return _u64_block(seed, 0, count)
-
-
-def uniform_stream(seed: int, count: int) -> np.ndarray:
-    return (u64_stream(seed, count) >> np.uint64(11)).astype(np.float64) * _U53
-
-
 def normal_chunks(seed: int, count: int):
     """The first ``count`` standard normals of the stream as consecutive
     float64 chunks, so a consumer never holds the whole stream at once.
@@ -91,8 +82,3 @@ def normal_chunks(seed: int, count: int):
         out[0::2] = r * np.cos(angle)
         out[1::2] = r * np.sin(angle)
         yield out[:size]
-
-
-def normal_stream(seed: int, count: int) -> np.ndarray:
-    """First ``count`` standard normals of the stream, as float64."""
-    return np.concatenate([np.empty(0), *normal_chunks(seed, count)])

@@ -5,11 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from phasequant import formats, model
+from phasequant import formats, model, rng
 from phasequant.errors import NonFiniteError, ShapeMismatchError
 from phasequant.model import KvCache, ModelConfig, decode_step, init_model, prefill
 from phasequant.quantizer import GROUP_SIZE, TensorScalePolicy
-from phasequant.rng import uniform_stream
 
 
 def toy_config(seed=0, **overrides):
@@ -39,6 +38,22 @@ def toy_weights(seed=0, **overrides):
 @pytest.fixture
 def weights():
     return toy_weights(0)
+
+
+def u64_stream(seed, count):
+    """First ``count`` outputs of the ``phasequant.rng`` stream, vectorised."""
+    return rng._u64_block(seed, 0, count)
+
+
+def uniform_stream(seed, count):
+    """First ``count`` uniforms of the stream: each output's top 53 bits."""
+    return (u64_stream(seed, count) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def normal_stream(seed, count):
+    """First ``count`` standard normals of the stream, as float64: the
+    chunks of ``rng.normal_chunks`` joined."""
+    return np.concatenate([np.empty(0), *rng.normal_chunks(seed, count)])
 
 
 def whole_normal_stream(seed, count):
@@ -115,9 +130,10 @@ def scale_after_qgemm(a, w):
 
     Per block, the inner product of the raw 4-bit grid values (exact in any
     order), then times both block scales, accumulated in ascending block
-    order in float32; the tensor scales multiply once at the end.  ``a`` is
-    a ``QuantizedTensor`` (one shared scale, as ``qgemm``) or a
-    ``RowQuantizedActivation`` (one scale per row, as ``qgemm_rows``).
+    order in float32; the tensor scales multiply once at the end, row i by
+    ``float32(row_scale_i * w.tensor_scale)``.  ``a`` is a
+    ``QuantizedTensor`` (one shared scale, repeated per row) or a
+    ``RowQuantizedActivation`` (one scale per row).
     """
     m, k = a.codes.shape
     n = w.codes.shape[0]
@@ -131,9 +147,7 @@ def scale_after_qgemm(a, w):
         lo = b * g
         inner = a_vals[:, lo : lo + g] @ w_vals[:, lo : lo + g].T
         acc += inner * np.outer(sa[:, b], sw[:, b])
-    if hasattr(a, "row_scales"):
-        return (a.row_scales * np.float32(w.tensor_scale))[:, None] * acc
-    return (np.float32(a.tensor_scale) * np.float32(w.tensor_scale)) * acc
+    return (a.row_scales * np.float32(w.tensor_scale))[:, None] * acc
 
 
 # Midpoints between adjacent 4-bit magnitudes, exact in binary64.

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -44,7 +45,7 @@ class TestInitModel:
                                  "--n-heads", "2", "--max-seq-len", "32",
                                  "--out", path)
             assert code == 0
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_bad_config_exits_one(self, tmp_path):
         code, _, err = run_cli("init-model", "--seed", "1", "--d-model", "24",

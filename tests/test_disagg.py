@@ -1,3 +1,5 @@
+import contextlib
+import hashlib
 import io
 import struct
 import threading
@@ -6,7 +8,8 @@ import zlib
 import numpy as np
 import pytest
 
-from conftest import toy_weights
+from conftest import toy_config, toy_weights
+from phasequant import model
 from phasequant import disagg, engine
 from phasequant.disagg import (
     ErrorCode,
@@ -29,7 +32,7 @@ from phasequant.disagg import (
 )
 from phasequant.engine import ExecutionMode, SamplerSpec, generate, render_trajectory
 from phasequant.errors import BlobIntegrityError, ProtocolError
-from phasequant.model import Precision, prefill
+from phasequant.model import KvCache, Precision, init_model, prefill, save_model
 
 
 def make_blob(weights, prompt, precision=Precision.HIGH):
@@ -246,6 +249,19 @@ class TestEndToEnd:
                             sampler)
         assert dump == mono
 
+    def test_greedy_seed_is_dropped_on_both_sides(self, weights):
+        # a greedy spec given a seed and a temperature renders the same
+        # header in process and through the worker pair
+        prompt = [8, 2, 44]
+        sampler = SamplerSpec(strategy="greedy", seed=5, temperature=0.3,
+                              max_new_tokens=4)
+        mono = render_trajectory(
+            generate(weights, prompt, ExecutionMode.MIX_QUANT, sampler))
+        dump = run_pair_tcp(weights, weights, prompt, ExecutionMode.MIX_QUANT,
+                            sampler)
+        assert dump == mono
+        assert " seed=- " in mono
+
     def test_transport_independence_same_wire_bytes(self, weights, tmp_path):
         # The same request bytes must elicit the same reply bytes from a
         # file-pair worker and a real TCP worker.
@@ -399,6 +415,101 @@ class TestEndToEnd:
         ftype, body = stream.read_frame()
         assert ftype is FrameType.ERROR
         assert decode_error(body)[0] == ErrorCode.CORRUPT
+
+
+class TestModeCheck:
+    """A worker runs one precision: a request whose mode puts the worker's
+    phase at another gets one PROTOCOL error frame, and the next connection
+    is served."""
+
+    @pytest.mark.parametrize("phase, other_mode", [
+        ("prefill", ExecutionMode.P16D4),
+        ("decode", ExecutionMode.UNIFORM_FP4),
+    ])
+    def test_other_mode_refused_then_next_served(self, weights, phase,
+                                                 other_mode):
+        prompt = [5, 6, 7]
+        mode = ExecutionMode.MIX_QUANT  # nvfp4 prompt pass, high decoding
+        sampler = SamplerSpec(max_new_tokens=3)
+        blob, res = make_blob(weights, prompt, Precision.NVFP4)
+        logits = disagg.encode_logits(res.logits)
+        if phase == "prefill":
+            worker = TcpWorker("127.0.0.1", 0, lambda s: serve_prefill(
+                s, weights, mode.prefill_precision))
+            expected = (blob, logits)
+
+            def request(stream, m):
+                return disagg.request_prefill(stream, prompt, m, sampler)
+        else:
+            worker = TcpWorker("127.0.0.1", 0, lambda s: serve_decode(
+                s, weights, mode.decode_precision))
+            expected = render_trajectory(generate(weights, prompt, mode, sampler))
+
+            def request(stream, m):
+                return disagg.request_decode(stream, blob, logits, m, sampler)
+
+        def serve_two():
+            worker.serve_one()
+            worker.serve_one()
+
+        thread = threading.Thread(target=serve_two)
+        thread.start()
+        try:
+            with contextlib.closing(connect_tcp(*worker.address)) as bad:
+                bad._sock.settimeout(10)
+                with pytest.raises(WorkerError) as err:
+                    request(bad, other_mode)
+                with pytest.raises(ProtocolError):
+                    bad.read_frame()  # exactly one ERROR frame, nothing after it
+            with contextlib.closing(connect_tcp(*worker.address)) as good:
+                good._sock.settimeout(10)
+                reply = request(good, mode)
+        finally:
+            thread.join(timeout=10)
+            alive = thread.is_alive()
+            worker.close()
+        assert not alive
+        assert err.value.code == ErrorCode.PROTOCOL
+        assert reply == expected
+
+
+def test_record_layouts_are_golden(tmp_path):
+    # SHA-256 of one record of each binary layout, built from fixed seeds
+    # and exact values (multiples of 1/64), so the digests hold on any
+    # BLAS; a moved or resized field changes them
+    cfg = toy_config(41, n_layers=1, max_seq_len=16)
+    weights = init_model(cfg)
+    rng = np.random.default_rng(41)
+    for layer, name, shape, _ in model._layout(cfg):
+        owner = weights if layer is None else weights.layers[layer]
+        setattr(owner, name,
+                (rng.integers(-64, 64, size=shape) / 64).astype(np.float32))
+    prompt = [3, 1, 4, 1, 5]
+    kv = KvCache(cfg)
+    for tensor in kv.keys + kv.values:
+        part = tensor[: len(prompt)]
+        part[...] = rng.integers(-64, 64, size=part.shape) / 64
+    kv.length = len(prompt)
+    sampler = SamplerSpec(strategy="temperature", temperature=0.75, seed=-3,
+                          max_new_tokens=9, stop_token=4)
+    path = tmp_path / "m.mxqw"
+    save_model(weights, str(path))
+    records = {
+        "MXQK": serialize_kv(kv, cfg.digest(), prompt),
+        "HELLO": encode_hello(cfg.digest()),
+        "GENERATE_REQ": encode_generate_req(ExecutionMode.MIX_QUANT, sampler,
+                                            prompt),
+        "MXQW": path.read_bytes(),
+    }
+    digests = {name: hashlib.sha256(data).hexdigest()
+               for name, data in records.items()}
+    assert digests == {
+        "MXQK": "27b8f7a8d3066b0d3abd6745bf2708188889d8c37d0952753b59b2754fd9bca8",
+        "HELLO": "a310043556f529105bfb6da0fa809d51a3fe1b0852fd71265d029204cb0318cc",
+        "GENERATE_REQ":
+            "c888dfbd3983857f0f63dbe34e2a44f6155f477b790e8a9be3869e3e9c8b2947",
+        "MXQW": "67dc9dd5ec9a8e0e932f3c2cd315b97c994d2bc9e446e02c368ac853d3a9bb18",
+    }
 
 
 def bad_sampler_request(prompt, temperature):

@@ -40,25 +40,25 @@ class TestModes:
 class TestDecodeDistribution:
     def test_uniform_logits_tie_breaks_to_zero(self):
         logits = np.zeros(16, np.float32)
-        token, probs = decode_distribution(logits, SamplerSpec())
+        token, probs, _ = decode_distribution(logits, SamplerSpec())
         assert token == 0
         assert np.allclose(probs, 1.0 / 16.0, atol=1e-7)
 
     def test_one_hot_logits(self):
         logits = np.zeros(16, np.float32)
         logits[7] = 10.0
-        token, _ = decode_distribution(logits, SamplerSpec())
+        token, _, _ = decode_distribution(logits, SamplerSpec())
         assert token == 7
         sampler = SamplerSpec(strategy="temperature", temperature=0.5, seed=3,
                               max_new_tokens=1)
-        token, _ = decode_distribution(logits, sampler, SplitMix64(3))
+        token, _, _ = decode_distribution(logits, sampler, SplitMix64(3))
         assert token == 7
 
     def test_probabilities_match_double_precision_softmax(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             logits = rng.normal(scale=3.0, size=32).astype(np.float32)
-            _, probs = decode_distribution(logits, SamplerSpec())
+            _, probs, _ = decode_distribution(logits, SamplerSpec())
             assert abs(float(probs.sum()) - 1.0) <= 1e-6
             ref = np.exp(logits.astype(np.float64))
             ref /= ref.sum()
@@ -73,6 +73,12 @@ class TestDecodeDistribution:
     def test_temperature_requires_seed(self):
         with pytest.raises(ValueError):
             SamplerSpec(strategy="temperature", temperature=0.7)
+
+    def test_greedy_normal_form(self):
+        # greedy draws nothing, so a seed or temperature given to it is
+        # dropped: the spec equals the default one and renders like it
+        assert SamplerSpec(strategy="greedy", seed=5, temperature=0.3) \
+            == SamplerSpec()
 
     def test_temperature_sampling_deterministic(self):
         rng = np.random.default_rng(1)
@@ -110,7 +116,7 @@ class TestDecodeDistribution:
         for _ in range(20):
             logits = rng.normal(scale=4.0, size=64).astype(np.float32)
             dist = decode_distribution(logits, sampler, SplitMix64(4))
-            token, probs = dist
+            token, probs, _ = dist
             arr = logits / np.float32(sampler.temperature) \
                 if sampler.strategy == "temperature" else logits
             shifted = arr - arr.max()
@@ -136,8 +142,8 @@ class TestDecodeDistribution:
 @given(st.floats(min_value=-50, max_value=50, allow_nan=False))
 def test_softmax_shift_invariance(shift):
     logits = np.array([0.3, -1.2, 2.0, 0.0, 0.7], np.float32)
-    t0, p0 = decode_distribution(logits, SamplerSpec())
-    t1, p1 = decode_distribution(logits + np.float32(shift), SamplerSpec())
+    t0, p0, _ = decode_distribution(logits, SamplerSpec())
+    t1, p1, _ = decode_distribution(logits + np.float32(shift), SamplerSpec())
     assert t0 == t1
     assert np.abs(p0 - p1).max() <= 1e-6
 

@@ -226,12 +226,13 @@ class TestRowActivationGemm:
 
 def assert_kernel_matches_oracles(x, wm, cfg=QuantConfig()):
     """``qgemm`` and ``qgemm_rows`` bit-equal to the scale-after oracle and
-    to ``qgemm_mirror``; returns the quantized operands for further checks."""
+    to ``qgemm_mirror``, with a ``QuantizedTensor`` or a row-quantized left
+    operand; returns the quantized operands for further checks."""
     a = quantize(x, cfg)
     w = quantize(wm, cfg)
-    got = qgemm(a, w)
-    assert got.tobytes() == scale_after_qgemm(a, w).tobytes()
-    assert got.tobytes() == qgemm_mirror(a, w).tobytes()
+    for got in (qgemm(a, w), qgemm_rows(a, w)):
+        assert got.tobytes() == scale_after_qgemm(a, w).tobytes()
+        assert got.tobytes() == qgemm_mirror(a, w).tobytes()
     rq = quantize_rows(x, cfg)
     rows = qgemm_rows(rq, w)
     assert rows.tobytes() == scale_after_qgemm(rq, w).tobytes()

@@ -1,6 +1,7 @@
 import math
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -644,7 +645,7 @@ class TestWeightFile:
             setattr(owner, name, np.full(shape, tag, np.float32))
         path = str(tmp_path / "m.mxqw")
         save_model(w, path)
-        raw = open(path, "rb").read()
+        raw = Path(path).read_bytes()
         off = 16 + len(w.config.config_block())
         for tag, (_, name, shape) in enumerate(entries, start=1):
             size = math.prod(shape)
@@ -662,7 +663,7 @@ class TestWeightFile:
         w = toy_weights(22)
         path = str(tmp_path / "m.mxqw")
         save_model(w, path)
-        raw = open(path, "rb").read()
+        raw = Path(path).read_bytes()
         assert raw[:4] == b"MXQW"
         assert int.from_bytes(raw[4:8], "little") == 1
         assert int.from_bytes(raw[8:16], "little") == w.config.digest()
@@ -692,9 +693,9 @@ class TestWeightFile:
         w = toy_weights(23)
         path = str(tmp_path / "m.mxqw")
         save_model(w, path)
-        raw = bytearray(open(path, "rb").read())
+        raw = bytearray(Path(path).read_bytes())
         raw[8] ^= 0xFF
-        open(path, "wb").write(bytes(raw))
+        Path(path).write_bytes(bytes(raw))
         with pytest.raises(ValueError):
             load_model(path)
 

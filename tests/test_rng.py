@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import whole_normal_stream
+from conftest import normal_stream, u64_stream, uniform_stream, whole_normal_stream
 from phasequant import rng
-from phasequant.rng import SplitMix64, normal_stream, u64_stream, uniform_stream
+from phasequant.rng import SplitMix64
 
 
 def scalar_reference(seed, count):
