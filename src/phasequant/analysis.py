@@ -282,14 +282,16 @@ def perplexity(weights: ModelWeights, mode: ExecutionMode,
     (none when n = 2), whose rows serve as every shorter context, and one
     ``teacher_forced_logits`` pass over its first n - 1 tokens.
 
-    The forward is not length- or batch-invariant: a causal pass's first
-    rows are not bit-equal to a shorter pass, and a batched row is not
-    bit-equal to a single decode step.  So the result differs from a fresh
-    prompt pass and decode step per scored token by about 1e-7 relative; the
-    tests hold it to 1e-5.  When decoding at 4 bits, such a last-bit
-    difference can also flip one activation code of a row, which moves that
-    token's log-probability by up to a few 1e-3.  Negative log-likelihoods
-    are summed in float64.
+    Attention gives a row the same bits in any pass, and so do the 4-bit
+    linears, so on the 4-bit path a batched row's hidden state equals a
+    single decode step's.  Float32 matmuls do not: the output head of one
+    row, and float32 linears of one or two rows, take other BLAS paths
+    than a batch.  So the result differs from a fresh prompt pass and
+    decode step per scored token by up to about 2.4e-7 relative; the tests
+    hold it to 1e-5.  A float32 context row that differs in the last bit
+    can still flip one activation code of a 4-bit decode row, which moves
+    that token's log-probability by up to a few 1e-3.  Negative
+    log-likelihoods are summed in float64.
     """
     cfg = weights.config
     seqs = [[int(t) for t in seq] for seq in corpus]

@@ -497,11 +497,15 @@ def disaggregated_generate(
     """Run one generation through a prompt worker and a decode worker.
 
     The blob and logits bytes are forwarded untouched, so the decode worker
-    sees exactly what the prompt worker produced.  Each stream is closed
-    once its request is done, or has failed.
+    sees exactly what the prompt worker produced.  Only the blob header is
+    read here, for its config digest: a blob too short to hold one raises
+    ``BlobIntegrityError``.  Each stream is closed once its request is
+    done, or has failed.
     """
     with contextlib.closing(prefill_connect()) as stream:
         blob, logits = request_prefill(stream, prompt, mode, sampler)
+    if len(blob) < _BLOB_HEADER.size:
+        raise BlobIntegrityError(f"blob of {len(blob)} bytes has no header")
     digest = _BLOB_HEADER.unpack_from(blob)[2]
     with contextlib.closing(decode_connect()) as stream:
         return request_decode(stream, blob, logits, mode, sampler, digest=digest)

@@ -15,11 +15,18 @@ in every mode.
 
 ``prefill``, ``decode_step`` and ``teacher_forced_logits`` all run one
 block loop (``_forward``), and every block one attention function
-(``_attend``).  It takes heads in groups that fit a fixed score budget:
-one stacked matmul forms a group's scores, the softmax runs in place on
-them, and one stacked matmul forms the group's output.  Every head keeps
-the GEMM shapes of a single-head product, so the bits are those of a loop
-over single heads.
+(``_attend``).  It is causal attention over 128-key tiles aligned to
+absolute key positions.  A row reads only the tiles that hold keys before
+its own position, and its score against its own key is a separate dot
+product, so a decode step and a teacher-forced row see their own K/V the
+same way.  Within a tile the score product, the exponentials and the
+contiguous tile sum follow one fixed rule; the tiles' sums and ``P @ V``
+products are then added in ascending key order.  So a row's attention bits
+depend only on its own keys: a prefix prefill, a chunked prefill, a longer
+prefill, a decode step and a teacher-forced row agree bitwise.  The 4-bit
+linears are row-invariant too, so on the 4-bit path so are the K/V and
+hidden states.  Float32 linears are not: ``np.matmul`` of a one- or
+two-row input takes other BLAS paths than a longer one.
 
 Weight initialization is fully pinned (see ``rng``): a single normal stream
 seeded from the config seed is consumed in this order, each matrix row-major
@@ -45,6 +52,7 @@ is FNV-1a 64 over the config block and is echoed in cache transfer blobs.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 import threading
@@ -244,13 +252,34 @@ def init_model(config: ModelConfig) -> ModelWeights:
     return _assemble(config, tensors)
 
 
+# Attention reads keys in tiles of this many positions, aligned to position 0.
+_TILE = 128
+
+
+def _key_store(rows: int, n_heads: int, head_dim: int) -> np.ndarray:
+    """Zeroed float32 keys, [rows, n_heads, head_dim], as a view of a
+    head-major [n_heads, head_dim, rows] array, so that one head's keys are
+    one contiguous matrix for the score product.  For a decode row's
+    two-row product that is about ten times faster than a strided matrix
+    (OpenBLAS, one Xeon core)."""
+    return np.zeros((n_heads, head_dim, rows), dtype=np.float32).transpose(2, 0, 1)
+
+
 class KvCache:
-    """Per-layer key/value tensors in float32, single writer per sequence."""
+    """Per-layer key/value tensors in float32, single writer per sequence.
+
+    ``keys[layer]`` and ``values[layer]`` are [rows, n_heads, head_dim],
+    where ``rows`` is ``max_seq_len`` rounded up to whole attention tiles,
+    so attention reads every tile it needs in place.  Entries from
+    ``length`` on are finite filler that attention masks.  The keys are
+    views of head-major arrays (``_key_store``).
+    """
 
     def __init__(self, config: ModelConfig):
         self.config = config
-        shape = (config.max_seq_len, config.n_heads, config.head_dim)
-        self.keys = [np.zeros(shape, dtype=np.float32) for _ in range(config.n_layers)]
+        rows = -(-config.max_seq_len // _TILE) * _TILE
+        shape = (rows, config.n_heads, config.head_dim)
+        self.keys = [_key_store(*shape) for _ in range(config.n_layers)]
         self.values = [np.zeros(shape, dtype=np.float32) for _ in range(config.n_layers)]
         self.length = 0
 
@@ -278,13 +307,21 @@ def _rmsnorm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
     return x * (np.float32(1.0) / np.sqrt(ms + RMSNORM_EPS)) * gain
 
 
-def _rope_tables(cfg: ModelConfig, positions: np.ndarray):
+@functools.lru_cache(maxsize=16)
+def _rope_table(cfg: ModelConfig):
+    """Rotary cos and sin of every position below ``max_seq_len``, each
+    [max_seq_len, head_dim] float32 and read-only; a chunk slices its rows.
+    Each entry depends only on its position, so a slice has the bits of a
+    table built for those positions alone."""
     half = cfg.head_dim // 2
     inv_freq = cfg.rope_base ** (-np.arange(half, dtype=np.float64) * 2.0 / cfg.head_dim)
-    ang = positions[:, None].astype(np.float64) * inv_freq[None, :]
-    cos = np.concatenate([np.cos(ang), np.cos(ang)], axis=1).astype(np.float32)
-    sin = np.concatenate([np.sin(ang), np.sin(ang)], axis=1).astype(np.float32)
-    return cos, sin
+    ang = np.arange(cfg.max_seq_len, dtype=np.float64)[:, None] * inv_freq[None, :]
+    tables = []
+    for fn in (np.cos, np.sin):
+        table = np.concatenate([fn(ang), fn(ang)], axis=1).astype(np.float32)
+        table.flags.writeable = False
+        tables.append(table)
+    return tuple(tables)
 
 
 def _apply_rope(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
@@ -323,10 +360,10 @@ def forward_block(
     The start position is not passed but derived: the chunk's rows are the
     positions from ``kv.length`` on (which only advances once the caller
     has run every layer, so all layers of one chunk see the same start).
-    Writes this layer's K/V at those positions; reads keys up to the chunk
-    end with a causal mask.  If ``attn_record_row`` is given (shape
-    [n_heads, chunk end]) the post-softmax rows of the chunk's last
-    position are stored into it.  A chunk that would end past
+    Writes this layer's K/V at those positions; each row attends to the
+    cache entries before it and to its own K/V.  If ``attn_record_row`` is
+    given (shape [n_heads, chunk end]) the post-softmax rows of the chunk's
+    last position are stored into it.  A chunk that would end past
     ``max_seq_len`` raises ``ContextOverflowError`` before any write.
 
     With ``own_diagonal`` the rows are the positions from 0 on, the cache
@@ -351,8 +388,7 @@ def forward_block(
             f"position {total - 1} exceeds max_seq_len {cfg.max_seq_len}",
             position=total - 1,
         )
-    positions = np.arange(pos0, total)
-    cos, sin = _rope_tables(cfg, positions)
+    cos, sin = (table[pos0:total] for table in _rope_table(cfg))
 
     h = _rmsnorm(x, layer.attn_norm_gain)
     q, k, v = _linears(h, ("attn_q", "attn_k", "attn_v"), precision, weights,
@@ -361,14 +397,11 @@ def forward_block(
     k = _apply_rope(k.reshape(p, cfg.n_heads, cfg.head_dim), cos, sin)
     v = v.reshape(p, cfg.n_heads, cfg.head_dim)
 
-    if own_diagonal:  # own K/V stay out of the read-only cache
-        end, own = total - 1, (k, v)
-    else:
+    if not own_diagonal:
         kv.keys[layer_idx][pos0:total] = k
         kv.values[layer_idx][pos0:total] = v
-        end, own = total, None
-    attn_out = _attend(q, kv.keys[layer_idx][:end], kv.values[layer_idx][:end],
-                       positions, own, attn_record_row)
+    attn_out = _attend(q, k, v, kv.keys[layer_idx], kv.values[layer_idx],
+                       pos0, attn_record_row)
     (proj,) = _linears(attn_out.reshape(p, cfg.d_model), ("attn_out",),
                        precision, weights, layer_idx)
     x = x + proj
@@ -380,74 +413,117 @@ def forward_block(
     return x + down
 
 
-# Score buffer of one head group: as many heads as fit their [p, T]
-# float32 scores in it, at least one.  So it holds at most 2 MiB, or one
-# head's scores where those alone are larger.  A loop over single heads
-# holds up to four [p, T] arrays at once, so once one head's scores reach
-# 512 KiB the peak is no higher than that loop's.  Budgets of 0.5-4 MiB
-# timed alike from decode to L = 640.
+# Score buffer of one head group: as many heads as fit the [rows, keys]
+# float32 scores of the largest row block in it, at least one.  So it holds
+# at most 2 MiB, or one head's block scores where those alone are larger.
 _SCORE_BYTES = 2 << 20
 
+# Causal bias of the key tiles a row block masks, from the first tile any
+# of its rows masks: row i (the row at offset i from that tile's start)
+# gets -inf from column i on, so its tile scores stop before its own
+# position (its own score comes apart).  A block's rows sit at offsets
+# below 130 and it masks at most two tiles.  Adding 0 leaves a score's
+# bits unchanged.
+_CAUSAL_BIAS = np.where(
+    np.arange(2 * _TILE)[None, :] >= np.arange(_TILE + 2)[:, None],
+    np.float32(-np.inf), np.float32(0.0))
 
-def _attend(q: np.ndarray, keys: np.ndarray, vals: np.ndarray,
-            positions: np.ndarray, own: Optional[tuple] = None,
+
+def _row_blocks(pos0: int, p: int) -> list:
+    """``(start, stop)`` row ranges of a chunk of ``p`` rows from position
+    ``pos0``.  A block starts at each row one past a tile boundary, so its
+    rows need the same key tiles, unless that would leave a block of one
+    row: ``np.matmul`` sends a one-row product down BLAS's gemv path, whose
+    bits differ from a GEMM's.  Blocks hold at most 130 rows."""
+    first = (1 - pos0) % _TILE
+    starts = range(first if first >= 2 else first + _TILE, p - 1, _TILE)
+    edges = [0, *starts, p]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, keys: np.ndarray,
+            vals: np.ndarray, pos0: int,
             record: Optional[np.ndarray] = None) -> np.ndarray:
-    """Causal softmax attention, head group by head group; returns
+    """Causal softmax attention over 128-key tiles; returns
     [p, n_heads, head_dim].
 
-    The queries ``q`` sit at the contiguous ``positions``; each row reads
-    the ``keys``/``vals`` entries up to its own position.  With ``own`` =
-    ``(k, v)`` of the chunk (rows from position 0, entries ending before the
-    last row's), a row's own key scores its diagonal column and its own
-    value takes that column's weight.  ``record`` [n_heads, positions[-1] +
-    1], if given, receives the last row's probabilities.
+    Row i of the queries ``q`` sits at position ``pos0 + i`` and attends
+    to the ``keys``/``vals`` entries before that position and to its own
+    key ``k[i]`` and value ``v[i]``.  ``keys`` and ``vals`` hold at least
+    every whole tile that holds such an entry; later entries are read but
+    masked, and must be finite.  ``record`` [n_heads, pos0 + p], if given,
+    receives the last row's probabilities.
 
-    A group's scores are one stacked ``np.matmul`` into one [g, p, T]
-    buffer, its output one stacked ``probs @ V``.  Each gives every head
-    the same BLAS call a single-head product makes: the same shape (m = p,
-    k = head_dim, then m = p, k = T), the same operand strides, and the
-    gemv path at p = 1.  Scale, mask, max, exp, sum and divide run in place
-    on the buffer: elementwise, or along each contiguous score row, so
-    every op sees the values and order a single head's would.  Every
-    output bit is that of a loop over single heads.
+    The rule for one row, the same in every path:
+    - the query is scaled by ``1/sqrt(head_dim)``; its own score is the
+      sum over ``q * k`` along ``head_dim``;
+    - the scores against each tile of keys before it are one GEMM tile
+      (k = head_dim), later keys get -inf;
+    - the max over all of them and the own score shifts them, then exp;
+    - the denominator is each tile's contiguous 128-wide sum, the tiles
+      added in ascending order, then the own exponential;
+    - the numerator is each tile's ``P @ V`` (a k = 128 GEMM), the tiles
+      added in ascending order, then the own exponential times ``v[i]``;
+    - the output is numerator over denominator.
+    A tile wholly at or after a row's position adds nothing to it (its
+    probabilities are 0), so it is skipped where the row blocks allow.
+    OpenBLAS gives a GEMM element the same bits at these k whatever the
+    other dimensions, as long as none is 1 (the length-invariance tests
+    check the consequence); a single row is therefore padded with a copy
+    of itself.  So a row's bits depend only on its own keys.
+
+    Rows go in blocks (``_row_blocks``), heads in groups that fit the score
+    budget.  A block's scores for a head group are one stacked matmul into
+    one [rows, heads, keys] buffer, on which the softmax runs in place; its
+    ``P @ V`` is one stacked matmul over (head, tile) pairs.
     """
     p, n_heads, head_dim = q.shape
-    total = int(positions[-1]) + 1
-    scale = np.float32(1.0 / math.sqrt(head_dim))
-    group = min(n_heads, max(1, _SCORE_BYTES // (4 * p * total)))
-    scores = np.empty((group, p, total), dtype=np.float32)
-    # a single row sits at the last position and sees every entry
-    masked = np.arange(total)[None, :] > positions[:, None] if p > 1 else None
-    out = np.empty((p, n_heads, head_dim), dtype=np.float32)
-    q_h, k_h = q.transpose(1, 0, 2), keys.transpose(1, 2, 0)
-    v_h, out_h = vals.transpose(1, 0, 2), out.transpose(1, 0, 2)
-    if own is not None:
-        rows = np.arange(p)
-        own_scores = (q * own[0]).sum(axis=-1).T
-        own_v = own[1].transpose(1, 0, 2)
-    for h0 in range(0, n_heads, group):
-        heads = slice(h0, h0 + group)
-        s = scores[: min(group, n_heads - h0)]
-        if own is None:
-            np.matmul(q_h[heads], k_h[heads], out=s)
-        else:
-            np.matmul(q_h[heads], k_h[heads], out=s[:, :, :-1])
-            s[:, rows, positions] = own_scores[heads]
-        s *= scale
-        if masked is not None:
-            np.copyto(s, np.float32(-np.inf), where=masked)
-        s -= s.max(axis=-1, keepdims=True)
-        np.exp(s, out=s)
-        s /= s.sum(axis=-1, keepdims=True)
-        if record is not None:
-            record[heads] = s[:, -1]
-        if own is None:
-            np.matmul(s, v_h[heads], out=out_h[heads])
-        else:
-            own_probs = s[:, rows, positions]
-            s[:, rows[:-1], positions[:-1]] = 0
-            np.matmul(s[:, :, :-1], v_h[heads], out=out_h[heads])
-            out_h[heads] += own_probs[:, :, None] * own_v[heads]
+    q = q * np.float32(1.0 / math.sqrt(head_dim))
+    own = np.add.reduce(q * k, axis=-1)
+    q_h = q.transpose(1, 0, 2)
+    if p == 1:
+        q_h = np.concatenate((q_h, q_h), axis=1)
+    k_h, v_h = keys.transpose(1, 2, 0), vals.transpose(1, 0, 2)
+    out = np.empty_like(q)
+    blocks = _row_blocks(pos0, p)
+    width = -(-max(1, pos0 + p - 1) // _TILE) * _TILE
+    most_rows = max(2, *(b - a for a, b in blocks))
+    group = min(n_heads, max(1, _SCORE_BYTES // (4 * most_rows * width)))
+    buf = np.empty(most_rows * group * width, dtype=np.float32)
+    for a, b in blocks:
+        rows, m = b - a, max(b - a, 2)
+        n_tiles = -(-max(1, pos0 + b - 1) // _TILE)
+        n = n_tiles * _TILE
+        c0 = (pos0 + a) // _TILE * _TILE  # first tile any row masks
+        bias = _CAUSAL_BIAS[pos0 + a - c0 : pos0 + b - c0, None, : n - c0]
+        v_tiles = v_h[:, :n].reshape(n_heads, n_tiles, _TILE, head_dim)
+        for h0 in range(0, n_heads, group):
+            heads = slice(h0, h0 + group)
+            g = min(group, n_heads - h0)
+            padded = buf[: m * g * n].reshape(m, g, n)
+            np.matmul(q_h[heads, a : a + m], k_h[heads, :, :n],
+                      out=padded.transpose(1, 0, 2))
+            s = padded[:rows]
+            s[:, :, c0:] += bias
+            shift = np.maximum(np.maximum.reduce(s, axis=-1), own[a:b, heads])
+            s -= shift[..., None]
+            np.exp(s, out=s)
+            own_e = np.exp(own[a:b, heads] - shift)
+            sums = np.add.reduce(s.reshape(rows, g, n_tiles, _TILE), axis=-1)
+            pv = np.empty((n_tiles, m, g, head_dim), dtype=np.float32)
+            np.matmul(padded.reshape(m, g, n_tiles, _TILE).transpose(1, 2, 0, 3),
+                      v_tiles[heads], out=pv.transpose(2, 0, 1, 3))
+            den, acc = sums[..., 0], pv[0, :rows]
+            for t in range(1, n_tiles):  # the tiles in key order
+                den = den + sums[..., t]
+                acc = acc + pv[t, :rows]
+            den = den + own_e
+            acc = acc + own_e[..., None] * v[a:b, heads]
+            if record is not None and b == p:
+                last = pos0 + p - 1
+                record[heads, :last] = s[-1, :, :last] / den[-1, :, None]
+                record[heads, last] = own_e[-1] / den[-1]
+            np.divide(acc, den[..., None], out=out[a:b, heads])
     return out
 
 

@@ -144,6 +144,24 @@ def _suite_disagg() -> bool:
     return False
 
 
+def _suite_attention() -> bool:
+    # A 4-bit prefix prefill's K/V are the first rows of a longer prefill's,
+    # bit for bit, on both sides of the 128-key tile boundaries.
+    weights = init_model(ModelConfig(
+        vocab_size=64, d_model=32, n_layers=2, n_heads=2, max_seq_len=300,
+        ffn_hidden=64, seed=9,
+    ))
+    tokens = [int(t) for t in np.random.default_rng(17).integers(0, 64, 300)]
+    full = prefill(weights, tokens, model.Precision.NVFP4).kv
+    for length in (1, 2, 127, 128, 129, 257):
+        kv = prefill(weights, tokens[:length], model.Precision.NVFP4).kv
+        for cache, whole in ((kv.keys, full.keys), (kv.values, full.values)):
+            for part, rows in zip(cache, whole):
+                if part[:length].tobytes() != rows[:length].tobytes():
+                    return False
+    return True
+
+
 def _suite_analysis() -> bool:
     rows = np.full((1, 1, 8), 1.0 / 8.0, dtype=np.float32)
     record = AttentionRecord(query_position=7, rows=rows)
@@ -166,6 +184,7 @@ _SUITES = (
     ("qgemm", _suite_qgemm),
     ("identity-collapse", _suite_identity_collapse),
     ("disagg", _suite_disagg),
+    ("attention", _suite_attention),
     ("analysis", _suite_analysis),
 )
 

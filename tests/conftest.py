@@ -77,38 +77,51 @@ def full_forward_logits(weights, tokens, precision):
     return model._forward(weights, tokens, KvCache(weights.config), precision)
 
 
-def per_head_attend(q, keys, vals, positions, own=None, record=None):
-    """Oracle: ``model._attend`` as one loop over single heads, the form it
-    had before head groups.  Same arguments and result."""
+def per_head_attend(q, k, v, keys, vals, pos0, record=None):
+    """Oracle: the attention rule of ``model._attend``, one head at a time
+    and one key tile at a time.  Same arguments and result.
+
+    Per head, every query row meets every 128-key tile up to the last
+    row's (rows a tile is masked for get probability 0 there), the
+    causal mask is an explicit comparison of positions, and the own score
+    sits in a column of its own.  A single row is padded with a copy of
+    itself, so that no product takes the gemv path.
+    """
+    tile = model._TILE
     p, n_heads, head_dim = q.shape
-    total = int(positions[-1]) + 1
-    scale = np.float32(1.0 / math.sqrt(head_dim))
-    allowed = np.arange(total)[None, :] <= positions[:, None]
-    rows = np.arange(p)
-    out = np.empty((p, n_heads, head_dim), dtype=np.float32)
-    for hidx in range(n_heads):
-        qh = q[:, hidx, :]
-        if own is None:
-            scores = (qh @ keys[:, hidx, :].T) * scale
-        else:
-            scores = np.empty((p, total), dtype=np.float32)
-            scores[:, :-1] = qh @ keys[:, hidx, :].T
-            scores[rows, positions] = (qh * own[0][:, hidx, :]).sum(axis=-1)
-            scores *= scale
-        scores = np.where(allowed, scores, np.float32(-np.inf))
-        scores = scores - scores.max(axis=-1, keepdims=True)
-        e = np.exp(scores)
-        probs = e / e.sum(axis=-1, keepdims=True)
+    q = q * np.float32(1.0 / math.sqrt(head_dim))
+    own = (q * k).sum(axis=-1)
+    positions = np.arange(pos0, pos0 + p)
+    last = int(positions[-1])
+    n_tiles = max(1, -(-last // tile))
+    visible = np.arange(n_tiles * tile)[None, :] < positions[:, None]
+    pad = [0] * max(p, 2)  # row 0 again for a single row
+    pad[:p] = range(p)
+    out = np.empty_like(q)
+    for h in range(n_heads):
+        qh = q[pad, h, :]
+        scores = np.empty((p, n_tiles * tile + 1), dtype=np.float32)
+        for t in range(n_tiles):
+            cols = slice(t * tile, (t + 1) * tile)
+            scores[:, cols] = (qh @ keys[cols, h, :].T)[:p]
+        scores[:, :-1][~visible] = -np.inf
+        scores[:, -1] = own[:, h]
+        e = np.exp(scores - scores.max(axis=1, keepdims=True))
+        tile_sums = [e[:, t * tile:(t + 1) * tile].sum(axis=1)
+                     for t in range(n_tiles)]
+        tile_outs = [(e[pad, t * tile:(t + 1) * tile]
+                      @ vals[t * tile:(t + 1) * tile, h, :])[:p]
+                     for t in range(n_tiles)]
+        den, acc = tile_sums[0], tile_outs[0]
+        for t in range(1, n_tiles):
+            den = den + tile_sums[t]
+            acc = acc + tile_outs[t]
+        den = den + e[:, -1]
+        acc = acc + e[:, -1:] * v[:, h, :]
+        out[:, h, :] = acc / den[:, None]
         if record is not None:
-            record[hidx] = probs[-1]
-        if own is None:
-            out[:, hidx, :] = probs @ vals[:, hidx, :]
-        else:
-            own_probs = probs[rows, positions]
-            context = probs[:, :-1]
-            context[rows[:-1], positions[:-1]] = 0
-            out[:, hidx, :] = (context @ vals[:, hidx, :]
-                               + own_probs[:, None] * own[1][:, hidx, :])
+            record[h, :last] = e[-1, :last] / den[-1]
+            record[h, last] = e[-1, -1] / den[-1]
     return out
 
 

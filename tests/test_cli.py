@@ -191,7 +191,7 @@ class TestSelftest:
         assert code == 0
         assert out.strip().split("\n") == [
             "ok formats", "ok quantizer", "ok qgemm", "ok identity-collapse",
-            "ok disagg", "ok analysis",
+            "ok disagg", "ok attention", "ok analysis",
         ]
 
 

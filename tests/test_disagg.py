@@ -417,6 +417,35 @@ class TestEndToEnd:
         assert decode_error(body)[0] == ErrorCode.CORRUPT
 
 
+    @pytest.mark.parametrize("size", [0, 8, 31])
+    def test_short_blob_from_prompt_worker_is_an_integrity_error(self, size):
+        # a fake prompt worker that answers a KV_BLOB too short for a header
+        def fake_prompt_worker(stream):
+            stream.read_frame()
+            stream.read_frame()
+            stream.write_frame(FrameType.HELLO, encode_hello(0))
+            stream.write_frame(FrameType.KV_BLOB, bytes(size))
+            stream.write_frame(FrameType.PREFILL_LOGITS, b"")
+
+        worker = TcpWorker("127.0.0.1", 0, fake_prompt_worker)
+        thread = threading.Thread(target=worker.serve_one)
+        thread.start()
+        decode_calls = []
+        try:
+            with pytest.raises(BlobIntegrityError):
+                disaggregated_generate(
+                    [1, 2, 3], ExecutionMode.MIX_QUANT,
+                    SamplerSpec(max_new_tokens=1),
+                    lambda: connect_tcp(*worker.address),
+                    lambda: decode_calls.append(1))
+        finally:
+            thread.join(timeout=5)
+            alive = thread.is_alive()
+            worker.close()
+        assert not alive
+        assert decode_calls == []
+
+
 class TestModeCheck:
     """A worker runs one precision: a request whose mode puts the worker's
     phase at another gets one PROTOCOL error frame, and the next connection

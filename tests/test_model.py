@@ -454,33 +454,50 @@ class TestAttentionRecording:
         assert np.abs(rows.sum(axis=-1) - 1.0).max() <= 1e-5
 
 
+def key_value_store(entries_k, entries_v, rows):
+    """Keys and values laid out as a ``KvCache`` holds them, ``rows``
+    entries deep: the given entries first, zero filler after."""
+    n, n_heads, head_dim = entries_k.shape
+    keys = model._key_store(rows, n_heads, head_dim)
+    vals = np.zeros((rows, n_heads, head_dim), dtype=np.float32)
+    keys[:n], vals[:n] = entries_k, entries_v
+    return keys, vals
+
+
 def attention_inputs(p, total, n_heads=16, head_dim=16, own=False, seed=0):
     """Arguments of ``_attend``: ``p`` rows at the last of ``total``
-    positions over ``total`` entries, or with ``own`` the teacher-forcing
-    layout (rows from position 0, entries before the last row's, the rows'
-    own K/V).  Defaults are the benchmark model's heads."""
+    positions, their K/V written at those positions of a store of
+    ``total`` entries as a prompt pass writes them; or with ``own`` the
+    teacher-forcing layout (rows from position 0, a context store of other
+    entries, the rows' own K/V apart).  Defaults are the benchmark model's
+    heads."""
     rng = np.random.default_rng(seed)
 
     def normal(*shape):
         return rng.standard_normal(shape).astype(np.float32)
 
-    q = normal(p, n_heads, head_dim)
-    if own:
-        entries = p - 1
-        extra = {"own": (normal(p, n_heads, head_dim),
-                         normal(p, n_heads, head_dim))}
-    else:
-        entries = total
-        extra = {}
-    return dict(q=q, keys=normal(entries, n_heads, head_dim),
-                vals=normal(entries, n_heads, head_dim),
-                positions=np.arange(total - p, total), **extra)
+    q, k, v = (normal(p, n_heads, head_dim) for _ in range(3))
+    entries_k, entries_v = (normal(total, n_heads, head_dim) for _ in range(2))
+    if not own:
+        entries_k[total - p:], entries_v[total - p:] = k, v
+    rows = -(-total // model._TILE) * model._TILE
+    keys, vals = key_value_store(entries_k, entries_v, rows)
+    return dict(q=q, k=k, v=v, keys=keys, vals=vals, pos0=total - p)
+
+
+def score_budget(group, pos0, p):
+    """``_SCORE_BYTES`` that makes ``_attend`` take heads ``group`` at a
+    time for ``p`` rows from position ``pos0``."""
+    most_rows = max(2, *(b - a for a, b in model._row_blocks(pos0, p)))
+    width = -(-max(1, pos0 + p - 1) // model._TILE) * model._TILE
+    return group * 4 * most_rows * width
 
 
 def assert_same_attention_bits(args):
     """``_attend`` and the per-head oracle give the same output and record
     bits."""
-    n_heads, total = args["q"].shape[1], int(args["positions"][-1]) + 1
+    n_heads = args["q"].shape[1]
+    total = args["pos0"] + args["q"].shape[0]
     records = [np.full((n_heads, total), np.nan, dtype=np.float32)
                for _ in range(2)]
     got = model._attend(**args, record=records[0])
@@ -488,11 +505,13 @@ def assert_same_attention_bits(args):
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
     assert records[0].tobytes() == records[1].tobytes()
+    assert np.abs(records[0].sum(axis=-1) - 1.0).max() <= 1e-5
 
 
 class TestHeadGroupedAttention:
-    """``_attend`` runs heads in groups; every bit must equal the loop over
-    single heads it replaced (``conftest.per_head_attend``)."""
+    """``_attend`` runs row blocks and head groups over key tiles; every
+    bit must equal the per-head, tile-by-tile oracle
+    (``conftest.per_head_attend``)."""
 
     @pytest.mark.parametrize("p,total", [
         (1, 1), (1, 41), (1, 200), (2, 2), (2, 3), (33, 100), (44, 300),
@@ -513,7 +532,8 @@ class TestHeadGroupedAttention:
     ])
     def test_head_count_not_a_multiple_of_the_group(self, monkeypatch, group,
                                                     p, total, own):
-        monkeypatch.setattr(model, "_SCORE_BYTES", group * 4 * p * total)
+        monkeypatch.setattr(model, "_SCORE_BYTES",
+                            score_budget(group, total - p, p))
         assert_same_attention_bits(
             attention_inputs(p, total, n_heads=3, own=own, seed=p))
 
@@ -524,7 +544,7 @@ class TestHeadGroupedAttention:
         toks = [int(t) for t in
                 np.random.default_rng(3).integers(0, 64, size=40)]
         # groups of two heads (2 + 1) in the prompt pass, all three in decode
-        monkeypatch.setattr(model, "_SCORE_BYTES", 2 * 4 * 40 * 40)
+        monkeypatch.setattr(model, "_SCORE_BYTES", score_budget(2, 0, 40))
 
         def run():
             res = prefill(weights, toks, prec, record_attention=True)
@@ -551,6 +571,145 @@ class TestHeadGroupedAttention:
             finally:
                 tracemalloc.stop()
         assert peaks[0] <= peaks[1]
+
+
+@pytest.mark.parametrize("pos0", [0, 1, 2, 100, 127, 128, 129, 255, 256, 383])
+def test_row_blocks_cover_the_chunk_in_gemm_shapes(pos0):
+    # every row once, in order; no one-row block unless the chunk is one
+    # row; at most 130 rows, which the causal bias table is sized for
+    tile = model._TILE
+    for p in (1, 2, 3, 127, 128, 129, 130, 131, 255, 256, 257, 300):
+        blocks = model._row_blocks(pos0, p)
+        assert [a for a, _ in blocks] + [p] == [0] + [b for _, b in blocks]
+        for a, b in blocks:
+            assert 2 <= b - a <= 130 or p == 1
+            first_masked = (pos0 + a) // tile * tile
+            keys = -(-max(1, pos0 + b - 1) // tile) * tile
+            assert pos0 + b - first_masked <= model._CAUSAL_BIAS.shape[0]
+            assert keys - first_masked <= model._CAUSAL_BIAS.shape[1]
+
+
+class TestLengthInvariantAttention:
+    """``_attend`` gives a row the same bits whatever else shares the pass:
+    a prefix, a chunk, a longer pass, a single decode row and a
+    teacher-forced row all agree bitwise."""
+
+    LENGTH = 800
+
+    @pytest.fixture(scope="class")
+    def sequence(self):
+        rng = np.random.default_rng(41)
+        q, k, v = (rng.standard_normal((self.LENGTH, 16, 16)).astype(np.float32)
+                   for _ in range(3))
+        rows = -(-self.LENGTH // model._TILE) * model._TILE
+        return q, k, v, rows, model._attend(q, k, v, *key_value_store(k, v, rows), 0)
+
+    @pytest.mark.parametrize("length",
+                             [1, 2, 5, 127, 128, 129, 300, 512, 513, 799])
+    def test_prefix_equals_rows_of_longer_pass(self, sequence, length):
+        q, k, v, rows, full = sequence
+        store = key_value_store(k[:length], v[:length], rows)
+        got = model._attend(q[:length], k[:length], v[:length], *store, 0)
+        assert got.tobytes() == full[:length].tobytes()
+
+    @pytest.mark.parametrize("chunk", [1, 37, 128, 200])
+    def test_chunked_equals_one_shot(self, sequence, chunk):
+        q, k, v, rows, full = sequence
+        end = 300 if chunk == 1 else self.LENGTH
+        keys, vals = key_value_store(k[:0], v[:0], rows)
+        for start in range(0, end, chunk):
+            span = slice(start, min(start + chunk, end))
+            keys[span], vals[span] = k[span], v[span]
+            got = model._attend(q[span], k[span], v[span], keys, vals, start)
+            assert got.tobytes() == full[span].tobytes(), start
+
+    def test_decode_rows_equal_teacher_forced_rows(self, sequence):
+        # the context holds other entries than the rows' own K/V
+        q, k, v, rows, _ = sequence
+        rng = np.random.default_rng(43)
+        context = key_value_store(
+            *(rng.standard_normal(k.shape).astype(np.float32) for _ in "kv"),
+            rows)
+        forced = model._attend(q, k, v, *context, 0)
+        for pos in (0, 1, 127, 128, 129, 383, 384, 385, 799):
+            step = model._attend(q[pos:pos + 1], k[pos:pos + 1],
+                                 v[pos:pos + 1], *context, pos)
+            assert step.tobytes() == forced[pos:pos + 1].tobytes(), pos
+
+
+def final_hidden(weights, tokens, kv, precision, own_diagonal=False):
+    """The block loop of ``model._forward`` without the output head: every
+    row's hidden state after the last block."""
+    x = weights.embedding[np.asarray(tokens, dtype=np.int64)]
+    for layer in range(weights.config.n_layers):
+        x = model.forward_block(weights, layer, x, kv, precision,
+                                own_diagonal=own_diagonal)
+    if not own_diagonal:
+        kv.length += len(tokens)
+    return x
+
+
+def assert_same_kv(a, b, length):
+    for layer in range(len(a.keys)):
+        assert a.keys[layer][:length].tobytes() == b.keys[layer][:length].tobytes()
+        assert (a.values[layer][:length].tobytes()
+                == b.values[layer][:length].tobytes())
+
+
+class TestLengthInvariantForward:
+    """On the 4-bit path, whose linears already give a row the same codes
+    in any batch, the whole forward is length-invariant: at the benchmark
+    geometry (16 heads of 16) the K/V and hidden states of a row do not
+    depend on what else shares the pass."""
+
+    @pytest.fixture(scope="class")
+    def weights(self):
+        return init_model(ModelConfig(vocab_size=512, d_model=256,
+                                      ffn_hidden=1024, n_layers=2, n_heads=16,
+                                      max_seq_len=1024, seed=20260517))
+
+    @pytest.fixture(scope="class")
+    def tokens(self):
+        return [int(t) for t in np.random.default_rng(47).integers(0, 512, 800)]
+
+    @pytest.fixture(scope="class")
+    def one_shot(self, weights, tokens):
+        kv = KvCache(weights.config)
+        return kv, final_hidden(weights, tokens, kv, Precision.NVFP4)
+
+    def test_prefix_prefill_kv_equals_rows_of_longer_prefill(
+            self, weights, tokens, one_shot):
+        full, _ = one_shot
+        for length in (1, 2, 5, 127, 128, 129, 300, 512, 513, 799):
+            kv = prefill(weights, tokens[:length], Precision.NVFP4).kv
+            assert_same_kv(kv, full, length)
+
+    @pytest.mark.parametrize("chunk", [1, 37, 128, 200])
+    def test_chunked_prefill_equals_one_shot(self, weights, tokens, one_shot,
+                                             chunk):
+        full, hidden = one_shot
+        end = 400
+        kv = KvCache(weights.config)
+        for start in range(0, end, chunk):
+            rows = slice(start, min(start + chunk, end))
+            got = final_hidden(weights, tokens[rows], kv, Precision.NVFP4)
+            assert got.tobytes() == hidden[rows].tobytes(), start
+        assert_same_kv(kv, full, end)
+
+    def test_decode_step_hidden_equals_teacher_forced_row(self, weights,
+                                                          tokens):
+        toks = tokens[:300]
+        context = prefill(weights, toks[:-1], Precision.HIGH).kv
+        forced = final_hidden(weights, toks, context, Precision.NVFP4,
+                              own_diagonal=True)
+        for pos in (0, 1, 127, 128, 129, 256, 299):
+            kv = KvCache(weights.config)
+            for layer in range(weights.config.n_layers):
+                kv.keys[layer][:pos] = context.keys[layer][:pos]
+                kv.values[layer][:pos] = context.values[layer][:pos]
+            kv.length = pos
+            step = final_hidden(weights, [toks[pos]], kv, Precision.NVFP4)
+            assert step.tobytes() == forced[pos:pos + 1].tobytes(), pos
 
 
 class TestIdentityQuantizer:
@@ -618,6 +777,38 @@ class TestForwardBlock:
             kv_q = KvCache(cfg)
             low = forward_block(weights, 1, x.copy(), kv_q, Precision.NVFP4)
         assert np.array_equal(high, low)
+
+
+def per_call_rope_tables(cfg, positions):
+    """Oracle: the rotary cos and sin tables built for ``positions`` alone,
+    as each block built them before the per-config table."""
+    half = cfg.head_dim // 2
+    inv_freq = cfg.rope_base ** (-np.arange(half, dtype=np.float64) * 2.0 / cfg.head_dim)
+    ang = positions[:, None].astype(np.float64) * inv_freq[None, :]
+    cos = np.concatenate([np.cos(ang), np.cos(ang)], axis=1).astype(np.float32)
+    sin = np.concatenate([np.sin(ang), np.sin(ang)], axis=1).astype(np.float32)
+    return cos, sin
+
+
+class TestRopeTable:
+    @pytest.mark.parametrize("start,length", [
+        (0, 1), (0, 800), (1, 1), (7, 33), (127, 2), (500, 1), (799, 225),
+    ])
+    def test_slice_equals_table_built_for_those_positions(self, start, length):
+        cfg = ModelConfig(vocab_size=512, d_model=256, n_layers=1, n_heads=16,
+                          max_seq_len=1024, seed=0)
+        tables = model._rope_table(cfg)
+        oracle = per_call_rope_tables(cfg, np.arange(start, start + length))
+        for table, want in zip(tables, oracle):
+            assert table[start:start + length].tobytes() == want.tobytes()
+
+    def test_built_once_per_config_and_read_only(self):
+        cfg = toy_config(3)
+        cos, sin = model._rope_table(cfg)
+        assert model._rope_table(toy_config(3))[0] is cos
+        assert cos.shape == sin.shape == (cfg.max_seq_len, cfg.head_dim)
+        with pytest.raises(ValueError):
+            cos[0, 0] = 2.0
 
 
 class TestWeightFile:
