@@ -17,16 +17,19 @@ in every mode.
 block loop (``_forward``), and every block one attention function
 (``_attend``).  It is causal attention over 128-key tiles aligned to
 absolute key positions.  A row reads only the tiles that hold keys before
-its own position, and its score against its own key is a separate dot
+its own position (within the first tile, only as many columns as the
+chunk needs), and its score against its own key is a separate dot
 product, so a decode step and a teacher-forced row see their own K/V the
 same way.  Within a tile the score product, the exponentials and the
 contiguous tile sum follow one fixed rule; the tiles' sums and ``P @ V``
 products are then added in ascending key order.  So a row's attention bits
 depend only on its own keys: a prefix prefill, a chunked prefill, a longer
-prefill, a decode step and a teacher-forced row agree bitwise.  The 4-bit
-linears are row-invariant too, so on the 4-bit path so are the K/V and
-hidden states.  Float32 linears are not: ``np.matmul`` of a one- or
-two-row input takes other BLAS paths than a longer one.
+prefill, a decode step (one row, ``_attend_row``) and a teacher-forced row
+agree bitwise.  The 4-bit linears are row-invariant too, so on the 4-bit
+path so are the K/V and hidden states.  Float32 linears are not:
+``np.matmul`` of a one- or two-row input takes other BLAS paths than a
+longer one.  The cache keeps keys and values head-major, and the query's
+rotary tables carry attention's 1/sqrt(head_dim).
 
 Weight initialization is fully pinned (see ``rng``): a single normal stream
 seeded from the config seed is consumed in this order, each matrix row-major
@@ -256,31 +259,48 @@ def init_model(config: ModelConfig) -> ModelWeights:
 _TILE = 128
 
 
-def _key_store(rows: int, n_heads: int, head_dim: int) -> np.ndarray:
-    """Zeroed float32 keys, [rows, n_heads, head_dim], as a view of a
-    head-major [n_heads, head_dim, rows] array, so that one head's keys are
-    one contiguous matrix for the score product.  For a decode row's
-    two-row product that is about ten times faster than a strided matrix
-    (OpenBLAS, one Xeon core)."""
-    return np.zeros((n_heads, head_dim, rows), dtype=np.float32).transpose(2, 0, 1)
+def _key_width(keys: int) -> int:
+    """Key columns attention computes to cover the first ``keys`` keys:
+    whole tiles, or within the first tile a multiple of 16, at least 32.
+    Cutting a tile's masked columns so keeps its bits: a contiguous float32
+    sum over its first 8j columns equals the sum over all of them, and on
+    OpenBLAS neither GEMM changes an element at these widths, for head_dim
+    4 to 128.  (Other multiples of 8 changed some at head_dim 32 and up,
+    and widths 8 to 24 some at head_dim 8, 24 and 40.)"""
+    if keys <= _TILE:
+        return max(32, -(-keys // 16) * 16)
+    return -(-keys // _TILE) * _TILE
+
+
+def _kv_store(rows: int, n_heads: int, head_dim: int) -> tuple:
+    """Zeroed float32 keys and values, each [rows, n_heads, head_dim], as
+    views of head-major arrays: keys [n_heads, head_dim, rows], values
+    [n_heads, rows, head_dim].  Each head's keys and values are then one
+    contiguous matrix for attention's products, which on OpenBLAS makes a
+    decode row's score product about 2.5 times and its ``P @ V`` about 1.7
+    times faster than over the [rows, n_heads * head_dim] layout."""
+    keys = np.zeros((n_heads, head_dim, rows), dtype=np.float32)
+    values = np.zeros((n_heads, rows, head_dim), dtype=np.float32)
+    return keys.transpose(2, 0, 1), values.transpose(1, 0, 2)
 
 
 class KvCache:
     """Per-layer key/value tensors in float32, single writer per sequence.
 
     ``keys[layer]`` and ``values[layer]`` are [rows, n_heads, head_dim],
-    where ``rows`` is ``max_seq_len`` rounded up to whole attention tiles,
-    so attention reads every tile it needs in place.  Entries from
-    ``length`` on are finite filler that attention masks.  The keys are
-    views of head-major arrays (``_key_store``).
+    where ``rows`` covers ``max_seq_len`` in whole attention widths
+    (``_key_width``), so attention reads every tile it needs in place.
+    Entries from ``length`` on are finite filler that attention masks.
+    Both are views of head-major arrays (``_kv_store``).
     """
 
     def __init__(self, config: ModelConfig):
         self.config = config
-        rows = -(-config.max_seq_len // _TILE) * _TILE
-        shape = (rows, config.n_heads, config.head_dim)
-        self.keys = [_key_store(*shape) for _ in range(config.n_layers)]
-        self.values = [np.zeros(shape, dtype=np.float32) for _ in range(config.n_layers)]
+        rows = _key_width(config.max_seq_len)
+        stores = [_kv_store(rows, config.n_heads, config.head_dim)
+                  for _ in range(config.n_layers)]
+        self.keys = [keys for keys, _ in stores]
+        self.values = [values for _, values in stores]
         self.length = 0
 
 
@@ -303,22 +323,27 @@ class PrefillResult:
 
 
 def _rmsnorm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
-    ms = np.mean(x * x, axis=-1, keepdims=True)
+    # np.mean's bits, without its Python-level wrapper (a third of a
+    # decode-row call): a float32 sum, then a division that rounds once
+    ms = np.add.reduce(x * x, axis=-1, keepdims=True) / np.float32(x.shape[-1])
     return x * (np.float32(1.0) / np.sqrt(ms + RMSNORM_EPS)) * gain
 
 
 @functools.lru_cache(maxsize=16)
-def _rope_table(cfg: ModelConfig):
-    """Rotary cos and sin of every position below ``max_seq_len``, each
-    [max_seq_len, head_dim] float32 and read-only; a chunk slices its rows.
-    Each entry depends only on its position, so a slice has the bits of a
-    table built for those positions alone."""
+def _rope_table(cfg: ModelConfig, scale: float = 1.0):
+    """Rotary cos and sin of every position below ``max_seq_len``, times
+    ``scale``, each [max_seq_len, head_dim] float32 and read-only; a chunk
+    slices its rows.  Each entry depends only on its position, so a slice
+    has the bits of a table built for those positions alone.  The query's
+    tables carry attention's 1/sqrt(head_dim), so the rotation scales it
+    too."""
     half = cfg.head_dim // 2
     inv_freq = cfg.rope_base ** (-np.arange(half, dtype=np.float64) * 2.0 / cfg.head_dim)
     ang = np.arange(cfg.max_seq_len, dtype=np.float64)[:, None] * inv_freq[None, :]
     tables = []
     for fn in (np.cos, np.sin):
         table = np.concatenate([fn(ang), fn(ang)], axis=1).astype(np.float32)
+        table *= np.float32(scale)
         table.flags.writeable = False
         tables.append(table)
     return tuple(tables)
@@ -388,13 +413,14 @@ def forward_block(
             f"position {total - 1} exceeds max_seq_len {cfg.max_seq_len}",
             position=total - 1,
         )
-    cos, sin = (table[pos0:total] for table in _rope_table(cfg))
+    q_rope, k_rope = ([table[pos0:total] for table in _rope_table(cfg, scale)]
+                      for scale in (1.0 / math.sqrt(cfg.head_dim), 1.0))
 
     h = _rmsnorm(x, layer.attn_norm_gain)
     q, k, v = _linears(h, ("attn_q", "attn_k", "attn_v"), precision, weights,
                        layer_idx)
-    q = _apply_rope(q.reshape(p, cfg.n_heads, cfg.head_dim), cos, sin)
-    k = _apply_rope(k.reshape(p, cfg.n_heads, cfg.head_dim), cos, sin)
+    q = _apply_rope(q.reshape(p, cfg.n_heads, cfg.head_dim), *q_rope)
+    k = _apply_rope(k.reshape(p, cfg.n_heads, cfg.head_dim), *k_rope)
     v = v.reshape(p, cfg.n_heads, cfg.head_dim)
 
     if not own_diagonal:
@@ -413,9 +439,9 @@ def forward_block(
     return x + down
 
 
-# Score buffer of one head group: as many heads as fit the [rows, keys]
-# float32 scores of the largest row block in it, at least one.  So it holds
-# at most 2 MiB, or one head's block scores where those alone are larger.
+# Score buffer of one head group: as many heads as fit the scores of the
+# largest row block in it, at least one.  So it holds at most 2 MiB, or
+# one head's block scores where those alone are larger.
 _SCORE_BYTES = 2 << 20
 
 # Causal bias of the key tiles a row block masks, from the first tile any
@@ -430,15 +456,34 @@ _CAUSAL_BIAS = np.where(
 
 
 def _row_blocks(pos0: int, p: int) -> list:
-    """``(start, stop)`` row ranges of a chunk of ``p`` rows from position
-    ``pos0``.  A block starts at each row one past a tile boundary, so its
-    rows need the same key tiles, unless that would leave a block of one
-    row: ``np.matmul`` sends a one-row product down BLAS's gemv path, whose
-    bits differ from a GEMM's.  Blocks hold at most 130 rows."""
+    """``(start, stop)`` row ranges of a chunk of ``p`` >= 2 rows from
+    position ``pos0``.  A block starts at each row one past a tile
+    boundary, so its rows need the same key tiles, unless that would leave
+    a block of one row: ``np.matmul`` sends a one-row product down BLAS's
+    gemv path, whose bits differ from a GEMM's.  Blocks hold at most 130
+    rows."""
     first = (1 - pos0) % _TILE
     starts = range(first if first >= 2 else first + _TILE, p - 1, _TILE)
     edges = [0, *starts, p]
     return list(zip(edges[:-1], edges[1:]))
+
+
+def _attention_plan(pos0: int, p: int) -> tuple:
+    """``(blocks, head_bytes)`` of ``_attend`` for ``p`` >= 2 rows from
+    ``pos0``: the row blocks, and the bytes of one head's scores in the
+    largest of them (its rows by its key width).  A head group holds
+    ``_SCORE_BYTES // head_bytes`` heads."""
+    blocks = _row_blocks(pos0, p)
+    most_rows = max(b - a for a, b in blocks)
+    return blocks, 4 * most_rows * _key_width(pos0 + p - 1)
+
+
+# OpenBLAS gives a one-row score product (gemv over head-major keys) the
+# bits of a GEMM row up to this head_dim (it held up to 24 and failed at 32
+# on an AVX-512 Xeon), so a decode row's scores need no padding row there;
+# a longer query row is padded to two.  A one-row ``P @ V`` differs from
+# k = 64 on, so it is always padded.
+_GEMV_MAX_HEAD_DIM = 16
 
 
 def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, keys: np.ndarray,
@@ -447,16 +492,17 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, keys: np.ndarray,
     """Causal softmax attention over 128-key tiles; returns
     [p, n_heads, head_dim].
 
-    Row i of the queries ``q`` sits at position ``pos0 + i`` and attends
-    to the ``keys``/``vals`` entries before that position and to its own
-    key ``k[i]`` and value ``v[i]``.  ``keys`` and ``vals`` hold at least
-    every whole tile that holds such an entry; later entries are read but
-    masked, and must be finite.  ``record`` [n_heads, pos0 + p], if given,
-    receives the last row's probabilities.
+    Row i of the queries ``q``, already scaled by ``1/sqrt(head_dim)``
+    (``forward_block`` folds that into the query's rotary tables), sits at
+    position ``pos0 + i`` and attends to the ``keys``/``vals`` entries
+    before that position and to its own key ``k[i]`` and value ``v[i]``.
+    ``keys`` and ``vals``, laid out as ``_kv_store`` makes them, hold at
+    least ``_key_width(pos0 + p - 1)`` entries; entries from a row's
+    position on are read but masked, and must be finite.  ``record``
+    [n_heads, pos0 + p], if given, receives the last row's probabilities.
 
     The rule for one row, the same in every path:
-    - the query is scaled by ``1/sqrt(head_dim)``; its own score is the
-      sum over ``q * k`` along ``head_dim``;
+    - its own score is the sum over ``q * k`` along ``head_dim``;
     - the scores against each tile of keys before it are one GEMM tile
       (k = head_dim), later keys get -inf;
     - the max over all of them and the own score shifts them, then exp;
@@ -466,65 +512,121 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, keys: np.ndarray,
       added in ascending order, then the own exponential times ``v[i]``;
     - the output is numerator over denominator.
     A tile wholly at or after a row's position adds nothing to it (its
-    probabilities are 0), so it is skipped where the row blocks allow.
-    OpenBLAS gives a GEMM element the same bits at these k whatever the
-    other dimensions, as long as none is 1 (the length-invariance tests
-    check the consequence); a single row is therefore padded with a copy
-    of itself.  So a row's bits depend only on its own keys.
+    probabilities are 0), so it is skipped where the row blocks allow, and
+    within the first tile only ``_key_width`` columns are computed.
+    OpenBLAS gives a GEMM element the same bits at these k and key widths
+    whatever the other dimensions, as long as none is 1 (the
+    length-invariance tests check the consequence).  So a row's bits
+    depend only on its own keys.
 
-    Rows go in blocks (``_row_blocks``), heads in groups that fit the score
-    budget.  A block's scores for a head group are one stacked matmul into
-    one [rows, heads, keys] buffer, on which the softmax runs in place; its
+    A single row (a decode step) goes to ``_attend_row``.  More rows go in
+    blocks (``_row_blocks``), heads in groups that fit the score budget.
+    A block's scores for a head group are one stacked matmul into one
+    [heads, rows, keys] buffer, on which the softmax runs in place; its
     ``P @ V`` is one stacked matmul over (head, tile) pairs.
     """
     p, n_heads, head_dim = q.shape
-    q = q * np.float32(1.0 / math.sqrt(head_dim))
-    own = np.add.reduce(q * k, axis=-1)
-    q_h = q.transpose(1, 0, 2)
     if p == 1:
-        q_h = np.concatenate((q_h, q_h), axis=1)
+        return _attend_row(q, k, v, keys, vals, pos0, record)
+    own = np.add.reduce(q * k, axis=-1).T
+    q_h = q.transpose(1, 0, 2)
     k_h, v_h = keys.transpose(1, 2, 0), vals.transpose(1, 0, 2)
     out = np.empty_like(q)
-    blocks = _row_blocks(pos0, p)
-    width = -(-max(1, pos0 + p - 1) // _TILE) * _TILE
-    most_rows = max(2, *(b - a for a, b in blocks))
-    group = min(n_heads, max(1, _SCORE_BYTES // (4 * most_rows * width)))
-    buf = np.empty(most_rows * group * width, dtype=np.float32)
+    blocks, head_bytes = _attention_plan(pos0, p)
+    group = min(n_heads, max(1, _SCORE_BYTES // head_bytes))
+    buf = np.empty(group * head_bytes // 4, dtype=np.float32)
     for a, b in blocks:
-        rows, m = b - a, max(b - a, 2)
-        n_tiles = -(-max(1, pos0 + b - 1) // _TILE)
-        n = n_tiles * _TILE
+        rows = b - a
+        n = _key_width(pos0 + b - 1)
+        tile = min(n, _TILE)
+        n_tiles = n // tile
         c0 = (pos0 + a) // _TILE * _TILE  # first tile any row masks
-        bias = _CAUSAL_BIAS[pos0 + a - c0 : pos0 + b - c0, None, : n - c0]
-        v_tiles = v_h[:, :n].reshape(n_heads, n_tiles, _TILE, head_dim)
+        bias = _CAUSAL_BIAS[pos0 + a - c0 : pos0 + b - c0, : n - c0]
+        v_tiles = v_h[:, :n].reshape(n_heads, n_tiles, tile, head_dim)
         for h0 in range(0, n_heads, group):
             heads = slice(h0, h0 + group)
             g = min(group, n_heads - h0)
-            padded = buf[: m * g * n].reshape(m, g, n)
-            np.matmul(q_h[heads, a : a + m], k_h[heads, :, :n],
-                      out=padded.transpose(1, 0, 2))
-            s = padded[:rows]
+            s = buf[: g * rows * n].reshape(g, rows, n)
+            np.matmul(q_h[heads, a:b], k_h[heads, :, :n], out=s)
             s[:, :, c0:] += bias
-            shift = np.maximum(np.maximum.reduce(s, axis=-1), own[a:b, heads])
+            shift = np.maximum(np.fmax.reduce(s, axis=-1), own[heads, a:b])
             s -= shift[..., None]
             np.exp(s, out=s)
-            own_e = np.exp(own[a:b, heads] - shift)
-            sums = np.add.reduce(s.reshape(rows, g, n_tiles, _TILE), axis=-1)
-            pv = np.empty((n_tiles, m, g, head_dim), dtype=np.float32)
-            np.matmul(padded.reshape(m, g, n_tiles, _TILE).transpose(1, 2, 0, 3),
-                      v_tiles[heads], out=pv.transpose(2, 0, 1, 3))
-            den, acc = sums[..., 0], pv[0, :rows]
-            for t in range(1, n_tiles):  # the tiles in key order
-                den = den + sums[..., t]
-                acc = acc + pv[t, :rows]
-            den = den + own_e
-            acc = acc + own_e[..., None] * v[a:b, heads]
+            own_e = np.exp(own[heads, a:b] - shift)
+            if n_tiles == 1:
+                den = np.add.reduce(s, axis=-1)
+                acc = np.matmul(s, v_tiles[heads, 0])
+            else:  # a reduce over the leading axis adds the tiles in key order
+                sums = np.empty((n_tiles, g, rows), dtype=np.float32)
+                np.add.reduce(s.reshape(g, rows, n_tiles, tile), axis=-1,
+                              out=sums.transpose(1, 2, 0))
+                pv = np.empty((n_tiles, g, rows, head_dim), dtype=np.float32)
+                np.matmul(s.reshape(g, rows, n_tiles, tile).transpose(0, 2, 1, 3),
+                          v_tiles[heads], out=pv.transpose(1, 0, 2, 3))
+                den, acc = np.add.reduce(sums, axis=0), np.add.reduce(pv, axis=0)
+            den += own_e
+            acc += own_e[..., None] * v[a:b, heads].transpose(1, 0, 2)
             if record is not None and b == p:
                 last = pos0 + p - 1
-                record[heads, :last] = s[-1, :, :last] / den[-1, :, None]
-                record[heads, last] = own_e[-1] / den[-1]
-            np.divide(acc, den[..., None], out=out[a:b, heads])
+                record[heads, :last] = s[:, -1, :last] / den[:, -1, None]
+                record[heads, last] = own_e[:, -1] / den[:, -1]
+            np.divide(acc, den[..., None], out=out[a:b, heads].transpose(1, 0, 2))
     return out
+
+
+def _attend_row(q: np.ndarray, k: np.ndarray, v: np.ndarray,
+                keys: np.ndarray, vals: np.ndarray, t: int,
+                record: Optional[np.ndarray]) -> np.ndarray:
+    """``_attend`` of the one row at position ``t`` (a decode step): the
+    same rule in one pass over every head, without the row blocks, causal
+    bias and head groups whose bookkeeping costs a decode row more than
+    its arithmetic."""
+    _, n_heads, head_dim = q.shape
+    n = _key_width(t)
+    tile = min(n, _TILE)
+    n_tiles = n // tile
+    # row 1 pads ``P @ V`` to a GEMM; column n holds the own score
+    scores = np.zeros((2, n_heads, n + 1), dtype=np.float32)
+    if head_dim <= _GEMV_MAX_HEAD_DIM:
+        np.matmul(q.transpose(1, 0, 2), keys.transpose(1, 2, 0)[:, :, :n],
+                  out=scores[:1, :, :n].transpose(1, 0, 2))
+    else:
+        np.matmul(np.concatenate((q, q)).transpose(1, 0, 2),
+                  keys.transpose(1, 2, 0)[:, :, :n],
+                  out=scores[:, :, :n].transpose(1, 0, 2))
+    s = scores[0]
+    s[:, t:n] = -np.inf
+    np.add.reduce(q[0] * k[0], axis=-1, out=s[:, n])
+    s -= np.fmax.reduce(s, axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    own_e = s[:, n]
+    probs, v_h = scores[:, :, :n].transpose(1, 0, 2), vals.transpose(1, 0, 2)[:, :n]
+    if n_tiles == 1:
+        if n < _TILE:
+            # numpy's float32 sum takes up to 128 values in blocks of 8 and
+            # adds the rest in order, so the own exponential after n = 16j
+            # columns is added last, as the rule has it
+            den = np.add.reduce(s, axis=-1)
+        else:
+            den = np.add.reduce(s[:, :n], axis=-1) + own_e
+        acc = np.empty((2, n_heads, head_dim), dtype=np.float32)
+        np.matmul(probs, v_h, out=acc.transpose(1, 0, 2))
+        acc = acc[0]
+    else:  # a reduce over the leading axis adds the tiles in key order
+        sums = np.empty((n_tiles, n_heads), dtype=np.float32)
+        np.add.reduce(s[:, :n].reshape(n_heads, n_tiles, tile), axis=-1,
+                      out=sums.T)
+        pv = np.empty((n_tiles, 2, n_heads, head_dim), dtype=np.float32)
+        np.matmul(probs.reshape(n_heads, 2, n_tiles, tile).transpose(0, 2, 1, 3),
+                  v_h.reshape(n_heads, n_tiles, tile, head_dim),
+                  out=pv.transpose(2, 0, 1, 3))
+        den = np.add.reduce(sums, axis=0) + own_e
+        acc = np.add.reduce(pv[:, 0], axis=0)
+    acc += own_e[:, None] * v[0]
+    if record is not None:
+        record[:, :t] = s[:, :t] / den[:, None]
+        record[:, t] = own_e / den
+    return np.divide(acc, den[:, None], out=acc)[None]
 
 
 def _forward(

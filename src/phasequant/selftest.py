@@ -146,14 +146,15 @@ def _suite_disagg() -> bool:
 
 def _suite_attention() -> bool:
     # A 4-bit prefix prefill's K/V are the first rows of a longer prefill's,
-    # bit for bit, on both sides of the 128-key tile boundaries.
+    # bit for bit, within the narrowed first tile and on both sides of the
+    # 128-key tile boundaries.
     weights = init_model(ModelConfig(
         vocab_size=64, d_model=32, n_layers=2, n_heads=2, max_seq_len=300,
         ffn_hidden=64, seed=9,
     ))
     tokens = [int(t) for t in np.random.default_rng(17).integers(0, 64, 300)]
     full = prefill(weights, tokens, model.Precision.NVFP4).kv
-    for length in (1, 2, 127, 128, 129, 257):
+    for length in (1, 2, 50, 127, 128, 129, 257):
         kv = prefill(weights, tokens[:length], model.Precision.NVFP4).kv
         for cache, whole in ((kv.keys, full.keys), (kv.values, full.values)):
             for part, rows in zip(cache, whole):

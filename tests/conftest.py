@@ -1,6 +1,5 @@
 import contextlib
 import functools
-import math
 
 import numpy as np
 import pytest
@@ -81,19 +80,22 @@ def per_head_attend(q, k, v, keys, vals, pos0, record=None):
     """Oracle: the attention rule of ``model._attend``, one head at a time
     and one key tile at a time.  Same arguments and result.
 
-    Per head, every query row meets every 128-key tile up to the last
-    row's (rows a tile is masked for get probability 0 there), the
-    causal mask is an explicit comparison of positions, and the own score
-    sits in a column of its own.  A single row is padded with a copy of
-    itself, so that no product takes the gemv path.
+    Per head, every query row meets every whole 128-key tile up to the
+    last row's (rows a tile is masked for get probability 0 there; keys
+    past the end of the store are zero filler), the causal mask is an
+    explicit comparison of positions, and the own score sits in a column
+    of its own.  A single row is padded with a copy of itself, so that no
+    product takes the gemv path.
     """
     tile = model._TILE
     p, n_heads, head_dim = q.shape
-    q = q * np.float32(1.0 / math.sqrt(head_dim))
     own = (q * k).sum(axis=-1)
     positions = np.arange(pos0, pos0 + p)
     last = int(positions[-1])
     n_tiles = max(1, -(-last // tile))
+    filler = np.zeros((max(0, n_tiles * tile - len(keys)), n_heads, head_dim),
+                      dtype=np.float32)
+    keys, vals = np.concatenate((keys, filler)), np.concatenate((vals, filler))
     visible = np.arange(n_tiles * tile)[None, :] < positions[:, None]
     pad = [0] * max(p, 2)  # row 0 again for a single row
     pad[:p] = range(p)

@@ -458,8 +458,7 @@ def key_value_store(entries_k, entries_v, rows):
     """Keys and values laid out as a ``KvCache`` holds them, ``rows``
     entries deep: the given entries first, zero filler after."""
     n, n_heads, head_dim = entries_k.shape
-    keys = model._key_store(rows, n_heads, head_dim)
-    vals = np.zeros((rows, n_heads, head_dim), dtype=np.float32)
+    keys, vals = model._kv_store(rows, n_heads, head_dim)
     keys[:n], vals[:n] = entries_k, entries_v
     return keys, vals
 
@@ -480,17 +479,14 @@ def attention_inputs(p, total, n_heads=16, head_dim=16, own=False, seed=0):
     entries_k, entries_v = (normal(total, n_heads, head_dim) for _ in range(2))
     if not own:
         entries_k[total - p:], entries_v[total - p:] = k, v
-    rows = -(-total // model._TILE) * model._TILE
-    keys, vals = key_value_store(entries_k, entries_v, rows)
+    keys, vals = key_value_store(entries_k, entries_v, model._key_width(total))
     return dict(q=q, k=k, v=v, keys=keys, vals=vals, pos0=total - p)
 
 
 def score_budget(group, pos0, p):
     """``_SCORE_BYTES`` that makes ``_attend`` take heads ``group`` at a
     time for ``p`` rows from position ``pos0``."""
-    most_rows = max(2, *(b - a for a, b in model._row_blocks(pos0, p)))
-    width = -(-max(1, pos0 + p - 1) // model._TILE) * model._TILE
-    return group * 4 * most_rows * width
+    return group * model._attention_plan(pos0, p)[1]
 
 
 def assert_same_attention_bits(args):
@@ -575,16 +571,17 @@ class TestHeadGroupedAttention:
 
 @pytest.mark.parametrize("pos0", [0, 1, 2, 100, 127, 128, 129, 255, 256, 383])
 def test_row_blocks_cover_the_chunk_in_gemm_shapes(pos0):
-    # every row once, in order; no one-row block unless the chunk is one
-    # row; at most 130 rows, which the causal bias table is sized for
+    # every row once, in order; no one-row block (a single row goes to
+    # _attend_row); at most 130 rows, which the causal bias table is sized
+    # for
     tile = model._TILE
-    for p in (1, 2, 3, 127, 128, 129, 130, 131, 255, 256, 257, 300):
+    for p in (2, 3, 127, 128, 129, 130, 131, 255, 256, 257, 300):
         blocks = model._row_blocks(pos0, p)
         assert [a for a, _ in blocks] + [p] == [0] + [b for _, b in blocks]
         for a, b in blocks:
-            assert 2 <= b - a <= 130 or p == 1
+            assert 2 <= b - a <= 130
             first_masked = (pos0 + a) // tile * tile
-            keys = -(-max(1, pos0 + b - 1) // tile) * tile
+            keys = model._key_width(pos0 + b - 1)
             assert pos0 + b - first_masked <= model._CAUSAL_BIAS.shape[0]
             assert keys - first_masked <= model._CAUSAL_BIAS.shape[1]
 
@@ -601,16 +598,28 @@ class TestLengthInvariantAttention:
         rng = np.random.default_rng(41)
         q, k, v = (rng.standard_normal((self.LENGTH, 16, 16)).astype(np.float32)
                    for _ in range(3))
-        rows = -(-self.LENGTH // model._TILE) * model._TILE
+        rows = model._key_width(self.LENGTH)
         return q, k, v, rows, model._attend(q, k, v, *key_value_store(k, v, rows), 0)
 
     @pytest.mark.parametrize("length",
-                             [1, 2, 5, 127, 128, 129, 300, 512, 513, 799])
+                             [1, 2, 5, 50, 64, 127, 128, 129, 300, 512, 513, 799])
     def test_prefix_equals_rows_of_longer_pass(self, sequence, length):
         q, k, v, rows, full = sequence
         store = key_value_store(k[:length], v[:length], rows)
         got = model._attend(q[:length], k[:length], v[:length], *store, 0)
         assert got.tobytes() == full[:length].tobytes()
+
+    @pytest.mark.parametrize("head_dim", [8, 24, 32, 64])
+    def test_prefix_equals_longer_pass_at_other_head_dims(self, head_dim):
+        rng = np.random.default_rng(head_dim)
+        q, k, v = (rng.standard_normal((300, 4, head_dim)).astype(np.float32)
+                   for _ in range(3))
+        rows = model._key_width(300)
+        full = model._attend(q, k, v, *key_value_store(k, v, rows), 0)
+        for length in (2, 5, 33, 50, 64, 97, 113, 128, 129, 200):
+            store = key_value_store(k[:length], v[:length], rows)
+            got = model._attend(q[:length], k[:length], v[:length], *store, 0)
+            assert got.tobytes() == full[:length].tobytes(), length
 
     @pytest.mark.parametrize("chunk", [1, 37, 128, 200])
     def test_chunked_equals_one_shot(self, sequence, chunk):
@@ -623,18 +632,48 @@ class TestLengthInvariantAttention:
             got = model._attend(q[span], k[span], v[span], keys, vals, start)
             assert got.tobytes() == full[span].tobytes(), start
 
-    def test_decode_rows_equal_teacher_forced_rows(self, sequence):
-        # the context holds other entries than the rows' own K/V
-        q, k, v, rows, _ = sequence
+    # narrow first tiles (32 to 112 wide, the own score summed in with the
+    # tile), the full first tile, and whole tiles after it
+    DECODE_POSITIONS = (0, 1, 31, 32, 33, 40, 63, 64, 65, 111, 112, 113, 127,
+                        128, 129, 383, 384, 385, 799)
+
+    @pytest.mark.parametrize("head_dim", [8, 16, 24, 32, 64])
+    def test_decode_rows_equal_teacher_forced_rows(self, head_dim):
+        # the context holds other entries than the rows' own K/V; past 16
+        # a decode row's score product is padded to two rows
         rng = np.random.default_rng(43)
-        context = key_value_store(
-            *(rng.standard_normal(k.shape).astype(np.float32) for _ in "kv"),
-            rows)
+        q, k, v, *context = (
+            rng.standard_normal((self.LENGTH, 4, head_dim)).astype(np.float32)
+            for _ in range(5))
+        context = key_value_store(*context, model._key_width(self.LENGTH))
         forced = model._attend(q, k, v, *context, 0)
-        for pos in (0, 1, 127, 128, 129, 383, 384, 385, 799):
+        for pos in self.DECODE_POSITIONS:
             step = model._attend(q[pos:pos + 1], k[pos:pos + 1],
                                  v[pos:pos + 1], *context, pos)
             assert step.tobytes() == forced[pos:pos + 1].tobytes(), pos
+
+    def test_decode_record_equals_teacher_forced_record(self, sequence):
+        q, k, v, rows, _ = sequence
+        store = key_value_store(k, v, rows)
+        for pos in (40, 128, 385):
+            records = np.zeros((2, 16, pos + 1), dtype=np.float32)
+            model._attend(q[:pos + 1], k[:pos + 1], v[:pos + 1], *store, 0,
+                          record=records[0])
+            model._attend(q[pos:pos + 1], k[pos:pos + 1], v[pos:pos + 1],
+                          *store, pos, record=records[1])
+            assert records[0].tobytes() == records[1].tobytes(), pos
+
+
+def test_key_width_narrows_only_the_first_tile():
+    tile = model._TILE
+    for keys in range(1, 4 * tile):
+        width = model._key_width(keys)
+        assert width >= keys
+        if keys <= tile:
+            assert width % 16 == 0 and width >= 32
+            assert width - keys < 16 or width == 32
+        else:
+            assert width % tile == 0 and width - keys < tile
 
 
 def final_hidden(weights, tokens, kv, precision, own_diagonal=False):
@@ -702,7 +741,7 @@ class TestLengthInvariantForward:
         context = prefill(weights, toks[:-1], Precision.HIGH).kv
         forced = final_hidden(weights, toks, context, Precision.NVFP4,
                               own_diagonal=True)
-        for pos in (0, 1, 127, 128, 129, 256, 299):
+        for pos in (0, 1, 40, 120, 127, 128, 129, 256, 299):
             kv = KvCache(weights.config)
             for layer in range(weights.config.n_layers):
                 kv.keys[layer][:pos] = context.keys[layer][:pos]
@@ -809,6 +848,27 @@ class TestRopeTable:
         assert cos.shape == sin.shape == (cfg.max_seq_len, cfg.head_dim)
         with pytest.raises(ValueError):
             cos[0, 0] = 2.0
+
+    def test_scaled_query_tables_rotate_then_scale_at_head_dim_16(self):
+        # 1/sqrt(16) is a power of two, so folding it into the tables
+        # gives the bits of scaling the rotated query
+        cfg = toy_config(3)
+        assert cfg.head_dim == 16
+        x = np.random.default_rng(5).standard_normal(
+            (cfg.max_seq_len, 2, 16)).astype(np.float32)
+        folded = model._apply_rope(x, *model._rope_table(cfg, 0.25))
+        rotated = model._apply_rope(x, *model._rope_table(cfg))
+        assert folded.tobytes() == (rotated * np.float32(0.25)).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(1, 256), (7, 96), (300, 256), (2, 1000)])
+def test_rmsnorm_keeps_the_bits_of_np_mean(shape):
+    rng = np.random.default_rng(9)
+    x = (rng.standard_normal(shape) * 30).astype(np.float32)
+    gain = rng.standard_normal(shape[-1]).astype(np.float32)
+    ms = np.mean(x * x, axis=-1, keepdims=True)
+    want = x * (np.float32(1.0) / np.sqrt(ms + model.RMSNORM_EPS)) * gain
+    assert model._rmsnorm(x, gain).tobytes() == want.tobytes()
 
 
 class TestWeightFile:
