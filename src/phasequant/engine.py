@@ -13,9 +13,11 @@ sampled from the prompt pass's final-position logits.  Every step stores the
 full log-probability vector in float32.
 
 A ``SamplerSpec`` is kept in its normal form: a greedy spec draws nothing,
-so it carries no seed and temperature 1.0, whatever it was built with.
-The dump header, the wire request and every comparison see only that form,
-so a spec renders the same in process and through the worker pair.
+so it carries no seed and temperature 1.0, whatever it was built with; a
+temperature spec keeps the float32 value of its temperature, the one the
+engine divides by.  Every field fits its wire record.  The dump header, the
+wire request and every comparison see only that form, so a spec renders the
+same in process and through the worker pair.
 
 Trajectory dump format (line-delimited text): one header line
 
@@ -52,18 +54,20 @@ from .rng import SplitMix64
 
 
 class ExecutionMode(Enum):
-    BASELINE16 = "baseline16"
-    UNIFORM_FP4 = "uniform_fp4"
-    MIX_QUANT = "mixquant"
-    P16D4 = "p16d4"
+    """A mode's name (its ``.value``) and the precision of each phase.  The
+    definition order is the wire index."""
 
-    @property
-    def prefill_precision(self) -> Precision:
-        return _MODE_PRECISIONS[self][0]
+    BASELINE16 = ("baseline16", Precision.HIGH, Precision.HIGH)
+    UNIFORM_FP4 = ("uniform_fp4", Precision.NVFP4, Precision.NVFP4)
+    MIX_QUANT = ("mixquant", Precision.NVFP4, Precision.HIGH)
+    P16D4 = ("p16d4", Precision.HIGH, Precision.NVFP4)
 
-    @property
-    def decode_precision(self) -> Precision:
-        return _MODE_PRECISIONS[self][1]
+    def __new__(cls, name: str, prefill: Precision, decode: Precision):
+        mode = object.__new__(cls)
+        mode._value_ = name
+        mode.prefill_precision = prefill
+        mode.decode_precision = decode
+        return mode
 
     @classmethod
     def from_name(cls, name: str) -> "ExecutionMode":
@@ -74,19 +78,17 @@ class ExecutionMode(Enum):
         raise ValueError(f"unknown execution mode: {name!r}")
 
 
-_MODE_PRECISIONS = {
-    ExecutionMode.BASELINE16: (Precision.HIGH, Precision.HIGH),
-    ExecutionMode.UNIFORM_FP4: (Precision.NVFP4, Precision.NVFP4),
-    ExecutionMode.MIX_QUANT: (Precision.NVFP4, Precision.HIGH),
-    ExecutionMode.P16D4: (Precision.HIGH, Precision.NVFP4),
-}
-
-
 @dataclass(frozen=True)
 class SamplerSpec:
     """Decoding strategy. Greedy is deterministic; temperature sampling is
     deterministic given its seed (which it requires).  A greedy spec is
-    normalized to no seed and temperature 1.0 (see the module docstring)."""
+    normalized to no seed and temperature 1.0 (see the module docstring).
+
+    Every accepted spec fits the wire request: ``max_new_tokens`` its u32
+    field, a stop token its i64 field as a non-negative id.  The engine
+    divides by ``float32(temperature)``, so a temperature spec needs that
+    value finite and positive and stores it.
+    """
 
     strategy: str = "greedy"
     temperature: float = 1.0
@@ -97,14 +99,19 @@ class SamplerSpec:
     def __post_init__(self):
         if self.strategy not in ("greedy", "temperature"):
             raise ValueError(f"unknown sampling strategy {self.strategy!r}")
-        if self.max_new_tokens < 0:
-            raise ValueError("max_new_tokens must be nonnegative")
+        if not 0 <= self.max_new_tokens < 1 << 32:
+            raise ValueError("max_new_tokens must be in [0, 2**32)")
+        if self.stop_token is not None and not 0 <= self.stop_token < 1 << 63:
+            raise ValueError("stop_token must be None or in [0, 2**63)")
         if self.strategy == "greedy":  # draws nothing, so nothing to record
             object.__setattr__(self, "seed", None)
             object.__setattr__(self, "temperature", 1.0)
             return
-        if not self.temperature > 0:
-            raise ValueError("temperature must be positive")
+        with np.errstate(over="ignore"):
+            temperature = np.float32(self.temperature)
+        if not (temperature > 0 and np.isfinite(temperature)):
+            raise ValueError("temperature must be positive and finite in float32")
+        object.__setattr__(self, "temperature", float(temperature))
         if self.seed is None:
             raise ValueError("temperature sampling requires a seed")
         # the generator state is 64-bit; normalize so the recorded seed is
@@ -243,9 +250,7 @@ def _fmt_float(v) -> str:
 
 def render_trajectory(traj: Trajectory) -> str:
     s = traj.sampler or SamplerSpec()
-    # the engine divides by float32(t), so the header shows that value
-    temp = _fmt_float(np.float32(s.temperature)) if s.strategy == "temperature" \
-        else "-"
+    temp = _fmt_float(s.temperature) if s.strategy == "temperature" else "-"
     seed = str(s.seed) if s.seed is not None else "-"
     stop = str(s.stop_token) if s.stop_token is not None else "-"
     lines = [

@@ -25,8 +25,9 @@ production route is fold, then multiply:
 * Rows are independent, so the kernel runs tile by tile over them.  A tile
   holds as many rows as fit their block terms into ``_TILE_BYTES``, a
   fixed budget that keeps the terms in a core's L2 cache next to the
-  weight fold; when a single row's terms do not fit, its blocks go in
-  chunks, each continuing the sum where the last left it.
+  weight fold, and at least one row: one row's terms are 1/16 of the
+  weight fold the kernel already holds.  So a tile is always one batched
+  ``np.matmul`` and one ordered reduce.
 
 ``qgemm_rows`` is the one entry to this kernel, and ``qgemm`` another name
 for it.  Its left operand is a ``RowQuantizedActivation`` (one tensor scale
@@ -62,9 +63,10 @@ def _check_operands(a: RowQuantizedActivation | QuantizedTensor,
         raise ShapeMismatchError("reduction dim must be divisible by 16")
 
 
-# Bytes of float32 block terms one tile may hold: small enough that they
-# stay in a core's L2 cache beside the weight fold they read.  Of 128 KiB
-# to 1 MiB, 1 MiB was fastest or tied on every benchmark shape at m = 512.
+# Bytes of float32 block terms one tile may hold, unless one row's terms
+# are more: small enough that they stay in a core's L2 cache beside the
+# weight fold they read.  Of 128 KiB to 1 MiB, 1 MiB was fastest or tied on
+# every benchmark shape at m = 512.
 _TILE_BYTES = 1 << 20
 
 
@@ -75,24 +77,19 @@ def _block_loop(a_hat: np.ndarray, w_hat_t: np.ndarray,
     m, k = a_hat.shape
     n = w_hat_t.shape[1]
     nb = k // GROUP_SIZE
-    blocks = min(nb, max(1, _TILE_BYTES // (4 * n)))
-    rows = max(1, _TILE_BYTES // (4 * blocks * n))
+    rows = max(1, _TILE_BYTES // (4 * nb * n))
     a3 = a_hat.reshape(m, nb, GROUP_SIZE).transpose(1, 0, 2)
     w3 = w_hat_t.reshape(nb, GROUP_SIZE, n)
     out = np.empty((m, n), dtype=np.float32)
-    terms = np.empty((blocks, min(rows, m), n), dtype=np.float32)
+    terms = np.empty((nb, min(rows, m), n), dtype=np.float32)
     for r0 in range(0, m, rows):
         acc = out[r0 : r0 + rows]
-        for b0 in range(0, nb, blocks):
-            t = terms[: min(blocks, nb - b0), : len(acc)]
-            np.matmul(a3[b0 : b0 + blocks, r0 : r0 + rows], w3[b0 : b0 + blocks],
-                      out=t)  # exact
-            if b0:
-                t[0] += acc  # the sum of the earlier chunks
-            if acc.size > 1:  # sequential over the block axis, from +0.0
-                np.add.reduce(t, axis=0, out=acc, initial=0.0)
-            else:  # numpy would sum a lone output element pairwise
-                acc[...] = np.add.accumulate(t, axis=0)[-1] + np.float32(0.0)
+        t = terms[:, : len(acc)]
+        np.matmul(a3[:, r0 : r0 + rows], w3, out=t)  # exact
+        if acc.size > 1:  # sequential over the block axis, from +0.0
+            np.add.reduce(t, axis=0, out=acc, initial=0.0)
+        else:  # numpy would sum a lone output element pairwise
+            acc[...] = np.add.accumulate(t, axis=0)[-1] + np.float32(0.0)
     out *= out_scales[:, None]
     return out
 

@@ -25,8 +25,10 @@ contiguous tile sum follow one fixed rule; the tiles' sums and ``P @ V``
 products are then added in ascending key order.  So a row's attention bits
 depend only on its own keys: a prefix prefill, a chunked prefill, a longer
 prefill, a decode step (one row, ``_attend_row``) and a teacher-forced row
-agree bitwise.  The 4-bit linears are row-invariant too, so on the 4-bit
-path so are the K/V and hidden states.  Float32 linears are not:
+agree bitwise.  Every attention product is a GEMM with no dimension of 1
+(a decode row's query goes in twice), since a one-row product takes BLAS's
+gemv path, whose bits differ.  The 4-bit linears are row-invariant too, so
+on the 4-bit path so are the K/V and hidden states.  Float32 linears are not:
 ``np.matmul`` of a one- or two-row input takes other BLAS paths than a
 longer one.  The cache keeps keys and values head-major, and the query's
 rotary tables carry attention's 1/sqrt(head_dim).
@@ -449,10 +451,13 @@ _SCORE_BYTES = 2 << 20
 # gets -inf from column i on, so its tile scores stop before its own
 # position (its own score comes apart).  A block's rows sit at offsets
 # below 130 and it masks at most two tiles.  Adding 0 leaves a score's
-# bits unchanged.
-_CAUSAL_BIAS = np.where(
-    np.arange(2 * _TILE)[None, :] >= np.arange(_TILE + 2)[:, None],
-    np.float32(-np.inf), np.float32(0.0))
+# bits unchanged.  Built from zeros by per-row fills, which peak 128 KB
+# lower in resident memory than a ``np.where`` over index arrays.
+_CAUSAL_BIAS = np.zeros((_TILE + 2, 2 * _TILE), dtype=np.float32)
+for _row in range(_TILE + 2):
+    _CAUSAL_BIAS[_row, _row:] = -np.inf
+_CAUSAL_BIAS.flags.writeable = False
+del _row
 
 
 def _row_blocks(pos0: int, p: int) -> list:
@@ -476,14 +481,6 @@ def _attention_plan(pos0: int, p: int) -> tuple:
     blocks = _row_blocks(pos0, p)
     most_rows = max(b - a for a, b in blocks)
     return blocks, 4 * most_rows * _key_width(pos0 + p - 1)
-
-
-# OpenBLAS gives a one-row score product (gemv over head-major keys) the
-# bits of a GEMM row up to this head_dim (it held up to 24 and failed at 32
-# on an AVX-512 Xeon), so a decode row's scores need no padding row there;
-# a longer query row is padded to two.  A one-row ``P @ V`` differs from
-# k = 64 on, so it is always padded.
-_GEMV_MAX_HEAD_DIM = 16
 
 
 def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, keys: np.ndarray,
@@ -580,20 +577,20 @@ def _attend_row(q: np.ndarray, k: np.ndarray, v: np.ndarray,
     """``_attend`` of the one row at position ``t`` (a decode step): the
     same rule in one pass over every head, without the row blocks, causal
     bias and head groups whose bookkeeping costs a decode row more than
-    its arithmetic."""
+    its arithmetic.  Both products are the two-row GEMMs of the query row
+    and a copy of it, and the own exponential is added after the tile
+    sums, as in ``_attend``."""
     _, n_heads, head_dim = q.shape
     n = _key_width(t)
     tile = min(n, _TILE)
     n_tiles = n // tile
-    # row 1 pads ``P @ V`` to a GEMM; column n holds the own score
+    # row 1, a copy of the query row, pads both products to GEMMs (a
+    # one-row product takes BLAS's gemv path, whose bits differ) and is
+    # never read; column n holds the own score
     scores = np.zeros((2, n_heads, n + 1), dtype=np.float32)
-    if head_dim <= _GEMV_MAX_HEAD_DIM:
-        np.matmul(q.transpose(1, 0, 2), keys.transpose(1, 2, 0)[:, :, :n],
-                  out=scores[:1, :, :n].transpose(1, 0, 2))
-    else:
-        np.matmul(np.concatenate((q, q)).transpose(1, 0, 2),
-                  keys.transpose(1, 2, 0)[:, :, :n],
-                  out=scores[:, :, :n].transpose(1, 0, 2))
+    np.matmul(np.concatenate((q, q)).transpose(1, 0, 2),
+              keys.transpose(1, 2, 0)[:, :, :n],
+              out=scores[:, :, :n].transpose(1, 0, 2))
     s = scores[0]
     s[:, t:n] = -np.inf
     np.add.reduce(q[0] * k[0], axis=-1, out=s[:, n])
@@ -602,13 +599,7 @@ def _attend_row(q: np.ndarray, k: np.ndarray, v: np.ndarray,
     own_e = s[:, n]
     probs, v_h = scores[:, :, :n].transpose(1, 0, 2), vals.transpose(1, 0, 2)[:, :n]
     if n_tiles == 1:
-        if n < _TILE:
-            # numpy's float32 sum takes up to 128 values in blocks of 8 and
-            # adds the rest in order, so the own exponential after n = 16j
-            # columns is added last, as the rule has it
-            den = np.add.reduce(s, axis=-1)
-        else:
-            den = np.add.reduce(s[:, :n], axis=-1) + own_e
+        den = np.add.reduce(s[:, :n], axis=-1)
         acc = np.empty((2, n_heads, head_dim), dtype=np.float32)
         np.matmul(probs, v_h, out=acc.transpose(1, 0, 2))
         acc = acc[0]
@@ -620,8 +611,8 @@ def _attend_row(q: np.ndarray, k: np.ndarray, v: np.ndarray,
         np.matmul(probs.reshape(n_heads, 2, n_tiles, tile).transpose(0, 2, 1, 3),
                   v_h.reshape(n_heads, n_tiles, tile, head_dim),
                   out=pv.transpose(2, 0, 1, 3))
-        den = np.add.reduce(sums, axis=0) + own_e
-        acc = np.add.reduce(pv[:, 0], axis=0)
+        den, acc = np.add.reduce(sums, axis=0), np.add.reduce(pv[:, 0], axis=0)
+    den += own_e
     acc += own_e[:, None] * v[0]
     if record is not None:
         record[:, :t] = s[:, :t] / den[:, None]

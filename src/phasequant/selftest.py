@@ -160,6 +160,21 @@ def _suite_attention() -> bool:
             for part, rows in zip(cache, whole):
                 if part[:length].tobytes() != rows[:length].tobytes():
                     return False
+    # A decode row (one query) is the matching row of a teacher-forced
+    # pass: the BLAS gives a GEMM element the same bits at either shape.
+    # Positions in the narrow first tile, at its edge and past it.
+    rng = np.random.default_rng(19)
+    for head_dim in (16, 32):
+        q, k, v, *context = (rng.standard_normal((130, 4, head_dim))
+                             .astype(np.float32) for _ in range(5))
+        keys, vals = model._kv_store(model._key_width(130), 4, head_dim)
+        keys[:130], vals[:130] = context
+        forced = model._attend(q, k, v, keys, vals, 0)
+        for pos in (0, 33, 127, 128, 129):
+            row = slice(pos, pos + 1)
+            step = model._attend(q[row], k[row], v[row], keys, vals, pos)
+            if step.tobytes() != forced[row].tobytes():
+                return False
     return True
 
 

@@ -7,6 +7,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import toy_config, toy_weights
 from phasequant import model
@@ -219,6 +221,48 @@ def run_pair_files(weights_p, weights_d, prompt, mode, sampler, tmp_path):
     finally:
         ex1.close()
         ex2.close()
+
+
+def sampler_fields(max_new_tokens):
+    """``SamplerSpec`` fields, in and out of its range."""
+    return st.fixed_dictionaries(dict(
+        strategy=st.sampled_from(("greedy", "temperature")),
+        temperature=st.floats(),
+        seed=st.none() | st.integers(-(1 << 70), 1 << 70),
+        max_new_tokens=max_new_tokens,
+        stop_token=st.none() | st.integers(-3, 70)
+        | st.integers(-(1 << 64), 1 << 64),
+    ))
+
+
+def accepted(fields) -> SamplerSpec:
+    try:
+        return SamplerSpec(**fields)
+    except ValueError:
+        assume(False)
+
+
+class TestSamplerOverTheWire:
+    """Every spec ``SamplerSpec`` accepts crosses the wire unchanged and
+    renders the same dump in process and through the worker pair."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sampler_fields(st.integers(-1, 1 << 33)),
+           st.sampled_from(list(ExecutionMode)))
+    def test_decoded_spec_equals_sent_spec(self, fields, mode):
+        sampler = accepted(fields)
+        back_mode, back, prompt = decode_generate_req(
+            encode_generate_req(mode, sampler, [3, 1]))
+        assert (back_mode, back, prompt) == (mode, sampler, [3, 1])
+
+    @settings(max_examples=25, deadline=None)
+    @given(sampler_fields(st.integers(0, 5)))
+    def test_in_process_dump_equals_worker_pair_dump(self, fields):
+        sampler = accepted(fields)
+        weights = toy_weights(0)
+        prompt, mode = [8, 2, 44], ExecutionMode.MIX_QUANT
+        mono = render_trajectory(generate(weights, prompt, mode, sampler))
+        assert run_pair_tcp(weights, weights, prompt, mode, sampler) == mono
 
 
 class TestEndToEnd:
@@ -551,7 +595,8 @@ def bad_sampler_request(prompt, temperature):
 
 
 class TestBadSamplerFields:
-    @pytest.mark.parametrize("temperature", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("temperature",
+                             [0.0, -1.0, float("nan"), float("inf")])
     def test_decoded_as_protocol_error(self, temperature):
         with pytest.raises(ProtocolError):
             decode_generate_req(bad_sampler_request([1, 2], temperature))

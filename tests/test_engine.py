@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasequant import engine
+from phasequant import disagg, engine
 from phasequant.engine import (
     ExecutionMode,
     SamplerSpec,
@@ -29,6 +29,16 @@ class TestModes:
         assert ExecutionMode.MIX_QUANT.decode_precision is Precision.HIGH
         assert ExecutionMode.P16D4.prefill_precision is Precision.HIGH
         assert ExecutionMode.P16D4.decode_precision is Precision.NVFP4
+
+    def test_order_and_names_pin_wire_index_and_dump_text(self):
+        # the wire index is the definition order and the dump prints .value
+        assert [(m.name, m.value) for m in ExecutionMode] == [
+            ("BASELINE16", "baseline16"), ("UNIFORM_FP4", "uniform_fp4"),
+            ("MIX_QUANT", "mixquant"), ("P16D4", "p16d4")]
+        for index, mode in enumerate(ExecutionMode):
+            assert ExecutionMode(mode.value) is mode
+            body = disagg.encode_generate_req(mode, GREEDY8, [1])
+            assert body[0] == index
 
     def test_from_name(self):
         assert ExecutionMode.from_name("MixQuant") is ExecutionMode.MIX_QUANT
@@ -73,6 +83,27 @@ class TestDecodeDistribution:
     def test_temperature_requires_seed(self):
         with pytest.raises(ValueError):
             SamplerSpec(strategy="temperature", temperature=0.7)
+
+    @pytest.mark.parametrize("fields", [
+        dict(stop_token=-5),
+        dict(stop_token=1 << 63),
+        dict(max_new_tokens=-1),
+        dict(max_new_tokens=1 << 32),
+        dict(temperature=1e-50),
+        dict(temperature=1e39),
+        dict(temperature=float("inf")),
+    ], ids=["negative-stop", "wide-stop", "negative-max-new", "wide-max-new",
+            "zero-in-float32", "inf-in-float32", "inf"])
+    def test_spec_outside_the_wire_record_rejected(self, fields):
+        fields = dict(dict(strategy="temperature", seed=1), **fields)
+        with pytest.raises(ValueError):
+            SamplerSpec(**fields)
+
+    def test_temperature_kept_as_its_float32_value(self):
+        spec = SamplerSpec(strategy="temperature", temperature=0.1, seed=1)
+        assert spec.temperature == float(np.float32(0.1))
+        assert spec == SamplerSpec(strategy="temperature",
+                                   temperature=float(np.float32(0.1)), seed=1)
 
     def test_greedy_normal_form(self):
         # greedy draws nothing, so a seed or temperature given to it is

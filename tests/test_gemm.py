@@ -371,9 +371,10 @@ class TestTiledKernel:
             assert rows[i].tobytes() == qgemm_mirror(rq.row(i), w)[0].tobytes()
 
     @pytest.mark.parametrize("budget_blocks", [1, 3, 5])
-    def test_block_chunks_carry_the_sum(self, monkeypatch, budget_blocks):
-        # A budget below one row's terms splits the blocks into chunks, each
-        # continuing the running sum of the one before.
+    def test_budget_below_one_row_runs_one_row_tiles(self, monkeypatch,
+                                                      budget_blocks):
+        # A budget below one row's terms still takes a whole row per tile,
+        # with the oracle's bits.
         rng = np.random.default_rng(120 + budget_blocks)
         k, n = 1024, 24
         monkeypatch.setattr(gemm, "_TILE_BYTES", 4 * n * budget_blocks)
@@ -421,10 +422,11 @@ class TestTiledKernel:
     @pytest.mark.parametrize("m, n, budget_blocks", [
         (3, 256, None),  # one row tile
         (40, 256, None),  # three row tiles
-        (3, 24, 3),  # block chunks carrying the sum
+        (3, 24, 3),  # one-row tiles, the budget below one row's terms
         (1, 1, None),  # one output element
-        (1, 1, 3),  # one output element, in chunks
-    ], ids=["one-tile", "multi-tile", "multi-chunk", "lone", "lone-chunks"])
+        (1, 1, 3),  # one output element, the budget below its terms
+    ], ids=["one-tile", "multi-tile", "one-row-tiles", "lone",
+            "lone-below-budget"])
     def test_negative_zero_terms_sum_to_positive_zero(self, monkeypatch, m, n,
                                                       budget_blocks):
         # Row 0 of x leads every block with a live element and rounds the

@@ -632,15 +632,14 @@ class TestLengthInvariantAttention:
             got = model._attend(q[span], k[span], v[span], keys, vals, start)
             assert got.tobytes() == full[span].tobytes(), start
 
-    # narrow first tiles (32 to 112 wide, the own score summed in with the
-    # tile), the full first tile, and whole tiles after it
+    # narrow first tiles (32 to 112 wide), the full first tile, and whole
+    # tiles after it
     DECODE_POSITIONS = (0, 1, 31, 32, 33, 40, 63, 64, 65, 111, 112, 113, 127,
                         128, 129, 383, 384, 385, 799)
 
     @pytest.mark.parametrize("head_dim", [8, 16, 24, 32, 64])
     def test_decode_rows_equal_teacher_forced_rows(self, head_dim):
-        # the context holds other entries than the rows' own K/V; past 16
-        # a decode row's score product is padded to two rows
+        # the context holds other entries than the rows' own K/V
         rng = np.random.default_rng(43)
         q, k, v, *context = (
             rng.standard_normal((self.LENGTH, 4, head_dim)).astype(np.float32)
