@@ -147,13 +147,15 @@ def decode_distribution(logits: np.ndarray, sampler: SamplerSpec,
     argmax, lowest id on exact ties.  Temperature divides the logits by t
     and samples by inverse CDF over ascending token ids using one uniform
     draw from the pinned generator.  The log-probabilities are the shifted
-    logits minus the log of the same exponential sum.
+    logits minus the log of the same exponential sum.  Logits that are not
+    finite after the division by t (a tiny t can overflow them) raise
+    ``NonFiniteError``.
     """
     arr = np.asarray(logits, dtype=np.float32)
-    if not np.isfinite(arr).all():
-        raise NonFiniteError("logits must be finite")
     if sampler.strategy == "temperature":
         arr = arr / np.float32(sampler.temperature)
+    if not np.isfinite(arr).all():
+        raise NonFiniteError("logits must be finite")
     shifted = arr - arr.max()
     e = np.exp(shifted)
     total = e.sum()

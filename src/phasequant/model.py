@@ -15,10 +15,13 @@ in every mode.
 
 ``prefill``, ``decode_step`` and ``teacher_forced_logits`` all run one
 block loop (``_forward``), and every block one attention function
-(``_attend``).  It is causal attention over 128-key tiles aligned to
-absolute key positions.  A row reads only the tiles that hold keys before
-its own position (within the first tile, only as many columns as the
-chunk needs), and its score against its own key is a separate dot
+(``_attend``).  A pass that writes the cache computes only what it hands
+on, the K/V of every row and the logits of the last: its last block runs
+attention, the MLP and the output head for the last row alone.  Teacher
+forcing computes every row.  Attention runs causally over 128-key tiles
+aligned to absolute key positions.  A row reads only the tiles that hold
+keys before its own position (within the first tile, only as many columns
+as the chunk needs), and its score against its own key is a separate dot
 product, so a decode step and a teacher-forced row see their own K/V the
 same way.  Within a tile the score product, the exponentials and the
 contiguous tile sum follow one fixed rule; the tiles' sums and ``P @ V``
@@ -28,7 +31,8 @@ prefill, a decode step (one row, ``_attend_row``) and a teacher-forced row
 agree bitwise.  Every attention product is a GEMM with no dimension of 1
 (a decode row's query goes in twice), since a one-row product takes BLAS's
 gemv path, whose bits differ.  The 4-bit linears are row-invariant too, so
-on the 4-bit path so are the K/V and hidden states.  Float32 linears are not:
+on the 4-bit path so are the K/V and hidden states, and a prefill's logits
+are the decode step's of its last token.  Float32 linears are not:
 ``np.matmul`` of a one- or two-row input takes other BLAS paths than a
 longer one.  The cache keeps keys and values head-major, and the query's
 rotary tables carry attention's 1/sqrt(head_dim).
@@ -381,8 +385,10 @@ def forward_block(
     precision: Precision,
     attn_record_row: Optional[np.ndarray] = None,
     own_diagonal: bool = False,
+    last_only: bool = False,
 ) -> np.ndarray:
-    """One pre-norm residual block over a chunk of hidden states.
+    """One pre-norm residual block over a chunk of hidden states; returns
+    the hidden state of every row, or with ``last_only`` of the last row.
 
     The start position is not passed but derived: the chunk's rows are the
     positions from ``kv.length`` on (which only advances once the caller
@@ -399,6 +405,13 @@ def forward_block(
     q, as if it were a decode step on a cache holding exactly those q
     entries.  The cache must then hold every position before the chunk's
     last, and nothing is written to it.
+
+    With ``last_only`` (the last block of a pass that writes the cache) the
+    block still writes every row's K/V, then keeps only the last row: its
+    attention (``_attend_row`` over the cache just written), ``attn_out``
+    and MLP run on one row.  Its bits are those of the last row of the
+    all-rows block wherever a one-row product keeps them: attention and
+    the 4-bit linears do, float32 matmuls need not.
     """
     cfg = weights.config
     layer = weights.layers[layer_idx]
@@ -428,6 +441,9 @@ def forward_block(
     if not own_diagonal:
         kv.keys[layer_idx][pos0:total] = k
         kv.values[layer_idx][pos0:total] = v
+    if last_only:
+        q, k, v, x = q[-1:], k[-1:], v[-1:], x[-1:]
+        pos0, p = total - 1, 1
     attn_out = _attend(q, k, v, kv.keys[layer_idx], kv.values[layer_idx],
                        pos0, attn_record_row)
     (proj,) = _linears(attn_out.reshape(p, cfg.d_model), ("attn_out",),
@@ -628,11 +644,14 @@ def _forward(
     own_diagonal: bool = False,
     record: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Run ``tokens`` through every block; returns each row's logits.
+    """Run ``tokens`` through every block; returns logits.
 
     Without ``own_diagonal`` the tokens are the next positions after
-    ``kv.length``: their K/V entries are written and ``kv.length`` advances.
-    With it, see ``teacher_forced_logits``.  ``record``
+    ``kv.length``: their K/V entries are written, ``kv.length`` advances,
+    and only what the pass hands on is computed: every row up to the last
+    block's K/V write, then the last row alone (``forward_block``'s
+    ``last_only``), so the logits are [1, vocab].  With it, see
+    ``teacher_forced_logits``: every row, [n, vocab].  ``record``
     [n_layers, n_heads, chunk end], if given, receives the last row's
     post-softmax attention in every layer.
     """
@@ -646,7 +665,8 @@ def _forward(
     for li in range(cfg.n_layers):
         x = forward_block(weights, li, x, kv, precision,
                           None if record is None else record[li],
-                          own_diagonal=own_diagonal)
+                          own_diagonal=own_diagonal,
+                          last_only=not own_diagonal and li == cfg.n_layers - 1)
     if not own_diagonal:
         kv.length += toks.size
     return _rmsnorm(x, weights.final_norm_gain) @ weights.embedding.T
@@ -662,8 +682,12 @@ def prefill(
     """Causal pass over a prompt (or appended prompt chunk).
 
     Writes float32 KV entries regardless of precision and returns the
-    logits at the final processed position.  ``record_attention`` captures
-    the post-softmax rows of the final position in every layer and head.
+    logits at the final processed position.  Every block computes every
+    row up to its K/V write; the last block then runs attention, its MLP
+    and the output head for the final row alone.  So on the 4-bit path the
+    logits are bitwise the decode step of the final token on a cache
+    holding the others.  ``record_attention`` captures the post-softmax
+    rows of the final position in every layer and head.
     """
     cfg = weights.config
     kv = KvCache(cfg) if kv is None else kv
@@ -671,7 +695,7 @@ def prefill(
     record = np.zeros(shape, dtype=np.float32) if record_attention else None
     logits = _forward(weights, tokens, kv, precision, record=record)
     attention = AttentionRecord(kv.length - 1, record) if record_attention else None
-    return PrefillResult(kv=kv, logits=logits[-1], attention=attention)
+    return PrefillResult(kv=kv, logits=logits[0], attention=attention)
 
 
 def decode_step(

@@ -286,6 +286,10 @@ class RowQuantizedActivation:
         return self._folded
 
     def row(self, i: int) -> QuantizedTensor:
+        """Row ``i`` alone, as ``quantize`` of that row gives it.  ``i``
+        indexes as a sequence does: a negative one counts from the end,
+        and one out of range raises ``IndexError``."""
+        i = range(len(self.codes))[i]
         return QuantizedTensor(
             codes=self.codes[i : i + 1],
             block_scales=self.block_scales[i : i + 1],

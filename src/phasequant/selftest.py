@@ -160,6 +160,15 @@ def _suite_attention() -> bool:
             for part, rows in zip(cache, whole):
                 if part[:length].tobytes() != rows[:length].tobytes():
                     return False
+    # A 4-bit prefill's logits are the decode step of its last token on
+    # the cache of the others: its last block runs that row alone.
+    for length in (2, 129, 300):
+        kv = prefill(weights, tokens[: length - 1], model.Precision.NVFP4).kv
+        step = model.decode_step(weights, kv, tokens[length - 1],
+                                 model.Precision.NVFP4)
+        logits = prefill(weights, tokens[:length], model.Precision.NVFP4).logits
+        if logits.tobytes() != step.tobytes():
+            return False
     # A decode row (one query) is the matching row of a teacher-forced
     # pass: the BLAS gives a GEMM element the same bits at either shape.
     # Positions in the narrow first tile, at its edge and past it.

@@ -70,10 +70,74 @@ def whole_normal_stream(seed, count):
     return out[:count]
 
 
-def full_forward_logits(weights, tokens, precision):
-    """One-shot causal pass over a whole sequence, as ``prefill`` runs it;
-    logits at every position."""
-    return model._forward(weights, tokens, KvCache(weights.config), precision)
+def final_hidden(weights, tokens, kv, precision, own_diagonal=False,
+                 record=None):
+    """Oracle: the block loop of ``model._forward`` over every row, every
+    block through ``model.forward_block``, without the output head: every
+    row's hidden state after the last block.  Without ``own_diagonal`` it
+    writes ``kv`` and advances its length.  ``record`` [n_layers, n_heads,
+    chunk end], if given, receives the last row's attention in every
+    layer."""
+    x = weights.embedding[np.asarray(tokens, dtype=np.int64)]
+    for layer in range(weights.config.n_layers):
+        x = model.forward_block(weights, layer, x, kv, precision,
+                                None if record is None else record[layer],
+                                own_diagonal=own_diagonal)
+    if not own_diagonal:
+        kv.length += len(tokens)
+    return x
+
+
+def full_forward_logits(weights, tokens, precision, kv=None, record=None):
+    """Oracle: the all-rows causal pass over a whole sequence
+    (``final_hidden``, then the output head on every row); logits at every
+    position.  ``kv``, if given, is the empty cache the pass writes, and
+    ``record`` receives attention as ``prefill`` records it."""
+    kv = KvCache(weights.config) if kv is None else kv
+    x = final_hidden(weights, tokens, kv, precision, record=record)
+    return model._rmsnorm(x, weights.final_norm_gain) @ weights.embedding.T
+
+
+def cut_cache(kv, length):
+    """A fresh cache holding the first ``length`` entries of ``kv``."""
+    out = KvCache(kv.config)
+    for layer in range(kv.config.n_layers):
+        out.keys[layer][:length] = kv.keys[layer][:length]
+        out.values[layer][:length] = kv.values[layer][:length]
+    out.length = length
+    return out
+
+
+def assert_same_kv(a, b, length):
+    """The first ``length`` K/V entries of caches ``a`` and ``b`` are
+    bit-equal in every layer."""
+    for layer in range(len(a.keys)):
+        assert a.keys[layer][:length].tobytes() == b.keys[layer][:length].tobytes()
+        assert (a.values[layer][:length].tobytes()
+                == b.values[layer][:length].tobytes())
+
+
+def check_prompt_pass(weights, tokens):
+    """Assert what ``prefill`` hands on against the all-rows oracle: its K/V
+    bit-equal in both precisions, its float32 logits within 1e-5 of the
+    oracle's last row, and its 4-bit logits bit-equal to the decode step of
+    the last token on the cache of the others.  Returns the float32
+    oracle's logits and the float32 ``prefill`` result."""
+    passes = {}
+    for prec in model.Precision:
+        kv = KvCache(weights.config)
+        rows = full_forward_logits(weights, tokens, prec, kv=kv)
+        res = prefill(weights, tokens, prec)
+        assert res.kv.length == kv.length == len(tokens)
+        assert_same_kv(res.kv, kv, len(tokens))
+        passes[prec] = rows, res
+    rows, res = passes[model.Precision.HIGH]
+    assert rel_logits_err(res.logits, rows[-1]) <= 1e-5
+    fp4 = passes[model.Precision.NVFP4][1]
+    step = decode_step(weights, cut_cache(fp4.kv, len(tokens) - 1),
+                       tokens[-1], model.Precision.NVFP4)
+    assert fp4.logits.tobytes() == step.tobytes()
+    return rows, res
 
 
 def per_head_attend(q, k, v, keys, vals, pos0, record=None):

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    check_prompt_pass,
     exact_scale_quantize,
     full_forward_logits,
     rel_logits_err,
@@ -234,10 +235,7 @@ def test_criterion_06_teacher_forcing():
             toks = list(rng.integers(0, cfg.vocab_size,
                                      size=case["L"] + case["T"]))
             full = full_forward_logits(weights, toks, Precision.HIGH)
-            rows = full_forward_logits(weights, toks[: case["L"]],
-                                       Precision.HIGH)
-            res = prefill(weights, toks[: case["L"]], Precision.HIGH)
-            assert rows[-1].tobytes() == res.logits.tobytes()
+            rows, res = check_prompt_pass(weights, toks[: case["L"]])
             for pos in range(case["L"]):
                 assert rel_logits_err(rows[pos], full[pos]) <= 1e-5
             kv = res.kv

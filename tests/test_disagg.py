@@ -33,7 +33,7 @@ from phasequant.disagg import (
     serve_prefill,
 )
 from phasequant.engine import ExecutionMode, SamplerSpec, generate, render_trajectory
-from phasequant.errors import BlobIntegrityError, ProtocolError
+from phasequant.errors import BlobIntegrityError, NonFiniteError, ProtocolError
 from phasequant.model import KvCache, Precision, init_model, prefill, save_model
 
 
@@ -258,11 +258,28 @@ class TestSamplerOverTheWire:
     @settings(max_examples=25, deadline=None)
     @given(sampler_fields(st.integers(0, 5)))
     def test_in_process_dump_equals_worker_pair_dump(self, fields):
+        # either both dumps are equal, or both sides fail: a temperature so
+        # small that the logits overflow raises NonFiniteError in process
+        # and a PROTOCOL error frame from the decode worker
         sampler = accepted(fields)
         weights = toy_weights(0)
         prompt, mode = [8, 2, 44], ExecutionMode.MIX_QUANT
-        mono = render_trajectory(generate(weights, prompt, mode, sampler))
+        try:
+            mono = render_trajectory(generate(weights, prompt, mode, sampler))
+        except NonFiniteError:
+            with pytest.raises(WorkerError) as err:
+                run_pair_tcp(weights, weights, prompt, mode, sampler)
+            assert err.value.code is ErrorCode.PROTOCOL
+            return
         assert run_pair_tcp(weights, weights, prompt, mode, sampler) == mono
+
+    def test_temperature_overflow_is_a_protocol_error(self, weights):
+        sampler = SamplerSpec(strategy="temperature", temperature=1e-40,
+                              seed=3)
+        with pytest.raises(WorkerError) as err:
+            run_pair_tcp(weights, weights, [8, 2, 44], ExecutionMode.MIX_QUANT,
+                         sampler)
+        assert err.value.code is ErrorCode.PROTOCOL
 
 
 class TestEndToEnd:

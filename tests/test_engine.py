@@ -80,6 +80,18 @@ class TestDecodeDistribution:
         with pytest.raises(NonFiniteError):
             decode_distribution(bad, SamplerSpec())
 
+    def test_temperature_overflow_rejected(self, weights):
+        # a subnormal float32 temperature passes the spec's checks, but the
+        # quotient overflows: that fails like a non-finite logit, not as a
+        # nan distribution
+        sampler = SamplerSpec(strategy="temperature", temperature=1e-40,
+                              seed=3)
+        logits = prefill(weights, [8, 2, 44], Precision.HIGH).logits
+        with pytest.raises(NonFiniteError):
+            decode_distribution(logits, sampler, SplitMix64(3))
+        with pytest.raises(NonFiniteError):
+            generate(weights, [8, 2, 44], ExecutionMode.MIX_QUANT, sampler)
+
     def test_temperature_requires_seed(self):
         with pytest.raises(ValueError):
             SamplerSpec(strategy="temperature", temperature=0.7)

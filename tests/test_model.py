@@ -7,7 +7,11 @@ import numpy as np
 import pytest
 
 from conftest import (
+    assert_same_kv,
+    check_prompt_pass,
+    cut_cache,
     drop_shadows,
+    final_hidden,
     full_forward_logits,
     per_head_attend,
     rel_logits_err,
@@ -15,7 +19,8 @@ from conftest import (
     toy_weights,
     whole_normal_stream,
 )
-from phasequant import model
+from phasequant import analysis, model
+from phasequant.engine import ExecutionMode
 from phasequant.errors import ConfigError, ContextOverflowError
 from phasequant.quantizer import QuantizedTensor
 from phasequant.model import (
@@ -339,7 +344,7 @@ class TestPrefillDecode:
             kv = prefill(weights, toks, pre_prec).kv
             for dec_prec in Precision:
                 logits = decode_step(
-                    weights, TestTeacherForcing.cut(kv, kv.length), 5, dec_prec)
+                    weights, cut_cache(kv, kv.length), 5, dec_prec)
                 assert logits.shape == (weights.config.vocab_size,)
                 assert np.isfinite(logits).all()
 
@@ -351,25 +356,13 @@ class TestTeacherForcing:
         rng = np.random.default_rng(seed)
         toks = list(rng.integers(0, w.config.vocab_size, size=L + extra))
         full = full_forward_logits(w, toks, Precision.HIGH)
-        rows = full_forward_logits(w, toks[:L], Precision.HIGH)
-        res = prefill(w, toks[:L], Precision.HIGH)
-        assert rows[-1].tobytes() == res.logits.tobytes()
+        rows, res = check_prompt_pass(w, toks[:L])
         for pos in range(L):
             assert rel_logits_err(rows[pos], full[pos]) <= 1e-5
         kv = res.kv
         for pos in range(L, L + extra):
             logits = decode_step(w, kv, toks[pos], Precision.HIGH)
             assert rel_logits_err(logits, full[pos]) <= 1e-5
-
-    @staticmethod
-    def cut(kv, length):
-        """A fresh cache holding the first ``length`` entries of ``kv``."""
-        out = KvCache(kv.config)
-        for layer in range(kv.config.n_layers):
-            out.keys[layer][:length] = kv.keys[layer][:length]
-            out.values[layer][:length] = kv.values[layer][:length]
-        out.length = length
-        return out
 
     @pytest.mark.parametrize("ctx_prec", list(Precision))
     @pytest.mark.parametrize("prec", list(Precision))
@@ -381,7 +374,7 @@ class TestTeacherForcing:
         rows = teacher_forced_logits(weights, toks, context, prec)
         assert rows.shape == (len(toks), weights.config.vocab_size)
         for j, tok in enumerate(toks):
-            step = decode_step(weights, self.cut(context, j), tok, prec)
+            step = decode_step(weights, cut_cache(context, j), tok, prec)
             assert rel_logits_err(rows[j], step) <= 1e-5, j
 
     def test_context_cache_not_written(self, weights):
@@ -675,25 +668,6 @@ def test_key_width_narrows_only_the_first_tile():
             assert width % tile == 0 and width - keys < tile
 
 
-def final_hidden(weights, tokens, kv, precision, own_diagonal=False):
-    """The block loop of ``model._forward`` without the output head: every
-    row's hidden state after the last block."""
-    x = weights.embedding[np.asarray(tokens, dtype=np.int64)]
-    for layer in range(weights.config.n_layers):
-        x = model.forward_block(weights, layer, x, kv, precision,
-                                own_diagonal=own_diagonal)
-    if not own_diagonal:
-        kv.length += len(tokens)
-    return x
-
-
-def assert_same_kv(a, b, length):
-    for layer in range(len(a.keys)):
-        assert a.keys[layer][:length].tobytes() == b.keys[layer][:length].tobytes()
-        assert (a.values[layer][:length].tobytes()
-                == b.values[layer][:length].tobytes())
-
-
 class TestLengthInvariantForward:
     """On the 4-bit path, whose linears already give a row the same codes
     in any batch, the whole forward is length-invariant: at the benchmark
@@ -741,13 +715,100 @@ class TestLengthInvariantForward:
         forced = final_hidden(weights, toks, context, Precision.NVFP4,
                               own_diagonal=True)
         for pos in (0, 1, 40, 120, 127, 128, 129, 256, 299):
-            kv = KvCache(weights.config)
-            for layer in range(weights.config.n_layers):
-                kv.keys[layer][:pos] = context.keys[layer][:pos]
-                kv.values[layer][:pos] = context.values[layer][:pos]
-            kv.length = pos
-            step = final_hidden(weights, [toks[pos]], kv, Precision.NVFP4)
+            step = final_hidden(weights, [toks[pos]], cut_cache(context, pos),
+                                Precision.NVFP4)
             assert step.tobytes() == forced[pos:pos + 1].tobytes(), pos
+
+
+class TestPromptPassLastRow:
+    """A pass that writes the cache computes every row up to the last
+    block's K/V write, then that block's attention, MLP and the output
+    head for the last row alone.  What it hands on keeps its bits: the K/V
+    and attention records are the all-rows oracle's in both precisions, and
+    on the 4-bit path the logits are the decode step's.  At the benchmark
+    geometry."""
+
+    LENGTHS = (2, 3, 127, 128, 129, 257, 512)
+
+    @pytest.fixture(scope="class")
+    def weights(self):
+        return toy_weights(20260517, vocab_size=512, d_model=256,
+                           ffn_hidden=1024, n_layers=2, n_heads=16,
+                           max_seq_len=1024)
+
+    @pytest.fixture(scope="class")
+    def tokens(self):
+        return [int(t) for t in np.random.default_rng(53).integers(0, 512, 600)]
+
+    @pytest.mark.parametrize("length", LENGTHS)
+    @pytest.mark.parametrize("prec", list(Precision))
+    def test_kv_and_record_equal_all_rows_oracle(self, weights, tokens, prec,
+                                                 length):
+        cfg = weights.config
+        toks = tokens[:length]
+        kv = KvCache(cfg)
+        record = np.zeros((cfg.n_layers, cfg.n_heads, length), np.float32)
+        rows = full_forward_logits(weights, toks, prec, kv=kv, record=record)
+        res = prefill(weights, toks, prec, record_attention=True)
+        assert_same_kv(res.kv, kv, length)
+        assert res.attention.rows.tobytes() == record.tobytes()
+        # only one-row float32 products (the output head, float32 linears)
+        # move the logits
+        assert rel_logits_err(res.logits, rows[-1]) <= 1e-6
+
+    @pytest.mark.parametrize("length", LENGTHS)
+    def test_fp4_logits_equal_decode_step_on_cut_cache(self, weights, tokens,
+                                                       length):
+        res = prefill(weights, tokens[:length], Precision.NVFP4)
+        step = decode_step(weights, cut_cache(res.kv, length - 1),
+                           tokens[length - 1], Precision.NVFP4)
+        assert res.logits.tobytes() == step.tobytes()
+
+    @pytest.mark.parametrize("chunk", [1, 37, 128, 200])
+    def test_chunked_fp4_logits_equal_one_shot(self, weights, tokens, chunk):
+        end = 400
+        kv = KvCache(weights.config)
+        for start in range(0, end, chunk):
+            res = prefill(weights, tokens[start:min(start + chunk, end)],
+                          Precision.NVFP4, kv=kv)
+        one_shot = prefill(weights, tokens[:end], Precision.NVFP4)
+        assert res.logits.tobytes() == one_shot.logits.tobytes()
+        assert_same_kv(kv, one_shot.kv, end)
+
+    @pytest.mark.parametrize("mode", list(ExecutionMode))
+    def test_perplexity_equals_its_value_on_the_oracle_cache(
+            self, weights, tokens, mode, monkeypatch):
+        corpus = [tokens[:2], tokens[2:5], tokens[10:140], tokens[200:460]]
+        got = analysis.perplexity(weights, mode, corpus)
+
+        def oracle_prefill(w, toks, precision):
+            kv = KvCache(w.config)
+            rows = full_forward_logits(w, toks, precision, kv=kv)
+            return model.PrefillResult(kv=kv, logits=rows[-1])
+
+        monkeypatch.setattr(analysis, "prefill", oracle_prefill)
+        assert analysis.perplexity(weights, mode, corpus) == got
+
+    @pytest.mark.parametrize("prec", list(Precision))
+    def test_last_block_runs_attn_out_and_mlp_on_one_row(
+            self, weights, tokens, prec, monkeypatch):
+        seen = []
+        linears = model._linears
+
+        def spy(x, names, *rest):
+            seen.append((rest[-1], names, len(x)))
+            return linears(x, names, *rest)
+
+        monkeypatch.setattr(model, "_linears", spy)
+        qkv, out = ("attn_q", "attn_k", "attn_v"), ("attn_out",)
+        gate_up, down = ("mlp_gate", "mlp_up"), ("mlp_down",)
+        kv = prefill(weights, tokens[:129], prec).kv
+        assert seen == [(0, qkv, 129), (0, out, 129), (0, gate_up, 129),
+                        (0, down, 129), (1, qkv, 129), (1, out, 1),
+                        (1, gate_up, 1), (1, down, 1)]
+        seen.clear()  # teacher forcing keeps every row
+        teacher_forced_logits(weights, tokens[129:149], kv, prec)
+        assert {rows for _, _, rows in seen} == {20}
 
 
 class TestIdentityQuantizer:

@@ -284,6 +284,19 @@ class TestRowQuantization:
                     assert np.array_equal(single.block_scales, row.block_scales)
                     assert single.tensor_scale == row.tensor_scale
 
+    def test_row_indexes_as_a_sequence(self):
+        rng = np.random.default_rng(19)
+        rq = quantize_rows(gaussian(rng, 4, 32, scale=1.0), AMAX)
+        for i in range(-4, 0):
+            neg, pos = rq.row(i), rq.row(i + 4)
+            assert neg.codes.shape == (1, 32)
+            assert neg.codes.tobytes() == pos.codes.tobytes()
+            assert neg.block_scales.tobytes() == pos.block_scales.tobytes()
+            assert neg.tensor_scale == pos.tensor_scale
+        for i in (4, 5, -5):
+            with pytest.raises(IndexError):
+                rq.row(i)
+
     def test_zero_row(self):
         x = np.zeros((3, 32), np.float32)
         x[0] = 1.0
