@@ -8,7 +8,7 @@ float32 outputs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -165,62 +165,26 @@ class CostReport:
     attention matmuls count ``L*L*d`` per layer for a length-L prompt pass
     and ``(L+t)*d`` per layer for the t-th generated token, always at high
     precision.  The modeled speedup weighs 4-bit MACs at ``1/throughput_ratio``
-    of a high-precision MAC.
+    of a high-precision MAC.  Fields are in report order.
     """
 
     mode: str
     throughput_ratio: float
     prefill_linear_macs: int
     prefill_attn_macs: int
+    prefill_total_macs: int
     decode_linear_macs: int
     decode_attn_macs: int
+    decode_total_macs: int
     prefill_lowbit_macs: int
     decode_lowbit_macs: int
+    prefill_linear_lowbit_fraction: float
+    prefill_total_lowbit_fraction: float
+    decode_total_lowbit_fraction: float
     modeled_prefill_speedup: float
 
-    @property
-    def prefill_total_macs(self) -> int:
-        return self.prefill_linear_macs + self.prefill_attn_macs
-
-    @property
-    def decode_total_macs(self) -> int:
-        return self.decode_linear_macs + self.decode_attn_macs
-
-    @property
-    def prefill_linear_lowbit_fraction(self) -> float:
-        if self.prefill_linear_macs == 0:
-            return 0.0
-        return self.prefill_lowbit_macs / self.prefill_linear_macs
-
-    @property
-    def prefill_total_lowbit_fraction(self) -> float:
-        if self.prefill_total_macs == 0:
-            return 0.0
-        return self.prefill_lowbit_macs / self.prefill_total_macs
-
-    @property
-    def decode_total_lowbit_fraction(self) -> float:
-        if self.decode_total_macs == 0:
-            return 0.0
-        return self.decode_lowbit_macs / self.decode_total_macs
-
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "throughput_ratio": self.throughput_ratio,
-            "prefill_linear_macs": self.prefill_linear_macs,
-            "prefill_attn_macs": self.prefill_attn_macs,
-            "prefill_total_macs": self.prefill_total_macs,
-            "decode_linear_macs": self.decode_linear_macs,
-            "decode_attn_macs": self.decode_attn_macs,
-            "decode_total_macs": self.decode_total_macs,
-            "prefill_lowbit_macs": self.prefill_lowbit_macs,
-            "decode_lowbit_macs": self.decode_lowbit_macs,
-            "prefill_linear_lowbit_fraction": self.prefill_linear_lowbit_fraction,
-            "prefill_total_lowbit_fraction": self.prefill_total_lowbit_fraction,
-            "decode_total_lowbit_fraction": self.decode_total_lowbit_fraction,
-            "modeled_prefill_speedup": self.modeled_prefill_speedup,
-        }
+        return asdict(self)
 
     def render(self) -> str:
         d = self.to_dict()
@@ -250,8 +214,9 @@ def cost_model(
     )
     prefill_low = prefill_linear if mode.prefill_precision is Precision.NVFP4 else 0
     decode_low = decode_linear if mode.decode_precision is Precision.NVFP4 else 0
-
-    base_time = float(prefill_linear + prefill_attn)
+    # Every size and length is at least 1, so no count below is 0.
+    prefill_total = prefill_linear + prefill_attn
+    decode_total = decode_linear + decode_attn
     mixed_time = (
         prefill_low / throughput_ratio
         + (prefill_linear - prefill_low)
@@ -262,11 +227,16 @@ def cost_model(
         throughput_ratio=throughput_ratio,
         prefill_linear_macs=prefill_linear,
         prefill_attn_macs=prefill_attn,
+        prefill_total_macs=prefill_total,
         decode_linear_macs=decode_linear,
         decode_attn_macs=decode_attn,
+        decode_total_macs=decode_total,
         prefill_lowbit_macs=prefill_low,
         decode_lowbit_macs=decode_low,
-        modeled_prefill_speedup=base_time / mixed_time,
+        prefill_linear_lowbit_fraction=prefill_low / prefill_linear,
+        prefill_total_lowbit_fraction=prefill_low / prefill_total,
+        decode_total_lowbit_fraction=decode_low / decode_total,
+        modeled_prefill_speedup=prefill_total / mixed_time,
     )
 
 

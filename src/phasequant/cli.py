@@ -28,13 +28,22 @@ from .model import (
 )
 
 
-def _int_list(text: str) -> list:
-    """argparse type: comma-separated integers; empty entries are skipped."""
+def _comma_ints(text: str) -> list:
+    """Comma-separated integers; empty entries are skipped.  Raises
+    ValueError otherwise."""
     try:
         return [int(t) for t in text.split(",") if t.strip() != ""]
     except ValueError:
-        raise argparse.ArgumentTypeError(
+        raise ValueError(
             f"{text!r} is not a comma-separated list of integers") from None
+
+
+def _int_list(text: str) -> list:
+    """argparse type: ``_comma_ints`` as a usage error."""
+    try:
+        return _comma_ints(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _host_port(text: str) -> tuple:
@@ -116,8 +125,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-model", type=int, required=True)
     p.add_argument("--ffn-hidden", type=int, required=True)
     p.add_argument("--n-layers", type=int, default=1)
-    p.add_argument("--n-heads", type=int, default=4)
-    p.add_argument("--vocab-size", type=int, default=256)
     p.add_argument("--prompt-len", type=int, required=True)
     p.add_argument("--gen-len", type=int, default=1)
     p.add_argument("--mode", required=True)
@@ -207,11 +214,13 @@ def _cmd_analyze_attn(args) -> int:
 
 
 def _cmd_cost(args) -> int:
+    # The cost model reads neither the vocabulary nor the head count; heads
+    # of 16 fit every width the config accepts.
     cfg = ModelConfig(
-        vocab_size=args.vocab_size,
+        vocab_size=1,
         d_model=args.d_model,
         n_layers=args.n_layers,
-        n_heads=args.n_heads,
+        n_heads=max(args.d_model // 16, 1),
         ffn_hidden=args.ffn_hidden,
         max_seq_len=max(args.prompt_len + args.gen_len, 1),
         seed=0,
@@ -225,12 +234,8 @@ def _cmd_cost(args) -> int:
 
 def _cmd_perplexity(args) -> int:
     weights = load_model(args.model)
-    corpus = []
     with open(args.corpus) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                corpus.append([int(t) for t in line.split(",")])
+        corpus = [seq for seq in map(_comma_ints, fh) if seq]
     if not corpus:
         raise ValueError("empty corpus")
     value = analysis.perplexity(

@@ -579,44 +579,3 @@ def serve_blob_dir(directory: str, handler: Callable[[FrameStream], None]):
     resp = os.path.join(directory, RESPONSE_FILE)
     with open(req, "rb") as reader, open(resp, "wb") as writer:
         handler(FrameStream(reader, writer))
-
-
-class FileExchange:
-    """Client-side file-pair transport.
-
-    Frames written by the client accumulate in the request file; calling
-    the worker flushes them through ``serve_blob_dir``; replies are then
-    read back from the response file.  Reads transparently trigger the
-    exchange, so the same client code drives sockets and files.
-    """
-
-    def __init__(self, directory: str, run_worker: Callable[[str], None]):
-        self._dir = directory
-        self._run_worker = run_worker
-        self._request = open(os.path.join(directory, REQUEST_FILE), "wb")
-        self._response = None
-
-    def _reader(self):
-        if self._response is None:
-            self._request.close()
-            self._run_worker(self._dir)
-            self._response = open(os.path.join(self._dir, RESPONSE_FILE), "rb")
-        return self._response
-
-    def stream(self) -> FrameStream:
-        exchange = self
-
-        class _LazyReader:
-            def read(self, n):
-                return exchange._reader().read(n)
-
-            def close(self):
-                exchange.close()
-
-        return FrameStream(_LazyReader(), self._request)
-
-    def close(self):
-        if self._response is not None:
-            self._response.close()
-        if not self._request.closed:
-            self._request.close()

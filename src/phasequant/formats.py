@@ -60,13 +60,6 @@ E4M3_VALUES, E4M3_IS_NAN = _build_e4m3_tables()
 _FP4_MID_FLOATS = tuple(float(lo + hi) / 2
                         for lo, hi in zip(_FP4_MAGNITUDES, _FP4_MAGNITUDES[1:]))
 
-# Half-width of the grid interval enclosing each magnitude index, used by
-# reconstruction-error bounds.  Entry i is the largest distance a value
-# rounding to magnitude i can have from it (within the non-saturating range).
-FP4_HALF_GAPS = np.array(
-    [0.25, 0.25, 0.25, 0.25, 0.5, 0.5, 1.0, 1.0], dtype=np.float64
-)
-
 
 def _reject_non_finite(x: np.ndarray, what: str) -> None:
     if not np.isfinite(x).all():
@@ -84,7 +77,7 @@ def encode_fp4(x) -> np.ndarray:
     codes = fp4_magnitude_codes(np.abs(arr))
     codes |= np.signbit(arr).astype(np.uint8) << np.uint8(3)
     if np.isscalar(x) or arr.ndim == 0:
-        return codes[()] if codes.ndim == 0 else codes
+        return codes[()]
     return codes
 
 
@@ -164,14 +157,6 @@ def decode_e4m3(codes) -> np.ndarray:
     if np.isnan(values).any():
         raise ValueError("cannot decode the NaN pattern")
     return values
-
-
-def fp4_half_gap(scaled_magnitude) -> np.ndarray:
-    """Half-width of the 4-bit grid interval enclosing ``|scaled value|``:
-    the entry of ``FP4_HALF_GAPS`` at the magnitude ``encode_fp4`` rounds it
-    to, after clamping at 6.  Raises NonFiniteError on NaN."""
-    mag = np.minimum(np.abs(np.asarray(scaled_magnitude, dtype=np.float64)), FP4_MAX)
-    return FP4_HALF_GAPS[encode_fp4(mag)]
 
 
 def format_tables() -> str:

@@ -26,7 +26,6 @@ codes on first use and cached.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -37,9 +36,6 @@ from . import formats
 from .errors import NonFiniteError, ShapeMismatchError
 
 GROUP_SIZE = 16
-
-# The MXQT header: magic, version, rows, cols, group size, tensor scale.
-_MXQT_HEADER = struct.Struct("<4sIIIIf")
 
 # Product of the two grid maxima; the calibrated tensor scale divides the
 # matrix amax by this so every block-scale ratio stays on the 8-bit grid.
@@ -76,10 +72,6 @@ class QuantizedTensor:
     )
 
     @property
-    def shape(self):
-        return self.codes.shape
-
-    @property
     def row_scales(self) -> np.ndarray:
         """The tensor scale once per row, as float32: the per-row scales of
         a ``RowQuantizedActivation``, for a tensor with one scale."""
@@ -101,54 +93,6 @@ class QuantizedTensor:
             folded_t.flags.writeable = False
             self._folded_t = folded_t
         return self._folded_t
-
-    def serialize(self) -> bytes:
-        """Debug byte dump: magic, version, shape, group, tensor scale,
-        packed codes (two per byte, low nibble first, row-major), then the
-        block scale bytes row-major."""
-        rows, cols = self.codes.shape
-        head = _MXQT_HEADER.pack(b"MXQT", 1, rows, cols, GROUP_SIZE,
-                                 float(self.tensor_scale))
-        flat = self.codes.reshape(-1)
-        packed = (flat[0::2] | (flat[1::2] << np.uint8(4))).astype(np.uint8)
-        return head + packed.tobytes() + self.block_scales.reshape(-1).tobytes()
-
-    @classmethod
-    def deserialize(cls, data: bytes) -> "QuantizedTensor":
-        """Inverse of ``serialize``; rejects a group size other than 16 and
-        a header that disagrees with itself or with the length of
-        ``data``."""
-        if data[:4] != b"MXQT":
-            raise ValueError("bad magic")
-        head = _MXQT_HEADER.size
-        if len(data) < head:
-            raise ValueError("truncated header")
-        _, version, rows, cols, group, tscale = _MXQT_HEADER.unpack_from(data)
-        if version != 1:
-            raise ValueError(f"unsupported version {version}")
-        if group != GROUP_SIZE:
-            raise ValueError(f"group size {group}, not {GROUP_SIZE}")
-        if cols % GROUP_SIZE != 0:
-            raise ValueError(f"{cols} columns do not split into groups of 16")
-        n_code_bytes = rows * cols // 2
-        n_scales = rows * (cols // GROUP_SIZE)
-        if len(data) != head + n_code_bytes + n_scales:
-            raise ValueError(
-                f"{len(data)} bytes where the header implies "
-                f"{head + n_code_bytes + n_scales}"
-            )
-        packed = np.frombuffer(data, dtype=np.uint8, count=n_code_bytes, offset=head)
-        codes = np.empty(rows * cols, dtype=np.uint8)
-        codes[0::2] = packed & np.uint8(0x0F)
-        codes[1::2] = packed >> np.uint8(4)
-        scales = np.frombuffer(
-            data, dtype=np.uint8, count=n_scales, offset=head + n_code_bytes
-        )
-        return cls(
-            codes=codes.reshape(rows, cols),
-            block_scales=scales.reshape(rows, cols // GROUP_SIZE).copy(),
-            tensor_scale=np.float32(tscale),
-        )
 
 
 def _blocks(x):
@@ -269,10 +213,6 @@ class RowQuantizedActivation:
     _folded: Optional[np.ndarray] = field(
         default=None, init=False, repr=False, compare=False
     )
-
-    @property
-    def shape(self):
-        return self.codes.shape
 
     def folded(self) -> np.ndarray:
         """``fold_blocks`` of the codes with their decoded block scales,

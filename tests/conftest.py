@@ -1,10 +1,12 @@
 import contextlib
 import functools
+import os
+from typing import Callable
 
 import numpy as np
 import pytest
 
-from phasequant import formats, model, rng
+from phasequant import disagg, formats, model, rng
 from phasequant.errors import NonFiniteError, ShapeMismatchError
 from phasequant.model import KvCache, ModelConfig, decode_step, init_model, prefill
 from phasequant.quantizer import GROUP_SIZE, TensorScalePolicy
@@ -269,6 +271,22 @@ def searchsorted_encode_e4m3(x):
     return np.where(np.signbit(v), idx + 128, idx).astype(np.uint8)
 
 
+# Half-width of the grid interval enclosing each magnitude index, used by
+# reconstruction-error bounds.  Entry i is the largest distance a value
+# rounding to magnitude i can have from it (within the non-saturating range).
+FP4_HALF_GAPS = np.array(
+    [0.25, 0.25, 0.25, 0.25, 0.5, 0.5, 1.0, 1.0], dtype=np.float64
+)
+
+
+def fp4_half_gap(scaled_magnitude) -> np.ndarray:
+    """Half-width of the 4-bit grid interval enclosing ``|scaled value|``:
+    the entry of ``FP4_HALF_GAPS`` at the magnitude ``encode_fp4`` rounds it
+    to, after clamping at 6.  Raises NonFiniteError on NaN."""
+    mag = np.minimum(np.abs(np.asarray(scaled_magnitude, dtype=np.float64)), formats.FP4_MAX)
+    return FP4_HALF_GAPS[formats.encode_fp4(mag)]
+
+
 def exact_scale_quantize(x):
     """Oracle: two-level quantization with unrounded block scales.
 
@@ -432,3 +450,45 @@ def per_token_perplexity(weights, mode, corpus):
     if scored == 0:
         raise ValueError("corpus has no scorable positions")
     return float(np.exp(total_nll / scored))
+
+
+class FileExchange:
+    """Client-side file-pair transport, the counterpart of
+    ``disagg.serve_blob_dir``.
+
+    Frames written by the client accumulate in the request file; calling
+    the worker flushes them through ``serve_blob_dir``; replies are then
+    read back from the response file.  Reads transparently trigger the
+    exchange, so the same client code drives sockets and files.
+    """
+
+    def __init__(self, directory: str, run_worker: Callable[[str], None]):
+        self._dir = directory
+        self._run_worker = run_worker
+        self._request = open(os.path.join(directory, disagg.REQUEST_FILE), "wb")
+        self._response = None
+
+    def _reader(self):
+        if self._response is None:
+            self._request.close()
+            self._run_worker(self._dir)
+            self._response = open(os.path.join(self._dir, disagg.RESPONSE_FILE), "rb")
+        return self._response
+
+    def stream(self) -> disagg.FrameStream:
+        exchange = self
+
+        class _LazyReader:
+            def read(self, n):
+                return exchange._reader().read(n)
+
+            def close(self):
+                exchange.close()
+
+        return disagg.FrameStream(_LazyReader(), self._request)
+
+    def close(self):
+        if self._response is not None:
+            self._response.close()
+        if not self._request.closed:
+            self._request.close()

@@ -16,8 +16,10 @@ import numpy as np
 import pytest
 
 from conftest import (
+    FileExchange,
     check_prompt_pass,
     exact_scale_quantize,
+    fp4_half_gap,
     full_forward_logits,
     rel_logits_err,
     scale_after_qgemm,
@@ -149,7 +151,7 @@ def test_criterion_02_quantizer_properties():
             xhat = np.repeat(combined, 16, axis=1) * formats.decode_fp4(codes)
             err = np.abs(x.astype(np.float64) - xhat.astype(np.float64))
             bound = np.repeat(np.abs(combined.astype(np.float64)), 16, axis=1)
-            bound *= formats.fp4_half_gap(scaled.reshape(32, -1))
+            bound *= fp4_half_gap(scaled.reshape(32, -1))
             assert (err <= bound * (1 + 1e-6) + 1e-12).all()
             blocks_seen += bmax.size
         assert blocks_seen >= 10_000
@@ -275,9 +277,9 @@ def _run_disagg_files(weights, prompt, mode, sampler, base):
     d2 = base / f"dec-{mode.value}"
     d1.mkdir()
     d2.mkdir()
-    ex1 = disagg.FileExchange(str(d1), lambda d: disagg.serve_blob_dir(
+    ex1 = FileExchange(str(d1), lambda d: disagg.serve_blob_dir(
         d, lambda s: disagg.serve_prefill(s, weights, mode.prefill_precision)))
-    ex2 = disagg.FileExchange(str(d2), lambda d: disagg.serve_blob_dir(
+    ex2 = FileExchange(str(d2), lambda d: disagg.serve_blob_dir(
         d, lambda s: disagg.serve_decode(s, weights, mode.decode_precision)))
     try:
         return disagg.disaggregated_generate(prompt, mode, sampler,

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import FileExchange
 from phasequant import disagg
 from phasequant.cli import main
 from phasequant.engine import ExecutionMode, SamplerSpec, parse_trajectory_dump
@@ -143,11 +144,129 @@ class TestAnalyzeAttn:
         assert abs(means[-1] - 1.0) <= 1e-5
 
 
+COST_GEOMETRY = ("--d-model", "256", "--ffn-hidden", "1024", "--n-layers", "2",
+                 "--prompt-len", "2048", "--gen-len", "64",
+                 "--throughput-ratio", "3")
+
+# `cost` output at COST_GEOMETRY for each mode, text then `--json`, pinned
+# byte for byte: both formats follow `CostReport`'s field order and types.
+COST_GOLDEN = {
+    "baseline16": (
+        "mode=baseline16\n"
+        "throughput_ratio=3.0\n"
+        "prefill_linear_macs=4294967296\n"
+        "prefill_attn_macs=2147483648\n"
+        "prefill_total_macs=6442450944\n"
+        "decode_linear_macs=134217728\n"
+        "decode_attn_macs=68173824\n"
+        "decode_total_macs=202391552\n"
+        "prefill_lowbit_macs=0\n"
+        "decode_lowbit_macs=0\n"
+        "prefill_linear_lowbit_fraction=0.0\n"
+        "prefill_total_lowbit_fraction=0.0\n"
+        "decode_total_lowbit_fraction=0.0\n"
+        "modeled_prefill_speedup=1.0\n",
+        '{"decode_attn_macs": 68173824, '
+        '"decode_linear_macs": 134217728, "decode_lowbit_macs": 0, '
+        '"decode_total_lowbit_fraction": 0.0, '
+        '"decode_total_macs": 202391552, "mode": "baseline16", '
+        '"modeled_prefill_speedup": 1.0, '
+        '"prefill_attn_macs": 2147483648, '
+        '"prefill_linear_lowbit_fraction": 0.0, '
+        '"prefill_linear_macs": 4294967296, "prefill_lowbit_macs": 0, '
+        '"prefill_total_lowbit_fraction": 0.0, '
+        '"prefill_total_macs": 6442450944, "throughput_ratio": 3.0}\n'
+    ),
+    "uniform_fp4": (
+        "mode=uniform_fp4\n"
+        "throughput_ratio=3.0\n"
+        "prefill_linear_macs=4294967296\n"
+        "prefill_attn_macs=2147483648\n"
+        "prefill_total_macs=6442450944\n"
+        "decode_linear_macs=134217728\n"
+        "decode_attn_macs=68173824\n"
+        "decode_total_macs=202391552\n"
+        "prefill_lowbit_macs=4294967296\n"
+        "decode_lowbit_macs=134217728\n"
+        "prefill_linear_lowbit_fraction=1.0\n"
+        "prefill_total_lowbit_fraction=0.6666666666666666\n"
+        "decode_total_lowbit_fraction=0.6631587468631102\n"
+        "modeled_prefill_speedup=1.8000000000000003\n",
+        '{"decode_attn_macs": 68173824, '
+        '"decode_linear_macs": 134217728, '
+        '"decode_lowbit_macs": 134217728, '
+        '"decode_total_lowbit_fraction": 0.6631587468631102, '
+        '"decode_total_macs": 202391552, "mode": "uniform_fp4", '
+        '"modeled_prefill_speedup": 1.8000000000000003, '
+        '"prefill_attn_macs": 2147483648, '
+        '"prefill_linear_lowbit_fraction": 1.0, '
+        '"prefill_linear_macs": 4294967296, '
+        '"prefill_lowbit_macs": 4294967296, '
+        '"prefill_total_lowbit_fraction": 0.6666666666666666, '
+        '"prefill_total_macs": 6442450944, "throughput_ratio": 3.0}\n'
+    ),
+    "mixquant": (
+        "mode=mixquant\n"
+        "throughput_ratio=3.0\n"
+        "prefill_linear_macs=4294967296\n"
+        "prefill_attn_macs=2147483648\n"
+        "prefill_total_macs=6442450944\n"
+        "decode_linear_macs=134217728\n"
+        "decode_attn_macs=68173824\n"
+        "decode_total_macs=202391552\n"
+        "prefill_lowbit_macs=4294967296\n"
+        "decode_lowbit_macs=0\n"
+        "prefill_linear_lowbit_fraction=1.0\n"
+        "prefill_total_lowbit_fraction=0.6666666666666666\n"
+        "decode_total_lowbit_fraction=0.0\n"
+        "modeled_prefill_speedup=1.8000000000000003\n",
+        '{"decode_attn_macs": 68173824, '
+        '"decode_linear_macs": 134217728, "decode_lowbit_macs": 0, '
+        '"decode_total_lowbit_fraction": 0.0, '
+        '"decode_total_macs": 202391552, "mode": "mixquant", '
+        '"modeled_prefill_speedup": 1.8000000000000003, '
+        '"prefill_attn_macs": 2147483648, '
+        '"prefill_linear_lowbit_fraction": 1.0, '
+        '"prefill_linear_macs": 4294967296, '
+        '"prefill_lowbit_macs": 4294967296, '
+        '"prefill_total_lowbit_fraction": 0.6666666666666666, '
+        '"prefill_total_macs": 6442450944, "throughput_ratio": 3.0}\n'
+    ),
+    "p16d4": (
+        "mode=p16d4\n"
+        "throughput_ratio=3.0\n"
+        "prefill_linear_macs=4294967296\n"
+        "prefill_attn_macs=2147483648\n"
+        "prefill_total_macs=6442450944\n"
+        "decode_linear_macs=134217728\n"
+        "decode_attn_macs=68173824\n"
+        "decode_total_macs=202391552\n"
+        "prefill_lowbit_macs=0\n"
+        "decode_lowbit_macs=134217728\n"
+        "prefill_linear_lowbit_fraction=0.0\n"
+        "prefill_total_lowbit_fraction=0.0\n"
+        "decode_total_lowbit_fraction=0.6631587468631102\n"
+        "modeled_prefill_speedup=1.0\n",
+        '{"decode_attn_macs": 68173824, '
+        '"decode_linear_macs": 134217728, '
+        '"decode_lowbit_macs": 134217728, '
+        '"decode_total_lowbit_fraction": 0.6631587468631102, '
+        '"decode_total_macs": 202391552, "mode": "p16d4", '
+        '"modeled_prefill_speedup": 1.0, '
+        '"prefill_attn_macs": 2147483648, '
+        '"prefill_linear_lowbit_fraction": 0.0, '
+        '"prefill_linear_macs": 4294967296, "prefill_lowbit_macs": 0, '
+        '"prefill_total_lowbit_fraction": 0.0, '
+        '"prefill_total_macs": 6442450944, "throughput_ratio": 3.0}\n'
+    ),
+}
+
+
 class TestCost:
     def test_cost_json(self):
         code, out, _ = run_cli(
             "cost", "--d-model", "256", "--ffn-hidden", "1024", "--n-layers",
-            "1", "--n-heads", "16", "--prompt-len", "2048", "--gen-len", "8",
+            "1", "--prompt-len", "2048", "--gen-len", "8",
             "--mode", "mixquant", "--throughput-ratio", "3", "--json")
         assert code == 0
         report = json.loads(out)
@@ -162,6 +281,22 @@ class TestCost:
         assert code == 0
         assert json.loads(out)["modeled_prefill_speedup"] == 1.0
 
+    @pytest.mark.parametrize("mode", list(COST_GOLDEN))
+    def test_report_bytes(self, mode):
+        text, as_json = COST_GOLDEN[mode]
+        assert run_cli("cost", *COST_GEOMETRY, "--mode", mode) == (0, text, "")
+        assert run_cli("cost", *COST_GEOMETRY, "--mode", mode, "--json") == (
+            0, as_json, "")
+
+    def test_width_four_heads_do_not_split(self):
+        # 2400 is 150 heads of 16, but 4 heads of 600 would be refused;
+        # cost asks for no head count, and its report reads none
+        code, out, err = run_cli(
+            "cost", "--d-model", "2400", "--ffn-hidden", "9600",
+            "--prompt-len", "2048", "--mode", "mixquant", "--json")
+        assert code == 0, err
+        assert json.loads(out)["prefill_total_lowbit_fraction"] == 38400 / 40448
+
 
 class TestPerplexityCommand:
     def test_runs_on_corpus_file(self, model_file, tmp_path):
@@ -172,6 +307,24 @@ class TestPerplexityCommand:
         assert code == 0
         assert out.startswith("perplexity=")
         assert float(out.split("=")[1]) >= 1.0
+
+    def run_corpus(self, model_file, tmp_path, text):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text(text)
+        return run_cli("perplexity", "--model", model_file, "--mode",
+                       "mixquant", "--corpus", str(corpus))
+
+    def test_trailing_comma_as_in_prompt_tokens(self, model_file, tmp_path):
+        plain = self.run_corpus(model_file, tmp_path, "1,2,3,4\n5,6,7\n")
+        trailing = self.run_corpus(model_file, tmp_path, "1,2,3,4,\n5,6,7\n")
+        assert plain[0] == 0
+        assert trailing == plain
+
+    def test_bad_entry_is_one_error_line(self, model_file, tmp_path):
+        code, out, err = self.run_corpus(model_file, tmp_path, "1,x\n")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestDumpFormats:
@@ -230,12 +383,12 @@ class TestWorkerCommands:
         d2 = tmp_path / "dec"
         d1.mkdir()
         d2.mkdir()
-        ex1 = disagg.FileExchange(
+        ex1 = FileExchange(
             str(d1),
             lambda d: run_cli("prefill-worker", "--model", model_file,
                               "--precision", "nvfp4", "--blob-dir", d),
         )
-        ex2 = disagg.FileExchange(
+        ex2 = FileExchange(
             str(d2),
             lambda d: run_cli("decode-worker", "--model", model_file,
                               "--precision", "high", "--blob-dir", d),

@@ -10,12 +10,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import toy_config, toy_weights
+from conftest import FileExchange, toy_config, toy_weights
 from phasequant import model
 from phasequant import disagg, engine
 from phasequant.disagg import (
     ErrorCode,
-    FileExchange,
     FrameStream,
     FrameType,
     TcpWorker,

@@ -3,7 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import searchsorted_encode_e4m3, searchsorted_encode_fp4
+from conftest import (
+    FP4_HALF_GAPS,
+    fp4_half_gap,
+    searchsorted_encode_e4m3,
+    searchsorted_encode_fp4,
+)
 from phasequant import formats
 from phasequant.errors import NonFiniteError
 from phasequant.selftest import nearest_fp4_oracle
@@ -99,8 +104,8 @@ class TestEncodeFp4:
         rng = np.random.default_rng(8)
         x = rng.uniform(-6, 6, size=5000)
         decoded = formats.decode_fp4(formats.encode_fp4(x)).astype(np.float64)
-        assert (np.abs(x - decoded) <= formats.fp4_half_gap(x)).all()
-        assert formats.fp4_half_gap(5.5) == 1.0
+        assert (np.abs(x - decoded) <= fp4_half_gap(x)).all()
+        assert fp4_half_gap(5.5) == 1.0
 
 
 class TestEncodeFp4AgainstSearchsorted:
@@ -165,11 +170,11 @@ class TestEncodeFp4AgainstSearchsorted:
         x = self.edge_values().astype(np.float64)
         x = np.concatenate([x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf),
                             [np.inf, -np.inf]])
-        want = formats.FP4_HALF_GAPS[searchsorted_encode_fp4(x) & 7]
-        assert np.array_equal(formats.fp4_half_gap(x), want)
+        want = FP4_HALF_GAPS[searchsorted_encode_fp4(x) & 7]
+        assert np.array_equal(fp4_half_gap(x), want)
         for bad in (np.nan, np.array([0.5, np.nan])):
             with pytest.raises(NonFiniteError):
-                formats.fp4_half_gap(bad)
+                fp4_half_gap(bad)
 
 
 class TestEncodeE4m3:

@@ -1,17 +1,20 @@
 import hashlib
-import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import exact_scale_quantize, two_pass_quantize, two_pass_quantize_rows
+from conftest import (
+    exact_scale_quantize,
+    fp4_half_gap,
+    two_pass_quantize,
+    two_pass_quantize_rows,
+)
 from phasequant import formats
 from phasequant.errors import NonFiniteError, ShapeMismatchError
 from phasequant.quantizer import (
     QuantConfig,
-    QuantizedTensor,
     TensorScalePolicy,
     dequantize,
     fold_blocks,
@@ -221,7 +224,7 @@ class TestInvariants:
             err = np.abs(x.astype(np.float64) - xhat.astype(np.float64))
             bound = np.repeat(
                 np.abs(combined.astype(np.float64)), 16, axis=1
-            ) * formats.fp4_half_gap(scaled.reshape(8, -1))
+            ) * fp4_half_gap(scaled.reshape(8, -1))
             assert (err <= bound * (1 + 1e-6) + 1e-12).all()
 
     def test_exact_scales_amax_element_saturates(self):
@@ -441,69 +444,3 @@ class TestOnePassAgainstTwoPass:
                     quantize_rows(y, cfg)
                 with pytest.raises(NonFiniteError):
                     quantize(y, cfg)
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        rng = np.random.default_rng(19)
-        qt = quantize(gaussian(rng, 6, 48), AMAX)
-        blob = qt.serialize()
-        assert blob[:4] == b"MXQT"
-        back = QuantizedTensor.deserialize(blob)
-        assert np.array_equal(back.codes, qt.codes)
-        assert np.array_equal(back.block_scales, qt.block_scales)
-        assert back.tensor_scale == qt.tensor_scale
-        assert struct.unpack_from("<I", blob, 16) == (16,)
-
-    def test_packing_low_nibble_first(self):
-        codes = np.arange(16, dtype=np.uint8).reshape(1, 16)
-        qt = QuantizedTensor(
-            codes=codes,
-            block_scales=np.array([[56]], np.uint8),
-            tensor_scale=np.float32(1.0),
-        )
-        body = qt.serialize()
-        packed = body[24 : 24 + 8]
-        assert packed[0] == 0x10  # codes 0 then 1: low nibble first
-        assert packed[7] == 0xFE  # codes 14 then 15
-
-    @staticmethod
-    def blob(rows=1, cols=48):
-        rng = np.random.default_rng(20)
-        return quantize(gaussian(rng, rows, cols), AMAX).serialize()
-
-    @staticmethod
-    def with_group(blob, group):
-        return blob[:16] + struct.pack("<I", group) + blob[20:]
-
-    def test_group_zero_rejected(self):
-        with pytest.raises(ValueError):
-            QuantizedTensor.deserialize(self.with_group(self.blob(), 0))
-
-    def test_group_not_dividing_columns_rejected(self):
-        # 48 columns in groups of 32 would read 24 code bytes and 1 scale
-        # byte: trim the blob to that length so only the group check fails
-        blob = self.with_group(self.blob(), 32)[: 24 + 24 + 1]
-        with pytest.raises(ValueError):
-            QuantizedTensor.deserialize(blob)
-        # 40 columns in groups of 16 would read 20 code bytes and 2 scale
-        # bytes: a blob of that length fails only the column check
-        blob = self.blob()
-        blob = blob[:12] + struct.pack("<I", 40) + blob[16:24] + bytes(20 + 2)
-        with pytest.raises(ValueError, match="40 columns"):
-            QuantizedTensor.deserialize(blob)
-
-    def test_consistent_header_with_another_group_rejected(self):
-        # 48 columns in groups of 8: 24 code bytes and 6 scale bytes, so
-        # the header agrees with itself and with the length; only the
-        # format's fixed 16-wide block rules it out
-        blob = self.with_group(self.blob(), 8)[: 24 + 24] + bytes(6)
-        with pytest.raises(ValueError, match="group size 8"):
-            QuantizedTensor.deserialize(blob)
-
-    def test_length_must_match_header(self):
-        blob = self.blob()
-        QuantizedTensor.deserialize(blob)
-        for bad in (blob + b"\x00", blob[:-1], blob[:20]):
-            with pytest.raises(ValueError):
-                QuantizedTensor.deserialize(bad)
