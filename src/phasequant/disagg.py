@@ -6,7 +6,7 @@ Cache blob layout (numeric fields little-endian unless noted):
     format version                      u32
     model config digest                 u64
     n_layers, n_heads, head_dim         u32 each
-    seq_len                             u32
+    seq_len (at least 1)                u32
     prompt tokens                       seq_len x u32
     per layer: K then V payload         seq_len*n_heads*head_dim float32
                                         each, [seq, head, dim] order
@@ -142,27 +142,24 @@ class KvBlob:
     ``to_cache`` makes the one copy."""
 
     digest: int
-    n_layers: int
-    n_heads: int
-    head_dim: int
-    seq_len: int
     prompt: List[int]
     keys: np.ndarray
     values: np.ndarray
 
     def to_cache(self, weights: ModelWeights) -> KvCache:
         cfg = weights.config
-        if (self.n_layers, self.n_heads, self.head_dim) != (
+        n_layers, seq_len, n_heads, head_dim = self.keys.shape
+        if (n_layers, n_heads, head_dim) != (
             cfg.n_layers, cfg.n_heads, cfg.head_dim,
         ):
             raise BlobIntegrityError("blob geometry does not match the model")
-        if self.seq_len > cfg.max_seq_len:
+        if seq_len > cfg.max_seq_len:
             raise BlobIntegrityError("blob longer than the model context")
         kv = KvCache(cfg)
         for i in range(cfg.n_layers):
-            kv.keys[i][: self.seq_len] = self.keys[i]
-            kv.values[i][: self.seq_len] = self.values[i]
-        kv.length = self.seq_len
+            kv.keys[i][:seq_len] = self.keys[i]
+            kv.values[i][:seq_len] = self.values[i]
+        kv.length = seq_len
         return kv
 
 
@@ -177,6 +174,8 @@ def deserialize_kv(data: bytes) -> KvBlob:
         raise BlobIntegrityError("bad blob magic")
     if version != BLOB_VERSION:
         raise BlobIntegrityError(f"unsupported blob version {version}")
+    if seq_len == 0:
+        raise BlobIntegrityError("blob holds no tokens")
     per_tensor = seq_len * n_heads * head_dim * 4
     expected = head + 4 * seq_len + n_layers * 2 * per_tensor + 4
     if len(data) != expected:
@@ -194,10 +193,6 @@ def deserialize_kv(data: bytes) -> KvBlob:
     kv.flags.writeable = False
     return KvBlob(
         digest=digest,
-        n_layers=n_layers,
-        n_heads=n_heads,
-        head_dim=head_dim,
-        seq_len=seq_len,
         prompt=[int(t) for t in prompt],
         keys=kv[:, 0],
         values=kv[:, 1],

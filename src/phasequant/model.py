@@ -54,7 +54,8 @@ head_dim, ffn_hidden, max_seq_len as u32; rope_base f64; seed u64; a
 ``head_dim`` other than ``d_model / n_heads`` is rejected on load), then
 every tensor as float32 row-major in the order listed above with the two
 norm gains of each layer preceding their sublayer and the final norm gain
-last.  The table ``_WEIGHT_SCHEMA`` is the single source of both orders:
+last; a file of any other length than its config implies is rejected on
+load.  The table ``_WEIGHT_SCHEMA`` is the single source of both orders:
 ``init_model``, ``save_model`` and ``load_model`` all walk it.  The digest
 is FNV-1a 64 over the config block and is echoed in cache transfer blobs.
 """
@@ -126,17 +127,22 @@ class ModelConfig:
             raise ConfigError("rope_base must be positive and finite")
 
     def config_block(self) -> bytes:
-        return _CONFIG_BLOCK.pack(
-            self.vocab_size,
-            self.d_model,
-            self.n_layers,
-            self.n_heads,
-            self.head_dim,
-            self.ffn_hidden,
-            self.max_seq_len,
-            self.rope_base,
-            self.seed & 0xFFFFFFFFFFFFFFFF,
-        )
+        """The config as the weight file stores it; raises ConfigError for
+        a size its u32 field cannot hold."""
+        try:
+            return _CONFIG_BLOCK.pack(
+                self.vocab_size,
+                self.d_model,
+                self.n_layers,
+                self.n_heads,
+                self.head_dim,
+                self.ffn_hidden,
+                self.max_seq_len,
+                self.rope_base,
+                self.seed & 0xFFFFFFFFFFFFFFFF,
+            )
+        except struct.error as exc:
+            raise ConfigError(f"config field out of range: {exc}") from None
 
     def digest(self) -> int:
         return fnv1a64(self.config_block())
@@ -722,10 +728,10 @@ def teacher_forced_logits(
 
 def save_model(weights: ModelWeights, path: str):
     cfg = weights.config
-    with open(path, "wb") as fh:
-        fh.write(_FILE_HEADER.pack(WEIGHT_FILE_MAGIC, WEIGHT_FILE_VERSION,
-                                   cfg.digest()))
-        fh.write(cfg.config_block())
+    head = _FILE_HEADER.pack(WEIGHT_FILE_MAGIC, WEIGHT_FILE_VERSION,
+                             cfg.digest()) + cfg.config_block()
+    with open(path, "wb") as fh:  # opened once the header has packed
+        fh.write(head)
         for layer_idx, name, _, _ in _layout(cfg):
             owner = weights if layer_idx is None else weights.layers[layer_idx]
             fh.write(getattr(owner, name).astype("<f4").tobytes())
@@ -734,15 +740,18 @@ def save_model(weights: ModelWeights, path: str):
 def load_model(path: str) -> ModelWeights:
     with open(path, "rb") as fh:
         data = fh.read()
-    if data[:4] != WEIGHT_FILE_MAGIC:
+    off = _FILE_HEADER.size + _CONFIG_BLOCK.size
+    if len(data) < off or data[:4] != WEIGHT_FILE_MAGIC:
         raise ValueError("not a model weight file")
     _, version, stored_digest = _FILE_HEADER.unpack_from(data)
     if version != WEIGHT_FILE_VERSION:
         raise ValueError(f"unsupported weight file version {version}")
-    off = _FILE_HEADER.size + _CONFIG_BLOCK.size
     cfg = ModelConfig.from_config_block(data[_FILE_HEADER.size : off])
     if cfg.digest() != stored_digest:
         raise ValueError("config digest mismatch in weight file")
+    size = off + 4 * sum(math.prod(shape) for _, _, shape, _ in _layout(cfg))
+    if len(data) != size:
+        raise ValueError(f"weight file is {len(data)} bytes, not {size}")
 
     tensors = []
     for _, _, shape, _ in _layout(cfg):
@@ -750,6 +759,4 @@ def load_model(path: str) -> ModelWeights:
         arr = np.frombuffer(data, dtype="<f4", count=count, offset=off)
         tensors.append(arr.astype(np.float32).reshape(shape))
         off += 4 * count
-    if off != len(data):
-        raise ValueError("trailing bytes in weight file")
     return _assemble(cfg, tensors)

@@ -1,6 +1,8 @@
 import contextlib
 import functools
-import os
+import io
+import pathlib
+import threading
 from typing import Callable
 
 import numpy as np
@@ -452,43 +454,125 @@ def per_token_perplexity(weights, mode, corpus):
     return float(np.exp(total_nll / scored))
 
 
-class FileExchange:
-    """Client-side file-pair transport, the counterpart of
-    ``disagg.serve_blob_dir``.
+def frame_bytes(*frames) -> bytes:
+    """The wire bytes of ``frames``: a ``(FrameType, body)`` pair as
+    ``FrameStream.write_frame`` writes it, raw ``bytes`` as they are."""
+    buf = io.BytesIO()
+    out = disagg.FrameStream(buf, buf)
+    for frame in frames:
+        if isinstance(frame, bytes):
+            buf.write(frame)
+        else:
+            out.write_frame(*frame)
+    return buf.getvalue()
 
-    Frames written by the client accumulate in the request file; calling
-    the worker flushes them through ``serve_blob_dir``; replies are then
-    read back from the response file.  Reads transparently trigger the
-    exchange, so the same client code drives sockets and files.
-    """
 
-    def __init__(self, directory: str, run_worker: Callable[[str], None]):
-        self._dir = directory
-        self._run_worker = run_worker
-        self._request = open(os.path.join(directory, disagg.REQUEST_FILE), "wb")
-        self._response = None
+def serve_bytes(handler, request: bytes) -> bytes:
+    """The reply bytes of a worker ``handler`` run in memory on ``request``."""
+    reply = io.BytesIO()
+    handler(disagg.FrameStream(io.BytesIO(request), reply))
+    return reply.getvalue()
 
-    def _reader(self):
-        if self._response is None:
-            self._request.close()
-            self._run_worker(self._dir)
-            self._response = open(os.path.join(self._dir, disagg.RESPONSE_FILE), "rb")
-        return self._response
 
-    def stream(self) -> disagg.FrameStream:
-        exchange = self
+def exchange(handler, *frames) -> list:
+    """Run a worker ``handler`` in memory on request ``frames`` (see
+    ``frame_bytes``) and return its whole reply as ``(FrameType, body)``
+    pairs, read with ``FrameStream.read_frame`` to the last byte."""
+    data = serve_bytes(handler, frame_bytes(*frames))
+    reply = io.BytesIO(data)
+    stream = disagg.FrameStream(reply, reply)
+    frames = []
+    while reply.tell() < len(data):
+        frames.append(stream.read_frame())
+    return frames
 
-        class _LazyReader:
-            def read(self, n):
-                return exchange._reader().read(n)
 
-            def close(self):
-                exchange.close()
+def lazy_stream(serve: Callable[[bytes], bytes]) -> disagg.FrameStream:
+    """A client stream for a one-shot worker: the frames written to it
+    collect in memory, and its first read hands them to ``serve``, which
+    returns the reply bytes the stream then reads."""
+    request = io.BytesIO()
 
-        return disagg.FrameStream(_LazyReader(), self._request)
+    class Reply:
+        reply = None
 
-    def close(self):
-        if self._response is not None:
-            self._response.close()
-        if not self._request.closed:
-            self._request.close()
+        def read(self, n):
+            if self.reply is None:
+                self.reply = io.BytesIO(serve(request.getvalue()))
+            return self.reply.read(n)
+
+        def close(self):
+            pass
+
+    return disagg.FrameStream(Reply(), request)
+
+
+def blob_dir_stream(directory, run_worker: Callable[[str], None]):
+    """Client stream of the blob-dir transport, the counterpart of
+    ``disagg.serve_blob_dir``: its first read writes the request file, runs
+    ``run_worker(directory)`` and reads the response file."""
+    directory = pathlib.Path(directory)
+
+    def serve(request):
+        (directory / disagg.REQUEST_FILE).write_bytes(request)
+        run_worker(str(directory))
+        return (directory / disagg.RESPONSE_FILE).read_bytes()
+
+    return lazy_stream(serve)
+
+
+@contextlib.contextmanager
+def tcp_worker(handler, connections=1):
+    """Serve ``connections`` TCP connections with a worker ``handler`` on a
+    thread and yield the worker's address.  Then join the thread, close the
+    worker and assert that the thread had ended."""
+    worker = disagg.TcpWorker("127.0.0.1", 0, handler)
+
+    def serve():
+        for _ in range(connections):
+            worker.serve_one()
+
+    thread = threading.Thread(target=serve)
+    thread.start()
+    try:
+        yield worker.address
+    except BaseException:
+        worker.close()  # wakes a thread still waiting to accept
+        raise
+    finally:
+        thread.join(timeout=10)
+        ended = not thread.is_alive()
+        worker.close()
+    assert ended, "the worker thread did not end"
+
+
+def worker_pair(weights_p, weights_d, prompt, mode, sampler, tmp_path=None):
+    """``disagg.disaggregated_generate`` through a prompt worker on
+    ``weights_p`` and a decode worker on ``weights_d``, each at its phase's
+    precision in ``mode``: over TCP, or over blob dirs under ``tmp_path``
+    if given."""
+    handlers = (
+        lambda s: disagg.serve_prefill(s, weights_p, mode.prefill_precision),
+        lambda s: disagg.serve_decode(s, weights_d, mode.decode_precision),
+    )
+    if tmp_path is None:
+        with tcp_worker(handlers[0]) as pre, tcp_worker(handlers[1]) as dec:
+            return disagg.disaggregated_generate(
+                prompt, mode, sampler, lambda: disagg.connect_tcp(*pre),
+                lambda: disagg.connect_tcp(*dec))
+    connects = []
+    for name, handler in zip(("pre", "dec"), handlers):
+        (tmp_path / name).mkdir()
+        run = functools.partial(disagg.serve_blob_dir, handler=handler)
+        connects.append(functools.partial(blob_dir_stream, tmp_path / name, run))
+    return disagg.disaggregated_generate(prompt, mode, sampler, *connects)
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_running():
+    """Fail a test after which a thread is alive that was not alive before
+    it: the thread counterpart of the ``error::ResourceWarning`` filter."""
+    before = set(threading.enumerate())
+    yield
+    left = [t for t in threading.enumerate() if t not in before]
+    assert not left, f"threads left running: {left}"

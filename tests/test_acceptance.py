@@ -8,7 +8,6 @@ shown to fail just below it.
 """
 
 import io
-import threading
 import time
 from fractions import Fraction
 
@@ -16,7 +15,6 @@ import numpy as np
 import pytest
 
 from conftest import (
-    FileExchange,
     check_prompt_pass,
     exact_scale_quantize,
     fp4_half_gap,
@@ -24,6 +22,7 @@ from conftest import (
     rel_logits_err,
     scale_after_qgemm,
     toy_weights,
+    worker_pair,
 )
 from phasequant import disagg, formats
 from phasequant.analysis import cost_model, topk_mass
@@ -249,46 +248,6 @@ def test_criterion_06_teacher_forcing():
           run)
 
 
-def _run_disagg_tcp(weights, prompt, mode, sampler):
-    pw = disagg.TcpWorker(
-        "127.0.0.1", 0,
-        lambda s: disagg.serve_prefill(s, weights, mode.prefill_precision))
-    dw = disagg.TcpWorker(
-        "127.0.0.1", 0,
-        lambda s: disagg.serve_decode(s, weights, mode.decode_precision))
-    threads = [threading.Thread(target=pw.serve_one),
-               threading.Thread(target=dw.serve_one)]
-    for t in threads:
-        t.start()
-    try:
-        return disagg.disaggregated_generate(
-            prompt, mode, sampler,
-            lambda: disagg.connect_tcp(*pw.address),
-            lambda: disagg.connect_tcp(*dw.address))
-    finally:
-        for t in threads:
-            t.join()
-        pw.close()
-        dw.close()
-
-
-def _run_disagg_files(weights, prompt, mode, sampler, base):
-    d1 = base / f"pre-{mode.value}"
-    d2 = base / f"dec-{mode.value}"
-    d1.mkdir()
-    d2.mkdir()
-    ex1 = FileExchange(str(d1), lambda d: disagg.serve_blob_dir(
-        d, lambda s: disagg.serve_prefill(s, weights, mode.prefill_precision)))
-    ex2 = FileExchange(str(d2), lambda d: disagg.serve_blob_dir(
-        d, lambda s: disagg.serve_decode(s, weights, mode.decode_precision)))
-    try:
-        return disagg.disaggregated_generate(prompt, mode, sampler,
-                                             ex1.stream, ex2.stream)
-    finally:
-        ex1.close()
-        ex2.close()
-
-
 def test_criterion_07_disaggregation_equivalence(tmp_path):
     def run():
         start = time.monotonic()
@@ -300,11 +259,11 @@ def test_criterion_07_disaggregation_equivalence(tmp_path):
             for mode in ExecutionMode:
                 mono = generate(weights, prompt, mode, sampler)
                 mono_dump = render_trajectory(mono)
-                tcp_dump = _run_disagg_tcp(weights, prompt, mode, sampler)
+                tcp_dump = worker_pair(weights, weights, prompt, mode, sampler)
                 base = tmp_path / f"c{case}-{mode.value}"
                 base.mkdir()
-                file_dump = _run_disagg_files(weights, prompt, mode, sampler,
-                                              base)
+                file_dump = worker_pair(weights, weights, prompt, mode, sampler,
+                                        base)
                 assert parse_trajectory_dump(tcp_dump)["tokens"] == mono.tokens
                 assert parse_trajectory_dump(file_dump)["tokens"] == mono.tokens
                 assert tcp_dump == mono_dump

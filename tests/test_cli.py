@@ -5,10 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FileExchange
+from conftest import blob_dir_stream, frame_bytes
 from phasequant import disagg
 from phasequant.cli import main
 from phasequant.engine import ExecutionMode, SamplerSpec, parse_trajectory_dump
+from phasequant.model import load_model
 
 
 def run_cli(*argv):
@@ -54,6 +55,19 @@ class TestInitModel:
         assert code == 1
         assert "error:" in err
 
+    def test_size_beyond_its_file_field_is_one_error_line(self, tmp_path):
+        # max_seq_len is a u32 in the weight file
+        path = tmp_path / "m.mxqw"
+        code, _, err = run_cli("init-model", "--seed", "1", "--max-seq-len",
+                               "4294967296", "--out", str(path))
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not path.exists()
+        code, _, _ = run_cli("init-model", "--seed", "1", "--max-seq-len",
+                             "4294967295", "--out", str(path))
+        assert code == 0
+        assert path.exists()
+
 
 class TestGenerate:
     def test_greedy_dump_contract(self, model_file):
@@ -96,6 +110,22 @@ class TestGenerate:
             main([argv[0], "--model", model_file, *argv[1:]])
         assert exc.value.code == 2
         assert "usage:" in err.getvalue()
+
+    @pytest.mark.parametrize("cut", [
+        lambda raw: raw[:6], lambda raw: raw[:20], lambda raw: raw[:59],
+        lambda raw: raw[:-1], lambda raw: raw + b"\x00",
+    ], ids=["6-bytes", "20-bytes", "59-bytes", "one-short", "one-long"])
+    def test_weight_file_of_wrong_length_is_one_error_line(
+            self, model_file, tmp_path, cut):
+        path = tmp_path / "cut.mxqw"
+        path.write_bytes(cut(Path(model_file).read_bytes()))
+        with pytest.raises(ValueError):
+            load_model(str(path))
+        code, _, err = run_cli("generate", "--model", str(path), "--mode",
+                               "mixquant", "--prompt-tokens", "1,5,9",
+                               "--max-new", "1", "--greedy")
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_unknown_mode_exits_one(self, model_file):
         code, _, err = run_cli("generate", "--model", model_file, "--mode",
@@ -288,6 +318,14 @@ class TestCost:
         assert run_cli("cost", *COST_GEOMETRY, "--mode", mode, "--json") == (
             0, as_json, "")
 
+    def test_context_beyond_the_file_field_is_not_packed(self):
+        # a u32 max_seq_len bounds what a weight file stores, not what cost
+        # may model
+        code, _, err = run_cli(
+            "cost", "--d-model", "256", "--ffn-hidden", "1024",
+            "--prompt-len", "5000000000", "--mode", "mixquant")
+        assert code == 0, err
+
     def test_width_four_heads_do_not_split(self):
         # 2400 is 150 heads of 16, but 4 heads of 600 would be refused;
         # cost asks for no head count, and its report reads none
@@ -353,15 +391,12 @@ class TestWorkerCommands:
         d = tmp_path / "xfer"
         d.mkdir()
         sampler = SamplerSpec(max_new_tokens=2)
-        request = io.BytesIO()
-        stream = disagg.FrameStream(request, request)
-        stream.write_frame(disagg.FrameType.HELLO, disagg.encode_hello(0))
-        stream.write_frame(
-            disagg.FrameType.GENERATE_REQ,
-            disagg.encode_generate_req(ExecutionMode.MIX_QUANT, sampler,
-                                       [1, 2, 3]),
-        )
-        (d / "request.bin").write_bytes(request.getvalue())
+        (d / "request.bin").write_bytes(frame_bytes(
+            (disagg.FrameType.HELLO, disagg.encode_hello(0)),
+            (disagg.FrameType.GENERATE_REQ,
+             disagg.encode_generate_req(ExecutionMode.MIX_QUANT, sampler,
+                                        [1, 2, 3])),
+        ))
         code, _, _ = run_cli("prefill-worker", "--model", model_file,
                              "--blob-dir", str(d))
         assert code == 0
@@ -383,19 +418,13 @@ class TestWorkerCommands:
         d2 = tmp_path / "dec"
         d1.mkdir()
         d2.mkdir()
-        ex1 = FileExchange(
-            str(d1),
-            lambda d: run_cli("prefill-worker", "--model", model_file,
-                              "--precision", "nvfp4", "--blob-dir", d),
-        )
-        ex2 = FileExchange(
-            str(d2),
-            lambda d: run_cli("decode-worker", "--model", model_file,
-                              "--precision", "high", "--blob-dir", d),
-        )
         dump = disagg.disaggregated_generate(
             [4, 5, 6], ExecutionMode.MIX_QUANT, SamplerSpec(max_new_tokens=3),
-            ex1.stream, ex2.stream)
-        ex1.close()
-        ex2.close()
+            lambda: blob_dir_stream(d1, lambda d: run_cli(
+                "prefill-worker", "--model", model_file,
+                "--precision", "nvfp4", "--blob-dir", d)),
+            lambda: blob_dir_stream(d2, lambda d: run_cli(
+                "decode-worker", "--model", model_file,
+                "--precision", "high", "--blob-dir", d)),
+        )
         assert dump == mono_out

@@ -1,6 +1,8 @@
 import contextlib
+import functools
 import hashlib
 import io
+import socket
 import struct
 import threading
 import zlib
@@ -10,7 +12,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import FileExchange, toy_config, toy_weights
+from conftest import (
+    exchange,
+    frame_bytes,
+    lazy_stream,
+    serve_bytes,
+    tcp_worker,
+    toy_config,
+    toy_weights,
+    worker_pair,
+)
 from phasequant import model
 from phasequant import disagg, engine
 from phasequant.disagg import (
@@ -182,44 +193,15 @@ class TestFraming:
         assert np.float32(back.temperature) == np.float32(0.75)
 
 
-def run_pair_tcp(weights_p, weights_d, prompt, mode, sampler,
-                 decode_weights_digest=None):
-    pw = TcpWorker("127.0.0.1", 0,
-                   lambda s: serve_prefill(s, weights_p, mode.prefill_precision))
-    dw = TcpWorker("127.0.0.1", 0,
-                   lambda s: serve_decode(s, weights_d, mode.decode_precision))
-    threads = [threading.Thread(target=pw.serve_one),
-               threading.Thread(target=dw.serve_one)]
-    for t in threads:
-        t.start()
-    try:
-        return disaggregated_generate(
-            prompt, mode, sampler,
-            lambda: connect_tcp(*pw.address),
-            lambda: connect_tcp(*dw.address),
-        )
-    finally:
-        for t in threads:
-            t.join()
-        pw.close()
-        dw.close()
+def decode_frames(blob, logits, request):
+    """A decode worker's request frames, HELLO with no digest asserted."""
+    return ((FrameType.HELLO, encode_hello(0)), (FrameType.KV_BLOB, blob),
+            (FrameType.PREFILL_LOGITS, logits),
+            (FrameType.GENERATE_REQ, request))
 
 
-def run_pair_files(weights_p, weights_d, prompt, mode, sampler, tmp_path):
-    d1 = tmp_path / "pre"
-    d2 = tmp_path / "dec"
-    d1.mkdir()
-    d2.mkdir()
-    ex1 = FileExchange(str(d1), lambda d: serve_blob_dir(
-        d, lambda s: serve_prefill(s, weights_p, mode.prefill_precision)))
-    ex2 = FileExchange(str(d2), lambda d: serve_blob_dir(
-        d, lambda s: serve_decode(s, weights_d, mode.decode_precision)))
-    try:
-        return disaggregated_generate(prompt, mode, sampler, ex1.stream,
-                                      ex2.stream)
-    finally:
-        ex1.close()
-        ex2.close()
+def frame_types(reply):
+    return [ftype for ftype, _ in reply]
 
 
 def sampler_fields(max_new_tokens):
@@ -267,17 +249,17 @@ class TestSamplerOverTheWire:
             mono = render_trajectory(generate(weights, prompt, mode, sampler))
         except NonFiniteError:
             with pytest.raises(WorkerError) as err:
-                run_pair_tcp(weights, weights, prompt, mode, sampler)
+                worker_pair(weights, weights, prompt, mode, sampler)
             assert err.value.code is ErrorCode.PROTOCOL
             return
-        assert run_pair_tcp(weights, weights, prompt, mode, sampler) == mono
+        assert worker_pair(weights, weights, prompt, mode, sampler) == mono
 
     def test_temperature_overflow_is_a_protocol_error(self, weights):
         sampler = SamplerSpec(strategy="temperature", temperature=1e-40,
                               seed=3)
         with pytest.raises(WorkerError) as err:
-            run_pair_tcp(weights, weights, [8, 2, 44], ExecutionMode.MIX_QUANT,
-                         sampler)
+            worker_pair(weights, weights, [8, 2, 44], ExecutionMode.MIX_QUANT,
+                        sampler)
         assert err.value.code is ErrorCode.PROTOCOL
 
 
@@ -287,7 +269,7 @@ class TestEndToEnd:
         prompt = [3, 14, 15, 9, 26]
         sampler = SamplerSpec(max_new_tokens=7)
         mono = render_trajectory(generate(weights, prompt, mode, sampler))
-        dump = run_pair_tcp(weights, weights, prompt, mode, sampler)
+        dump = worker_pair(weights, weights, prompt, mode, sampler)
         assert dump == mono
 
     @pytest.mark.parametrize("mode", list(ExecutionMode))
@@ -296,7 +278,7 @@ class TestEndToEnd:
         prompt = [3, 14, 15, 9, 26]
         sampler = SamplerSpec(max_new_tokens=7)
         mono = render_trajectory(generate(weights, prompt, mode, sampler))
-        dump = run_pair_files(weights, weights, prompt, mode, sampler, tmp_path)
+        dump = worker_pair(weights, weights, prompt, mode, sampler, tmp_path)
         assert dump == mono
 
     def test_temperature_sampling_survives_the_wire(self, weights):
@@ -305,8 +287,8 @@ class TestEndToEnd:
                               seed=-12345, max_new_tokens=6)
         mono = render_trajectory(
             generate(weights, prompt, ExecutionMode.MIX_QUANT, sampler))
-        dump = run_pair_tcp(weights, weights, prompt, ExecutionMode.MIX_QUANT,
-                            sampler)
+        dump = worker_pair(weights, weights, prompt, ExecutionMode.MIX_QUANT,
+                           sampler)
         assert dump == mono
 
     def test_greedy_seed_is_dropped_on_both_sides(self, weights):
@@ -317,102 +299,60 @@ class TestEndToEnd:
                               max_new_tokens=4)
         mono = render_trajectory(
             generate(weights, prompt, ExecutionMode.MIX_QUANT, sampler))
-        dump = run_pair_tcp(weights, weights, prompt, ExecutionMode.MIX_QUANT,
-                            sampler)
+        dump = worker_pair(weights, weights, prompt, ExecutionMode.MIX_QUANT,
+                           sampler)
         assert dump == mono
         assert " seed=- " in mono
 
     def test_transport_independence_same_wire_bytes(self, weights, tmp_path):
         # The same request bytes must elicit the same reply bytes from a
         # file-pair worker and a real TCP worker.
-        import socket
-
-        prompt = [7, 7, 7]
         sampler = SamplerSpec(max_new_tokens=3)
-        request = io.BytesIO()
-        out = FrameStream(request, request)
-        out.write_frame(FrameType.HELLO, encode_hello(0))
-        out.write_frame(
-            FrameType.GENERATE_REQ,
-            encode_generate_req(ExecutionMode.MIX_QUANT, sampler, prompt),
+        request_bytes = frame_bytes(
+            (FrameType.HELLO, encode_hello(0)),
+            (FrameType.GENERATE_REQ,
+             encode_generate_req(ExecutionMode.MIX_QUANT, sampler, [7, 7, 7])),
         )
-        request_bytes = request.getvalue()
+        handler = functools.partial(serve_prefill, weights=weights,
+                                    precision=Precision.NVFP4)
 
         d = tmp_path / "wire"
         d.mkdir()
         (d / "request.bin").write_bytes(request_bytes)
-        serve_blob_dir(str(d), lambda s: serve_prefill(s, weights,
-                                                       Precision.NVFP4))
+        serve_blob_dir(str(d), handler)
         file_reply = (d / "response.bin").read_bytes()
 
-        worker = TcpWorker(
-            "127.0.0.1", 0,
-            lambda s: serve_prefill(s, weights, Precision.NVFP4))
-        thread = threading.Thread(target=worker.serve_one)
-        thread.start()
-        try:
-            with socket.create_connection(worker.address) as conn:
-                conn.sendall(request_bytes)
-                chunks = []
-                while True:
-                    chunk = conn.recv(65536)
-                    if not chunk:
-                        break
-                    chunks.append(chunk)
-        finally:
-            thread.join()
-            worker.close()
+        with tcp_worker(handler) as address, \
+                socket.create_connection(address) as conn:
+            conn.sendall(request_bytes)
+            chunks = []
+            while True:
+                chunk = conn.recv(65536)
+                if not chunk:
+                    break
+                chunks.append(chunk)
         assert b"".join(chunks) == file_reply
 
     def test_wrong_decode_model_rejected_at_blob(self, weights):
         other = toy_weights(99)
-        prompt = [1, 2, 3]
         sampler = SamplerSpec(max_new_tokens=2)
-        blob, res = make_blob(weights, prompt)
-        logits_body = disagg.encode_logits(res.logits)
-
-        request = io.BytesIO()
-        out = FrameStream(request, request)
-        out.write_frame(FrameType.HELLO, encode_hello(0))  # digest not asserted
-        out.write_frame(FrameType.KV_BLOB, blob)
-        out.write_frame(FrameType.PREFILL_LOGITS, logits_body)
-        out.write_frame(FrameType.GENERATE_REQ,
-                        encode_generate_req(ExecutionMode.MIX_QUANT, sampler, []))
-        reply = io.BytesIO()
-        serve_decode(FrameStream(io.BytesIO(request.getvalue()), reply), other,
-                     Precision.HIGH)
-        reply.seek(0)
-        stream = FrameStream(reply, reply)
-        ftype, _ = stream.read_frame()
-        assert ftype is FrameType.HELLO
-        ftype, body = stream.read_frame()
-        assert ftype is FrameType.ERROR
-        code, _ = decode_error(body)
-        assert code == ErrorCode.DIGEST_MISMATCH
+        blob, res = make_blob(weights, [1, 2, 3])
+        reply = exchange(
+            lambda s: serve_decode(s, other, Precision.HIGH),
+            *decode_frames(blob, disagg.encode_logits(res.logits),
+                           encode_generate_req(ExecutionMode.MIX_QUANT, sampler,
+                                               [])))
+        assert frame_types(reply) == [FrameType.HELLO, FrameType.ERROR]
+        assert decode_error(reply[1][1])[0] == ErrorCode.DIGEST_MISMATCH
 
     def test_wrong_digest_rejected_at_handshake(self, weights):
         other = toy_weights(99)
         prompt = [1, 2, 3]
         sampler = SamplerSpec(max_new_tokens=2)
         blob, res = make_blob(weights, prompt)
+        stream = lazy_stream(functools.partial(
+            serve_bytes, lambda s: serve_decode(s, other, Precision.HIGH)))
         with pytest.raises(WorkerError) as err:
-            request = io.BytesIO()
-            reply_buf = io.BytesIO()
-
-            class Loop:
-                def __init__(self):
-                    self.ran = False
-
-                def read(self, n):
-                    if not self.ran:
-                        self.ran = True
-                        serve_decode(
-                            FrameStream(io.BytesIO(request.getvalue()),
-                                        reply_buf), other, Precision.HIGH)
-                        reply_buf.seek(0)
-                    return reply_buf.read(n)
-
-            stream = FrameStream(Loop(), request)
             disagg.request_decode(stream, blob, disagg.encode_logits(res.logits),
                                   ExecutionMode.MIX_QUANT, sampler,
                                   digest=weights.config.digest())
@@ -421,61 +361,50 @@ class TestEndToEnd:
     def test_prompt_overflow_returns_error_frame(self, weights):
         prompt = [1] * (weights.config.max_seq_len + 4)
         sampler = SamplerSpec(max_new_tokens=1)
-        request = io.BytesIO()
-        out = FrameStream(request, request)
-        out.write_frame(FrameType.HELLO, encode_hello(0))
-        out.write_frame(FrameType.GENERATE_REQ,
-                        encode_generate_req(ExecutionMode.MIX_QUANT, sampler,
-                                            prompt))
-        reply = io.BytesIO()
-        serve_prefill(FrameStream(io.BytesIO(request.getvalue()), reply),
-                      weights, Precision.NVFP4)
-        reply.seek(0)
-        stream = FrameStream(reply, reply)
-        assert stream.read_frame()[0] is FrameType.HELLO
-        ftype, body = stream.read_frame()
-        assert ftype is FrameType.ERROR
-        assert decode_error(body)[0] == ErrorCode.OVERFLOW
+        reply = exchange(
+            lambda s: serve_prefill(s, weights, Precision.NVFP4),
+            (FrameType.HELLO, encode_hello(0)),
+            (FrameType.GENERATE_REQ,
+             encode_generate_req(ExecutionMode.MIX_QUANT, sampler, prompt)))
+        assert frame_types(reply) == [FrameType.HELLO, FrameType.ERROR]
+        assert decode_error(reply[1][1])[0] == ErrorCode.OVERFLOW
 
     def test_worker_survives_truncated_connection(self, weights):
-        import socket
-
-        worker = TcpWorker(
-            "127.0.0.1", 0,
-            lambda s: serve_prefill(s, weights, Precision.HIGH))
-        thread = threading.Thread(target=worker.serve_one)
-        thread.start()
-        conn = socket.create_connection(worker.address)
-        conn.sendall(b"\x00\x00\x00\x10partial")  # declared 16, sent 7
-        conn.close()
-        thread.join(timeout=5)
-        alive = thread.is_alive()
-        worker.close()
-        assert not alive
+        with tcp_worker(lambda s: serve_prefill(s, weights, Precision.HIGH)) \
+                as address, socket.create_connection(address) as conn:
+            conn.sendall(b"\x00\x00\x00\x10partial")  # declared 16, sent 7
 
     def test_corrupted_blob_rejected_by_decode_worker(self, weights):
-        prompt = [1, 2, 3]
         sampler = SamplerSpec(max_new_tokens=2)
-        blob, res = make_blob(weights, prompt)
+        blob, res = make_blob(weights, [1, 2, 3])
         corrupted = bytearray(blob)
         corrupted[len(corrupted) // 2] ^= 0x10
-        request = io.BytesIO()
-        out = FrameStream(request, request)
-        out.write_frame(FrameType.HELLO, encode_hello(0))
-        out.write_frame(FrameType.KV_BLOB, bytes(corrupted))
-        out.write_frame(FrameType.PREFILL_LOGITS, disagg.encode_logits(res.logits))
-        out.write_frame(FrameType.GENERATE_REQ,
-                        encode_generate_req(ExecutionMode.MIX_QUANT, sampler, []))
-        reply = io.BytesIO()
-        serve_decode(FrameStream(io.BytesIO(request.getvalue()), reply), weights,
-                     Precision.HIGH)
-        reply.seek(0)
-        stream = FrameStream(reply, reply)
-        assert stream.read_frame()[0] is FrameType.HELLO
-        ftype, body = stream.read_frame()
-        assert ftype is FrameType.ERROR
-        assert decode_error(body)[0] == ErrorCode.CORRUPT
+        reply = exchange(
+            lambda s: serve_decode(s, weights, Precision.HIGH),
+            *decode_frames(bytes(corrupted), disagg.encode_logits(res.logits),
+                           encode_generate_req(ExecutionMode.MIX_QUANT, sampler,
+                                               [])))
+        assert frame_types(reply) == [FrameType.HELLO, FrameType.ERROR]
+        assert decode_error(reply[1][1])[0] == ErrorCode.CORRUPT
 
+    def test_empty_blob_rejected_by_decode_worker(self, weights):
+        # a blob of no tokens with a valid checksum, which ``serialize_kv``
+        # refuses to write
+        cfg = weights.config
+        head = struct.pack("<4sIQIIII", b"MXQK", 1, cfg.digest(), cfg.n_layers,
+                           cfg.n_heads, cfg.head_dim, 0)
+        blob = head + struct.pack("<I", zlib.crc32(head))
+        with pytest.raises(BlobIntegrityError):
+            deserialize_kv(blob)
+        _, res = make_blob(weights, [1, 2, 3])
+        reply = exchange(
+            lambda s: serve_decode(s, weights, Precision.HIGH),
+            *decode_frames(blob, disagg.encode_logits(res.logits),
+                           encode_generate_req(ExecutionMode.MIX_QUANT,
+                                               SamplerSpec(max_new_tokens=2),
+                                               [])))
+        assert frame_types(reply) == [FrameType.HELLO, FrameType.ERROR]
+        assert decode_error(reply[1][1])[0] == ErrorCode.CORRUPT
 
     @pytest.mark.parametrize("size", [0, 8, 31])
     def test_short_blob_from_prompt_worker_is_an_integrity_error(self, size):
@@ -487,22 +416,14 @@ class TestEndToEnd:
             stream.write_frame(FrameType.KV_BLOB, bytes(size))
             stream.write_frame(FrameType.PREFILL_LOGITS, b"")
 
-        worker = TcpWorker("127.0.0.1", 0, fake_prompt_worker)
-        thread = threading.Thread(target=worker.serve_one)
-        thread.start()
         decode_calls = []
-        try:
+        with tcp_worker(fake_prompt_worker) as address:
             with pytest.raises(BlobIntegrityError):
                 disaggregated_generate(
                     [1, 2, 3], ExecutionMode.MIX_QUANT,
                     SamplerSpec(max_new_tokens=1),
-                    lambda: connect_tcp(*worker.address),
+                    lambda: connect_tcp(*address),
                     lambda: decode_calls.append(1))
-        finally:
-            thread.join(timeout=5)
-            alive = thread.is_alive()
-            worker.close()
-        assert not alive
         assert decode_calls == []
 
 
@@ -523,41 +444,30 @@ class TestModeCheck:
         blob, res = make_blob(weights, prompt, Precision.NVFP4)
         logits = disagg.encode_logits(res.logits)
         if phase == "prefill":
-            worker = TcpWorker("127.0.0.1", 0, lambda s: serve_prefill(
-                s, weights, mode.prefill_precision))
+            handler = functools.partial(serve_prefill, weights=weights,
+                                        precision=mode.prefill_precision)
             expected = (blob, logits)
 
             def request(stream, m):
                 return disagg.request_prefill(stream, prompt, m, sampler)
         else:
-            worker = TcpWorker("127.0.0.1", 0, lambda s: serve_decode(
-                s, weights, mode.decode_precision))
+            handler = functools.partial(serve_decode, weights=weights,
+                                        precision=mode.decode_precision)
             expected = render_trajectory(generate(weights, prompt, mode, sampler))
 
             def request(stream, m):
                 return disagg.request_decode(stream, blob, logits, m, sampler)
 
-        def serve_two():
-            worker.serve_one()
-            worker.serve_one()
-
-        thread = threading.Thread(target=serve_two)
-        thread.start()
-        try:
-            with contextlib.closing(connect_tcp(*worker.address)) as bad:
+        with tcp_worker(handler, connections=2) as address:
+            with contextlib.closing(connect_tcp(*address)) as bad:
                 bad._sock.settimeout(10)
                 with pytest.raises(WorkerError) as err:
                     request(bad, other_mode)
                 with pytest.raises(ProtocolError):
                     bad.read_frame()  # exactly one ERROR frame, nothing after it
-            with contextlib.closing(connect_tcp(*worker.address)) as good:
+            with contextlib.closing(connect_tcp(*address)) as good:
                 good._sock.settimeout(10)
                 reply = request(good, mode)
-        finally:
-            thread.join(timeout=10)
-            alive = thread.is_alive()
-            worker.close()
-        assert not alive
         assert err.value.code == ErrorCode.PROTOCOL
         assert reply == expected
 
@@ -619,63 +529,36 @@ class TestBadSamplerFields:
 
     def test_tcp_worker_replies_error_then_serves_next_request(self, weights):
         prompt = [5, 6, 7]
-        worker = TcpWorker(
-            "127.0.0.1", 0,
-            lambda s: serve_prefill(s, weights, Precision.NVFP4))
-
-        def serve_two():
-            worker.serve_one()
-            worker.serve_one()
-
-        thread = threading.Thread(target=serve_two)
-        thread.start()
-        try:
-            bad = connect_tcp(*worker.address)
-            bad._sock.settimeout(10)
-            bad.write_frame(FrameType.HELLO, encode_hello(0))
-            bad.write_frame(FrameType.GENERATE_REQ,
-                            bad_sampler_request(prompt, 0.0))
-            assert bad.read_frame()[0] is FrameType.HELLO
-            ftype, body = bad.read_frame()
-            bad.close()
+        with tcp_worker(lambda s: serve_prefill(s, weights, Precision.NVFP4),
+                        connections=2) as address:
+            with contextlib.closing(connect_tcp(*address)) as bad:
+                bad._sock.settimeout(10)
+                bad.write_frame(FrameType.HELLO, encode_hello(0))
+                bad.write_frame(FrameType.GENERATE_REQ,
+                                bad_sampler_request(prompt, 0.0))
+                assert bad.read_frame()[0] is FrameType.HELLO
+                ftype, body = bad.read_frame()
             assert ftype is FrameType.ERROR
             assert decode_error(body)[0] == ErrorCode.PROTOCOL
 
-            good = connect_tcp(*worker.address)
-            good._sock.settimeout(10)
-            blob, logits = disagg.request_prefill(
-                good, prompt, ExecutionMode.MIX_QUANT,
-                SamplerSpec(max_new_tokens=2))
-            good.close()
-        finally:
-            thread.join(timeout=10)
-            alive = thread.is_alive()
-            worker.close()
-        assert not alive
+            with contextlib.closing(connect_tcp(*address)) as good:
+                good._sock.settimeout(10)
+                blob, logits = disagg.request_prefill(
+                    good, prompt, ExecutionMode.MIX_QUANT,
+                    SamplerSpec(max_new_tokens=2))
         expected = prefill(weights, prompt, Precision.NVFP4)
         assert blob == serialize_kv(expected.kv, weights.config.digest(), prompt)
         assert logits == disagg.encode_logits(expected.logits)
 
     def test_decode_worker_replies_error_frame(self, weights):
-        prompt = [1, 2, 3]
-        blob, res = make_blob(weights, prompt)
-        request = io.BytesIO()
-        out = FrameStream(request, request)
-        out.write_frame(FrameType.HELLO, encode_hello(0))
-        out.write_frame(FrameType.KV_BLOB, blob)
-        out.write_frame(FrameType.PREFILL_LOGITS, disagg.encode_logits(res.logits))
-        out.write_frame(FrameType.GENERATE_REQ, bad_sampler_request([], -2.0))
-        reply = io.BytesIO()
-        serve_decode(FrameStream(io.BytesIO(request.getvalue()), reply), weights,
-                     Precision.HIGH)
-        reply.seek(0)
-        stream = FrameStream(reply, reply)
-        assert stream.read_frame()[0] is FrameType.HELLO
-        ftype, body = stream.read_frame()
-        assert ftype is FrameType.ERROR
-        assert decode_error(body)[0] == ErrorCode.PROTOCOL
-        with pytest.raises(ProtocolError):
-            stream.read_frame()  # exactly one ERROR frame, nothing after it
+        blob, res = make_blob(weights, [1, 2, 3])
+        reply = exchange(
+            lambda s: serve_decode(s, weights, Precision.HIGH),
+            *decode_frames(blob, disagg.encode_logits(res.logits),
+                           bad_sampler_request([], -2.0)))
+        # exactly one ERROR frame, nothing after it
+        assert frame_types(reply) == [FrameType.HELLO, FrameType.ERROR]
+        assert decode_error(reply[1][1])[0] == ErrorCode.PROTOCOL
 
 
 class TestDecodeContextCheck:
@@ -696,41 +579,29 @@ class TestDecodeContextCheck:
 
     def reply(self, weights, prompt, sampler):
         blob, res = make_blob(weights, prompt)
-        request = io.BytesIO()
-        out = FrameStream(request, request)
-        out.write_frame(FrameType.HELLO, encode_hello(0))
-        out.write_frame(FrameType.KV_BLOB, blob)
-        out.write_frame(FrameType.PREFILL_LOGITS, disagg.encode_logits(res.logits))
-        out.write_frame(FrameType.GENERATE_REQ,
-                        encode_generate_req(ExecutionMode.BASELINE16, sampler, []))
-        reply = io.BytesIO()
-        serve_decode(FrameStream(io.BytesIO(request.getvalue()), reply), weights,
-                     Precision.HIGH)
-        reply.seek(0)
-        stream = FrameStream(reply, reply)
-        assert stream.read_frame()[0] is FrameType.HELLO
-        return stream
+        return exchange(
+            lambda s: serve_decode(s, weights, Precision.HIGH),
+            *decode_frames(blob, disagg.encode_logits(res.logits),
+                           encode_generate_req(ExecutionMode.BASELINE16,
+                                               sampler, [])))
 
     def test_overflow_is_one_error_frame_before_any_decode_step(self, weights,
                                                                  steps):
         prompt = [1] * (weights.config.max_seq_len - 3)
-        stream = self.reply(weights, prompt, SamplerSpec(max_new_tokens=5))
-        ftype, body = stream.read_frame()
-        assert ftype is FrameType.ERROR
-        assert decode_error(body)[0] == ErrorCode.OVERFLOW
-        with pytest.raises(ProtocolError):
-            stream.read_frame()  # exactly one ERROR frame, nothing after it
+        reply = self.reply(weights, prompt, SamplerSpec(max_new_tokens=5))
+        # exactly one ERROR frame, nothing after it
+        assert frame_types(reply) == [FrameType.HELLO, FrameType.ERROR]
+        assert decode_error(reply[1][1])[0] == ErrorCode.OVERFLOW
         assert steps == []
 
     def test_generation_that_just_fits_is_served(self, weights, steps):
         prompt = [1] * (weights.config.max_seq_len - 3)
         sampler = SamplerSpec(max_new_tokens=4)
-        stream = self.reply(weights, prompt, sampler)
-        ftype, body = stream.read_frame()
-        assert ftype is FrameType.TOKENS
+        reply = self.reply(weights, prompt, sampler)
+        assert frame_types(reply) == [FrameType.HELLO, FrameType.TOKENS]
         assert len(steps) == 3
         mono = generate(weights, prompt, ExecutionMode.BASELINE16, sampler)
-        assert body.decode("utf-8") == render_trajectory(mono)
+        assert reply[1][1].decode("utf-8") == render_trajectory(mono)
 
 
 class TestUnexpectedFailures:
@@ -742,35 +613,19 @@ class TestUnexpectedFailures:
         blob, res = make_blob(weights, prompt)
         nan_logits = disagg.encode_logits(
             np.full(weights.config.vocab_size, np.nan, dtype=np.float32))
-        worker = TcpWorker(
-            "127.0.0.1", 0,
-            lambda s: serve_decode(s, weights, Precision.HIGH))
+        with tcp_worker(lambda s: serve_decode(s, weights, Precision.HIGH),
+                        connections=2) as address:
+            with contextlib.closing(connect_tcp(*address)) as bad:
+                bad._sock.settimeout(10)
+                with pytest.raises(WorkerError) as err:
+                    disagg.request_decode(bad, blob, nan_logits, mode, sampler)
+                with pytest.raises(ProtocolError):
+                    bad.read_frame()  # exactly one ERROR frame, nothing after it
 
-        def serve_two():
-            worker.serve_one()
-            worker.serve_one()
-
-        thread = threading.Thread(target=serve_two)
-        thread.start()
-        try:
-            bad = connect_tcp(*worker.address)
-            bad._sock.settimeout(10)
-            with pytest.raises(WorkerError) as err:
-                disagg.request_decode(bad, blob, nan_logits, mode, sampler)
-            with pytest.raises(ProtocolError):
-                bad.read_frame()  # exactly one ERROR frame, nothing after it
-            bad.close()
-
-            good = connect_tcp(*worker.address)
-            good._sock.settimeout(10)
-            dump = disagg.request_decode(
-                good, blob, disagg.encode_logits(res.logits), mode, sampler)
-            good.close()
-        finally:
-            thread.join(timeout=10)
-            alive = thread.is_alive()
-            worker.close()
-        assert not alive
+            with contextlib.closing(connect_tcp(*address)) as good:
+                good._sock.settimeout(10)
+                dump = disagg.request_decode(
+                    good, blob, disagg.encode_logits(res.logits), mode, sampler)
         assert err.value.code == ErrorCode.PROTOCOL
         assert dump == render_trajectory(generate(weights, prompt, mode, sampler))
 
@@ -780,45 +635,85 @@ class TestUnexpectedFailures:
             raise RuntimeError("broken")
 
         monkeypatch.setattr(disagg, "prefill", broken_prefill)
-        request = io.BytesIO()
-        out = FrameStream(request, request)
-        out.write_frame(FrameType.HELLO, encode_hello(0))
-        out.write_frame(FrameType.GENERATE_REQ,
-                        encode_generate_req(ExecutionMode.MIX_QUANT,
-                                            SamplerSpec(), [1, 2]))
-        reply = io.BytesIO()
-        serve_prefill(FrameStream(io.BytesIO(request.getvalue()), reply),
-                      weights, Precision.NVFP4)
-        reply.seek(0)
-        stream = FrameStream(reply, reply)
-        assert stream.read_frame()[0] is FrameType.HELLO
-        ftype, body = stream.read_frame()
-        assert ftype is FrameType.ERROR
-        assert decode_error(body) == (ErrorCode.INTERNAL, "broken")
-        with pytest.raises(ProtocolError):
-            stream.read_frame()
+        reply = exchange(
+            lambda s: serve_prefill(s, weights, Precision.NVFP4),
+            (FrameType.HELLO, encode_hello(0)),
+            (FrameType.GENERATE_REQ,
+             encode_generate_req(ExecutionMode.MIX_QUANT, SamplerSpec(), [1, 2])))
+        assert frame_types(reply) == [FrameType.HELLO, FrameType.ERROR]
+        assert decode_error(reply[1][1]) == (ErrorCode.INTERNAL, "broken")
+
+
+@functools.lru_cache(maxsize=None)
+def valid_request(phase):
+    """A request the worker of ``phase`` serves: HELLO and GENERATE_REQ
+    for the prompt worker, HELLO, KV_BLOB, PREFILL_LOGITS and GENERATE_REQ
+    for the decode worker."""
+    body = encode_generate_req(ExecutionMode.MIX_QUANT,
+                               SamplerSpec(max_new_tokens=3), [5, 6, 7])
+    if phase == "prefill":
+        return ((FrameType.HELLO, encode_hello(0)),
+                (FrameType.GENERATE_REQ, body))
+    blob, res = make_blob(toy_weights(0), [5, 6, 7])
+    return decode_frames(blob, disagg.encode_logits(res.logits), body)
+
+
+@st.composite
+def any_request(draw, phase):
+    """Raw bytes, up to five frames of any type and body, or a valid
+    request with trailing frames dropped and up to three body bytes
+    overwritten."""
+    kind = draw(st.sampled_from(("raw", "frames", "valid")))
+    if kind == "raw":
+        return [draw(st.binary(max_size=64))]
+    if kind == "frames":
+        return draw(st.lists(st.tuples(st.sampled_from(FrameType),
+                                       st.binary(max_size=64)), max_size=5))
+    valid = valid_request(phase)
+    dropped = draw(st.integers(0, len(valid)))
+    frames = [(ftype, bytearray(body))
+              for ftype, body in valid[:len(valid) - dropped]]
+    for _ in range(draw(st.integers(0, 3)) if frames else 0):
+        body = draw(st.sampled_from(frames))[1]
+        if body:
+            body[draw(st.integers(0, len(body) - 1))] = draw(st.integers(0, 255))
+    return [(ftype, bytes(body)) for ftype, body in frames]
+
+
+class TestAnyRequest:
+    """Whatever a client sends, either worker answers with a whole reply or
+    exactly one ERROR frame, and never raises."""
+
+    SERVED = {
+        "prefill": [FrameType.HELLO, FrameType.KV_BLOB, FrameType.PREFILL_LOGITS],
+        "decode": [FrameType.HELLO, FrameType.TOKENS],
+    }
+
+    @pytest.mark.parametrize("phase", ["prefill", "decode"])
+    @settings(max_examples=900, deadline=None)
+    @given(data=st.data())
+    def test_reply_is_served_or_one_error_frame(self, phase, data):
+        serve = serve_prefill if phase == "prefill" else serve_decode
+        precision = getattr(ExecutionMode.MIX_QUANT, f"{phase}_precision")
+        request = data.draw(any_request(phase))
+        reply = exchange(lambda s: serve(s, toy_weights(0), precision),
+                         *request)
+        assert frame_types(reply) in ([FrameType.ERROR],
+                                      [FrameType.HELLO, FrameType.ERROR],
+                                      self.SERVED[phase])
 
 
 def test_tcp_nodelay_on_both_ends():
-    import socket
-
     seen = {}
 
     def handler(stream):
         seen["worker"] = stream._sock.getsockopt(socket.IPPROTO_TCP,
                                                  socket.TCP_NODELAY)
 
-    worker = TcpWorker("127.0.0.1", 0, handler)
-    thread = threading.Thread(target=worker.serve_one)
-    thread.start()
-    try:
-        client = connect_tcp(*worker.address)
+    with tcp_worker(handler) as address, \
+            contextlib.closing(connect_tcp(*address)) as client:
         client_flag = client._sock.getsockopt(socket.IPPROTO_TCP,
                                               socket.TCP_NODELAY)
-        client.close()
-    finally:
-        thread.join(timeout=10)
-        worker.close()
     assert client_flag and seen["worker"]
 
 
