@@ -247,21 +247,25 @@ def perplexity(weights: ModelWeights, mode: ExecutionMode,
     Each scored token x_t is predicted from its context x_1..x_{t-2} run as
     a prompt pass at the mode's prefill precision and the preceding token
     x_{t-1} run as a decode step at its decode precision, mirroring how
-    generation conditions on context versus fresh tokens.  A sequence of n
-    tokens takes two passes: one prompt pass over its first n - 2 tokens
-    (none when n = 2), whose rows serve as every shorter context, and one
-    ``teacher_forced_logits`` pass over its first n - 1 tokens.
+    generation conditions on context versus fresh tokens.  Where the two
+    precisions differ, a sequence of n tokens takes two passes: one prompt
+    pass over its first n - 2 tokens (none when n = 2), whose rows serve
+    as every shorter context, and one ``teacher_forced_logits`` pass over
+    its first n - 1 tokens.  Where they are one precision, the second pass
+    would recompute every row of the first, so one ``prefill`` over the
+    first n - 1 tokens that keeps every row's logits takes their place.
 
     Attention gives a row the same bits in any pass, and so do the 4-bit
     linears, so on the 4-bit path a batched row's hidden state equals a
-    single decode step's.  Float32 matmuls do not: the output head of one
-    row, and float32 linears of one or two rows, take other BLAS paths
-    than a batch.  So the result differs from a fresh prompt pass and
-    decode step per scored token by up to about 2.4e-7 relative; the tests
-    hold it to 1e-5.  A float32 context row that differs in the last bit
-    can still flip one activation code of a 4-bit decode row, which moves
-    that token's log-probability by up to a few 1e-3.  Negative
-    log-likelihoods are summed in float64.
+    single decode step's, and the one pass equals the two bitwise.
+    Float32 matmuls do not: the output head of one row, and float32
+    linears of one or two rows, take other BLAS paths than a batch.  So
+    the result differs from a fresh prompt pass and decode step per scored
+    token by up to about 2.4e-7 relative; the tests hold it to 1e-5.  A
+    float32 context row that differs in the last bit can still flip one
+    activation code of a 4-bit decode row, which moves that token's
+    log-probability by up to a few 1e-3.  Negative log-likelihoods are
+    summed in float64.
     """
     cfg = weights.config
     seqs = [[int(t) for t in seq] for seq in corpus]
@@ -276,12 +280,17 @@ def perplexity(weights: ModelWeights, mode: ExecutionMode,
         n = len(seq)
         if n < 2:
             continue
-        if n > 2:
-            context = prefill(weights, seq[: n - 2], mode.prefill_precision).kv
+        if mode.prefill_precision is mode.decode_precision:
+            logits = prefill(weights, seq[: n - 1], mode.decode_precision,
+                             every_row=True).logits
         else:
-            context = KvCache(cfg)
-        logits = teacher_forced_logits(weights, seq[: n - 1], context,
-                                       mode.decode_precision)
+            if n > 2:
+                context = prefill(weights, seq[: n - 2],
+                                  mode.prefill_precision).kv
+            else:
+                context = KvCache(cfg)
+            logits = teacher_forced_logits(weights, seq[: n - 1], context,
+                                           mode.decode_precision)
         shifted = logits - logits.max(axis=-1, keepdims=True)
         logprobs = shifted[np.arange(n - 1), seq[1:]] - np.log(
             np.exp(shifted).sum(axis=-1))

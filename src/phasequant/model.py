@@ -17,11 +17,12 @@ in every mode.
 block loop (``_forward``), and every block one attention function
 (``_attend``).  A pass that writes the cache computes only what it hands
 on, the K/V of every row and the logits of the last: its last block runs
-attention, the MLP and the output head for the last row alone.  Teacher
-forcing computes every row.  Attention runs causally over 128-key tiles
-aligned to absolute key positions.  A row reads only the tiles that hold
-keys before its own position (within the first tile, only as many columns
-as the chunk needs), and its score against its own key is a separate dot
+attention, the MLP and the output head for the last row alone, unless the
+caller asks for every row's logits.  Teacher forcing computes every row.
+Attention runs causally over 128-key tiles aligned to absolute key
+positions.  A row reads only the tiles that hold keys before its own
+position (within the first tile, only as many columns as the chunk
+needs), and its score against its own key is a separate dot
 product, so a decode step and a teacher-forced row see their own K/V the
 same way.  Within a tile the score product, the exponentials and the
 contiguous tile sum follow one fixed rule; the tiles' sums and ``P @ V``
@@ -649,6 +650,7 @@ def _forward(
     precision: Precision,
     own_diagonal: bool = False,
     record: Optional[np.ndarray] = None,
+    every_row: bool = False,
 ) -> np.ndarray:
     """Run ``tokens`` through every block; returns logits.
 
@@ -656,7 +658,8 @@ def _forward(
     ``kv.length``: their K/V entries are written, ``kv.length`` advances,
     and only what the pass hands on is computed: every row up to the last
     block's K/V write, then the last row alone (``forward_block``'s
-    ``last_only``), so the logits are [1, vocab].  With it, see
+    ``last_only``), so the logits are [1, vocab]; with ``every_row`` the
+    last block keeps every row, [n, vocab].  With ``own_diagonal``, see
     ``teacher_forced_logits``: every row, [n, vocab].  ``record``
     [n_layers, n_heads, chunk end], if given, receives the last row's
     post-softmax attention in every layer.
@@ -672,7 +675,8 @@ def _forward(
         x = forward_block(weights, li, x, kv, precision,
                           None if record is None else record[li],
                           own_diagonal=own_diagonal,
-                          last_only=not own_diagonal and li == cfg.n_layers - 1)
+                          last_only=(not (own_diagonal or every_row)
+                                     and li == cfg.n_layers - 1))
     if not own_diagonal:
         kv.length += toks.size
     return _rmsnorm(x, weights.final_norm_gain) @ weights.embedding.T
@@ -684,6 +688,7 @@ def prefill(
     precision: Precision,
     kv: Optional[KvCache] = None,
     record_attention: bool = False,
+    every_row: bool = False,
 ) -> PrefillResult:
     """Causal pass over a prompt (or appended prompt chunk).
 
@@ -692,16 +697,24 @@ def prefill(
     row up to its K/V write; the last block then runs attention, its MLP
     and the output head for the final row alone.  So on the 4-bit path the
     logits are bitwise the decode step of the final token on a cache
-    holding the others.  ``record_attention`` captures the post-softmax
-    rows of the final position in every layer and head.
+    holding the others.  With ``every_row`` the last block keeps every
+    row and the logits are [n, vocab]: row j predicts the token after
+    ``tokens[j]``.  From an empty cache they are bitwise
+    ``teacher_forced_logits`` of the same tokens on the cache this pass
+    writes, and on the 4-bit path, whose K/V are row-invariant, also on
+    the cache of a prefill of all but the last token.
+    ``record_attention`` captures the post-softmax rows of the final
+    position in every layer and head.
     """
     cfg = weights.config
     kv = KvCache(cfg) if kv is None else kv
     shape = (cfg.n_layers, cfg.n_heads, kv.length + np.size(tokens))
     record = np.zeros(shape, dtype=np.float32) if record_attention else None
-    logits = _forward(weights, tokens, kv, precision, record=record)
+    logits = _forward(weights, tokens, kv, precision, record=record,
+                      every_row=every_row)
     attention = AttentionRecord(kv.length - 1, record) if record_attention else None
-    return PrefillResult(kv=kv, logits=logits[0], attention=attention)
+    return PrefillResult(kv=kv, logits=logits if every_row else logits[0],
+                         attention=attention)
 
 
 def decode_step(

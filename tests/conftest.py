@@ -10,7 +10,8 @@ import pytest
 
 from phasequant import disagg, formats, model, rng
 from phasequant.errors import NonFiniteError, ShapeMismatchError
-from phasequant.model import KvCache, ModelConfig, decode_step, init_model, prefill
+from phasequant.model import (KvCache, ModelConfig, decode_step, init_model,
+                              prefill, teacher_forced_logits)
 from phasequant.quantizer import GROUP_SIZE, TensorScalePolicy
 
 
@@ -451,6 +452,35 @@ def per_token_perplexity(weights, mode, corpus):
             scored += 1
     if scored == 0:
         raise ValueError("corpus has no scorable positions")
+    return float(np.exp(total_nll / scored))
+
+
+def two_pass_perplexity(weights, mode, corpus):
+    """Oracle: ``analysis.perplexity`` in its two-pass form in every mode.
+
+    A sequence of n tokens runs a prompt pass over its first n - 2 tokens
+    at the mode's prefill precision (none when n = 2), then
+    ``teacher_forced_logits`` over its first n - 1 on that cache at its
+    decode precision.  The log-probability arithmetic is ``perplexity``'s.
+    """
+    total_nll = 0.0
+    scored = 0
+    for seq in corpus:
+        seq = [int(t) for t in seq]
+        n = len(seq)
+        if n < 2:
+            continue
+        kv = KvCache(weights.config)
+        if n > 2:
+            kv = prefill(weights, seq[: n - 2], mode.prefill_precision).kv
+        logits = teacher_forced_logits(weights, seq[: n - 1], kv,
+                                       mode.decode_precision)
+        shifted = logits - logits.max(axis=-1, keepdims=True)
+        logprobs = shifted[np.arange(n - 1), seq[1:]] - np.log(
+            np.exp(shifted).sum(axis=-1))
+        for logprob in logprobs:
+            total_nll += -float(logprob)
+        scored += n - 1
     return float(np.exp(total_nll / scored))
 
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import per_token_perplexity, toy_config, toy_weights
+from conftest import (per_token_perplexity, toy_config, toy_weights,
+                      two_pass_perplexity)
 from phasequant import analysis, model
 from phasequant.analysis import (
     compare_trajectories,
@@ -12,7 +13,7 @@ from phasequant.analysis import (
     topk_mass,
 )
 from phasequant.engine import ExecutionMode, SamplerSpec, Trajectory, generate
-from phasequant.model import AttentionRecord, Precision
+from phasequant.model import AttentionRecord
 
 
 def softmax_rows(rng, n_rows, n_cols, scale=2.0):
@@ -280,7 +281,10 @@ def test_matches_per_token_oracle(weights, mode):
         assert abs(got - expected) <= 1e-5 * expected, n
 
 
-def test_one_prompt_pass_and_one_decode_pass_per_sequence(weights, monkeypatch):
+@pytest.fixture
+def counted_passes(monkeypatch):
+    """Record each ``prefill`` call of ``perplexity`` as (tokens, precision)
+    and each block as (rows in, precision, own_diagonal, last_only)."""
     prefills, blocks = [], []
     real_prefill, real_block = analysis.prefill, model.forward_block
 
@@ -289,16 +293,88 @@ def test_one_prompt_pass_and_one_decode_pass_per_sequence(weights, monkeypatch):
         return real_prefill(w, tokens, precision, *args, **kwargs)
 
     def counting_block(w, layer, x, kv, precision, *args, **kwargs):
-        blocks.append((len(x), precision, kwargs.get("own_diagonal", False)))
+        blocks.append((len(x), precision, kwargs.get("own_diagonal", False),
+                       kwargs.get("last_only", False)))
         return real_block(w, layer, x, kv, precision, *args, **kwargs)
 
     monkeypatch.setattr(analysis, "prefill", counting_prefill)
     monkeypatch.setattr(model, "forward_block", counting_block)
-    corpus = [list(range(1, 12)), [5, 9], [7]]
-    perplexity(weights, ExecutionMode.MIX_QUANT, corpus)
+    return prefills, blocks
 
+
+PASS_CORPUS = [list(range(1, 12)), [5, 9], [7]]
+
+
+def test_one_prompt_pass_and_one_decode_pass_per_sequence(weights,
+                                                          counted_passes):
+    # the mixed modes: context and last token run at different precisions
+    prefills, blocks = counted_passes
     n_layers = weights.config.n_layers
-    assert prefills == [(9, Precision.NVFP4)]  # n - 2 = 9; none at n = 2
-    prompt_blocks = [(9, Precision.NVFP4, False)] * n_layers
-    decode_blocks = [(10, Precision.HIGH, True)] * n_layers
-    assert blocks == prompt_blocks + decode_blocks + [(1, Precision.HIGH, True)] * n_layers
+    for mode in (ExecutionMode.MIX_QUANT, ExecutionMode.P16D4):
+        prefills.clear()
+        blocks.clear()
+        perplexity(weights, mode, PASS_CORPUS)
+        low, high = mode.prefill_precision, mode.decode_precision
+        assert prefills == [(9, low)]  # n - 2 = 9; none at n = 2
+        prompt_blocks = ([(9, low, False, False)] * (n_layers - 1)
+                         + [(9, low, False, True)])
+        decode_blocks = [(10, high, True, False)] * n_layers
+        assert blocks == (prompt_blocks + decode_blocks
+                          + [(1, high, True, False)] * n_layers)
+
+
+@pytest.mark.parametrize("mode", [ExecutionMode.BASELINE16,
+                                  ExecutionMode.UNIFORM_FP4])
+def test_one_prompt_pass_per_sequence_when_phases_share_a_precision(
+        weights, counted_passes, mode):
+    prefills, blocks = counted_passes
+    perplexity(weights, mode, PASS_CORPUS)
+    prec = mode.decode_precision
+    assert prefills == [(10, prec), (1, prec)]  # n - 1 tokens; none at n = 1
+    n_layers = weights.config.n_layers
+    # every block keeps all n - 1 rows and writes the cache
+    assert blocks == ([(10, prec, False, False)] * n_layers
+                      + [(1, prec, False, False)] * n_layers)
+
+
+class TestOnePassEqualsTwoPasses:
+    """Where a mode's phases share a precision, ``perplexity``'s one prompt
+    pass gives the two-pass form's value."""
+
+    LENGTHS = list(range(2, 41)) + [128, 129, 130, 131, 300]  # 128: a tile
+
+    @pytest.fixture(scope="class")
+    def long_weights(self):
+        return toy_weights(0, max_seq_len=300)
+
+    @pytest.fixture(scope="class")
+    def seq(self):
+        return [int(t) for t in np.random.default_rng(29).integers(0, 64, 300)]
+
+    def test_uniform_fp4_bit_equal(self, long_weights, seq):
+        mode = ExecutionMode.UNIFORM_FP4
+        for n in self.LENGTHS:
+            corpus = [seq[:n]]
+            assert (perplexity(long_weights, mode, corpus)
+                    == two_pass_perplexity(long_weights, mode, corpus)), n
+
+    def test_baseline16_within_1e_6(self, long_weights, seq):
+        # the two-pass form's context pass is one row shorter, and its
+        # float32 K/V can take other BLAS paths than the same rows here
+        mode = ExecutionMode.BASELINE16
+        for n in self.LENGTHS:
+            corpus = [seq[:n]]
+            expected = two_pass_perplexity(long_weights, mode, corpus)
+            got = perplexity(long_weights, mode, corpus)
+            assert abs(got - expected) <= 1e-6 * expected, n
+
+    @pytest.mark.parametrize("n", [48, 64, 88, 127, 128])
+    def test_baseline16_bit_equal_at_benchmark_geometry(self, n):
+        w = toy_weights(20260517, vocab_size=512, d_model=256,
+                        ffn_hidden=1024, n_layers=2, n_heads=16,
+                        max_seq_len=1024)
+        corpus = [[int(t) for t in
+                   np.random.default_rng(n).integers(0, 512, n)]]
+        mode = ExecutionMode.BASELINE16
+        assert (perplexity(w, mode, corpus)
+                == two_pass_perplexity(w, mode, corpus))

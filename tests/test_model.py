@@ -781,10 +781,11 @@ class TestPromptPassLastRow:
         corpus = [tokens[:2], tokens[2:5], tokens[10:140], tokens[200:460]]
         got = analysis.perplexity(weights, mode, corpus)
 
-        def oracle_prefill(w, toks, precision):
+        def oracle_prefill(w, toks, precision, every_row=False):
             kv = KvCache(w.config)
             rows = full_forward_logits(w, toks, precision, kv=kv)
-            return model.PrefillResult(kv=kv, logits=rows[-1])
+            return model.PrefillResult(kv=kv,
+                                       logits=rows if every_row else rows[-1])
 
         monkeypatch.setattr(analysis, "prefill", oracle_prefill)
         assert analysis.perplexity(weights, mode, corpus) == got
