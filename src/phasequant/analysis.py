@@ -1,8 +1,8 @@
 """Metrics: attention concentration, trajectory divergence, compute model.
 
-Reports render as line-oriented ``key=value`` text and as plain dicts for
-JSON dumping.  Metric arithmetic runs in float64 on top of the engine's
-float32 outputs.
+Reports render as line-oriented ``key=value`` text, and as JSON of their
+dataclass fields (``dump_json``).  Metric arithmetic runs in float64 on top
+of the engine's float32 outputs.
 """
 
 from __future__ import annotations
@@ -35,14 +35,6 @@ class TopKMassReport:
     ks: List[int]
     per_head: np.ndarray  # [n_layers, n_heads, len(ks)] float64
     mean_per_k: np.ndarray  # [len(ks)] float64
-
-    def to_dict(self) -> dict:
-        return {
-            "seq_len": self.seq_len,
-            "ks": list(self.ks),
-            "per_head": self.per_head.tolist(),
-            "mean_per_k": self.mean_per_k.tolist(),
-        }
 
     def render(self) -> str:
         lines = [f"seq_len={self.seq_len} ks={','.join(map(str, self.ks))}"]
@@ -88,16 +80,6 @@ class DivergenceReport:
     first_divergence: Optional[int]  # 1-based step, None if prefixes agree
     kl_per_step: List[float]
     top1_agree: List[bool]
-
-    def to_dict(self) -> dict:
-        return {
-            "ref_mode": self.ref_mode,
-            "test_mode": self.test_mode,
-            "steps_compared": self.steps_compared,
-            "first_divergence": self.first_divergence,
-            "kl_per_step": list(self.kl_per_step),
-            "top1_agree": list(self.top1_agree),
-        }
 
     def render(self) -> str:
         div = "none" if self.first_divergence is None else str(self.first_divergence)
@@ -313,4 +295,7 @@ def record_attention(weights: ModelWeights, prompt,
 
 
 def dump_json(report) -> str:
-    return json.dumps(report.to_dict(), sort_keys=True)
+    """A report's dataclass fields as one JSON object, keys sorted; numpy
+    arrays as nested lists."""
+    return json.dumps(asdict(report), default=lambda value: value.tolist(),
+                      sort_keys=True)

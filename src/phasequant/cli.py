@@ -73,9 +73,8 @@ def _add_sampler_flags(p: argparse.ArgumentParser):
 
 def _worker_flags(p: argparse.ArgumentParser, default_precision: str):
     p.add_argument("--model", required=True)
-    p.add_argument(
-        "--precision", choices=["high", "nvfp4"], default=default_precision
-    )
+    p.add_argument("--precision", choices=[prec.value for prec in Precision],
+                   default=default_precision)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--listen", type=_host_port, metavar="HOST:PORT")
     group.add_argument("--blob-dir", metavar="PATH")
@@ -107,7 +106,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "compare-modes",
-        help="run all four modes on one prompt and report divergences",
+        help="run every mode on one prompt and report each one's divergence "
+             "from baseline16",
     )
     p.add_argument("--model", required=True)
     p.add_argument("--prompt-tokens", type=_int_list, required=True)
@@ -193,14 +193,11 @@ def _cmd_generate(args) -> int:
 def _cmd_compare_modes(args) -> int:
     weights = load_model(args.model)
     sampler = SamplerSpec(max_new_tokens=args.max_new)
-    trajectories = {
-        mode: generate(weights, args.prompt_tokens, mode, sampler)
-        for mode in ExecutionMode
-    }
-    ref = trajectories[ExecutionMode.BASELINE16]
-    for mode in (ExecutionMode.UNIFORM_FP4, ExecutionMode.MIX_QUANT,
-                 ExecutionMode.P16D4):
-        _emit(analysis.compare_trajectories(ref, trajectories[mode]), args)
+    # BASELINE16 is the first mode: the reference of every other
+    ref, *others = (generate(weights, args.prompt_tokens, mode, sampler)
+                    for mode in ExecutionMode)
+    for traj in others:
+        _emit(analysis.compare_trajectories(ref, traj), args)
     return 0
 
 
@@ -236,8 +233,6 @@ def _cmd_perplexity(args) -> int:
     weights = load_model(args.model)
     with open(args.corpus) as fh:
         corpus = [seq for seq in map(_comma_ints, fh) if seq]
-    if not corpus:
-        raise ValueError("empty corpus")
     value = analysis.perplexity(
         weights, ExecutionMode.from_name(args.mode), corpus
     )

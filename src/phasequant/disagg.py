@@ -397,8 +397,7 @@ def serve_prefill(stream: FrameStream, weights: ModelWeights,
 
     def handle(digest: int):
         _, _, prompt = _receive_request(stream, "prefill", precision)
-        if not prompt:
-            raise WorkerError(ErrorCode.PROTOCOL, "empty prompt")
+        # an empty prompt is prefill's ValueError, so a PROTOCOL reply
         result = prefill(weights, prompt, precision)
         stream.write_frame(FrameType.KV_BLOB, serialize_kv(result.kv, digest, prompt))
         stream.write_frame(FrameType.PREFILL_LOGITS, encode_logits(result.logits))
@@ -491,19 +490,15 @@ def disaggregated_generate(
 ) -> str:
     """Run one generation through a prompt worker and a decode worker.
 
-    The blob and logits bytes are forwarded untouched, so the decode worker
-    sees exactly what the prompt worker produced.  Only the blob header is
-    read here, for its config digest: a blob too short to hold one raises
-    ``BlobIntegrityError``.  Each stream is closed once its request is
-    done, or has failed.
+    The blob and logits bytes are forwarded unread, so the decode worker
+    sees exactly what the prompt worker produced, and checks it: a blob of
+    another model is DIGEST_MISMATCH, one it cannot parse CORRUPT.  Each
+    stream is closed once its request is done, or has failed.
     """
     with contextlib.closing(prefill_connect()) as stream:
         blob, logits = request_prefill(stream, prompt, mode, sampler)
-    if len(blob) < _BLOB_HEADER.size:
-        raise BlobIntegrityError(f"blob of {len(blob)} bytes has no header")
-    digest = _BLOB_HEADER.unpack_from(blob)[2]
     with contextlib.closing(decode_connect()) as stream:
-        return request_decode(stream, blob, logits, mode, sampler, digest=digest)
+        return request_decode(stream, blob, logits, mode, sampler)
 
 
 # ---------------------------------------------------------------------------
@@ -519,9 +514,11 @@ class _SocketStream(FrameStream):
         super().__init__(fh, fh)
 
     def close(self):
-        """Close the file object over the socket, then the socket."""
-        super().close()
-        self._sock.close()
+        """Close the file object over the socket, then the socket, also
+        when the first raises: after a write to a reset connection the
+        file still holds bytes, and closing it flushes them again."""
+        with self._sock:
+            super().close()
 
 
 def connect_tcp(host: str, port: int) -> FrameStream:
@@ -542,9 +539,18 @@ class TcpWorker:
         self._closed = False
 
     def serve_one(self):
+        """Serve one connection, then half-close it and read the client's
+        input to its end before closing.  A worker can refuse a request
+        before it has read all of it, and closing a socket with input
+        unread resets the connection: the client's next write fails, and
+        the reply it has not read yet may be lost."""
         conn, _ = self._server.accept()
         with conn, contextlib.closing(_SocketStream(conn)) as stream:
             self._handler(stream)
+            with contextlib.suppress(OSError):  # the client may be gone
+                conn.shutdown(socket.SHUT_WR)
+                while conn.recv(1 << 16):
+                    pass
 
     def serve_forever(self):
         """Serve connections one by one until ``close``.  A connection

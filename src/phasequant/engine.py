@@ -153,7 +153,8 @@ def decode_distribution(logits: np.ndarray, sampler: SamplerSpec,
     """
     arr = np.asarray(logits, dtype=np.float32)
     if sampler.strategy == "temperature":
-        arr = arr / np.float32(sampler.temperature)
+        with np.errstate(over="ignore"):  # the check below reports it
+            arr = arr / np.float32(sampler.temperature)
     if not np.isfinite(arr).all():
         raise NonFiniteError("logits must be finite")
     shifted = arr - arr.max()

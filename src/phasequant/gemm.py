@@ -11,7 +11,7 @@ production route is fold, then multiply:
   (``QuantizedTensor.folded_t``).  An activation's comes built from
   ``quantize_rows``, in the pass that made its codes, and the products of
   one shared input reuse it (``RowQuantizedActivation.folded``); this
-  module never folds an activation that the quantizer made.
+  module never folds an activation.
 * The kernel forms every 16-wide block term ``a_hat[:, blk] @ w_hat_t[blk]``
   of a tile of rows in one batched ``np.matmul``, over the operand views
   ``a_hat`` as [blocks, rows, 16] and ``w_hat_t`` as [blocks, 16, n].  It

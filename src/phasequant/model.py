@@ -74,7 +74,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, ContextOverflowError
-from .quantizer import QuantizedTensor, quantize, quantize_rows
+from .quantizer import GROUP_SIZE, QuantizedTensor, quantize, quantize_rows
 from .gemm import qgemm_rows
 from .rng import normal_chunks
 
@@ -122,8 +122,9 @@ class ModelConfig:
             raise ConfigError("d_model must be divisible by n_heads")
         for name in ("d_model", "head_dim", "ffn_hidden"):
             value = getattr(self, name)
-            if value < 16 or value % 16 != 0:
-                raise ConfigError(f"{name} must be a positive multiple of 16")
+            if value < GROUP_SIZE or value % GROUP_SIZE != 0:
+                raise ConfigError(
+                    f"{name} must be a positive multiple of {GROUP_SIZE}")
         if not (self.rope_base > 0 and math.isfinite(self.rope_base)):
             raise ConfigError("rope_base must be positive and finite")
 

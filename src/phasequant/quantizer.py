@@ -18,10 +18,10 @@ scales, the scale codes (``formats.e4m3_magnitude_codes``) and the element
 codes (``formats.fp4_magnitude_codes``, the encoders' rounding rules), each
 input check made once on the way.  ``quantize_rows`` also builds the
 activation's fold, every 4-bit value times its decoded block scale, from
-the scales that pass already decoded, so the GEMM never folds an
-activation it made; an activation built directly from codes folds on first
-use.  A weight's fold (``QuantizedTensor.folded_t``) is built from its
-codes on first use and cached.
+the scales that pass already decoded, and hands it over with the codes,
+so the GEMM never folds an activation.  A weight's fold
+(``QuantizedTensor.folded_t``) is built from its codes on first use and
+cached.
 """
 
 from __future__ import annotations
@@ -202,28 +202,18 @@ class RowQuantizedActivation:
     Bitwise equivalent to calling ``quantize`` on each row alone (the
     calibration then sees only that token), which keeps a token's codes
     independent of what else shares the batch.  ``quantize_rows`` hands
-    over the block-scale fold with the codes; one built directly folds
-    them on its first use (``folded``).  Either way the fold is cached, so
-    every product of one shared input reuses it.
+    over the block-scale fold with the codes, so every product of one
+    shared input reuses it.
     """
 
     codes: np.ndarray  # m x k uint8
     block_scales: np.ndarray  # m x (k/16) uint8
     row_scales: np.ndarray  # m float32
-    _folded: Optional[np.ndarray] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    fold: np.ndarray  # m x k float32, read-only: fold_blocks of the codes
 
     def folded(self) -> np.ndarray:
-        """``fold_blocks`` of the codes with their decoded block scales,
-        read-only.  ``quantize_rows`` builds it with the codes; an
-        activation built directly folds on the first call and caches the
-        result, so its codes and scales must not change after it."""
-        if self._folded is None:
-            folded = fold_blocks(self.codes, formats.decode_e4m3(self.block_scales))
-            folded.flags.writeable = False
-            self._folded = folded
-        return self._folded
+        """The fold ``quantize_rows`` built with the codes."""
+        return self.fold
 
     def row(self, i: int) -> QuantizedTensor:
         """Row ``i`` alone, as ``quantize`` of that row gives it.  ``i``
@@ -252,6 +242,4 @@ def quantize_rows(x, cfg: QuantConfig = QuantConfig()) -> RowQuantizedActivation
     codes, scale_codes, scales = _encode(arr, mag, bmax, alphas)
     fold = fold_blocks(codes, scales)
     fold.flags.writeable = False
-    act = RowQuantizedActivation(codes, scale_codes, alphas)
-    act._folded = fold
-    return act
+    return RowQuantizedActivation(codes, scale_codes, alphas, fold)

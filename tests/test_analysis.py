@@ -213,6 +213,12 @@ class TestCostModel:
         assert report.decode_lowbit_macs == report.decode_linear_macs
         assert report.modeled_prefill_speedup == 1.0
 
+    @pytest.mark.parametrize("prompt_len, gen_len", [(0, 1), (1, 0)])
+    def test_zero_length_rejected(self, prompt_len, gen_len):
+        with pytest.raises(ValueError):
+            cost_model(toy_config(0), prompt_len, gen_len,
+                       ExecutionMode.MIX_QUANT, 3.0)
+
     def test_invalid_ratio_rejected(self):
         with pytest.raises(ValueError):
             cost_model(toy_config(0), 4, 1, ExecutionMode.MIX_QUANT, 0.0)

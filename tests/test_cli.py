@@ -1,6 +1,11 @@
 import contextlib
 import io
 import json
+import os
+import select
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +13,7 @@ import pytest
 from conftest import blob_dir_stream, frame_bytes
 from phasequant import disagg
 from phasequant.cli import main
+from phasequant.disagg import connect_tcp, deserialize_kv, request_prefill
 from phasequant.engine import ExecutionMode, SamplerSpec, parse_trajectory_dump
 from phasequant.model import load_model
 
@@ -18,6 +24,17 @@ def run_cli(*argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
     return code, out.getvalue(), err.getvalue()
+
+
+def cli_process(*argv, **kwargs) -> subprocess.Popen:
+    """``python -m phasequant *argv`` in a child process, with this
+    checkout's ``src`` first on its path."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.Popen([sys.executable, "-m", "phasequant", *argv],
+                            env=env, **kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -114,7 +131,9 @@ class TestGenerate:
     @pytest.mark.parametrize("cut", [
         lambda raw: raw[:6], lambda raw: raw[:20], lambda raw: raw[:59],
         lambda raw: raw[:-1], lambda raw: raw + b"\x00",
-    ], ids=["6-bytes", "20-bytes", "59-bytes", "one-short", "one-long"])
+        lambda raw: raw[:4] + (2).to_bytes(4, "little") + raw[8:],
+    ], ids=["6-bytes", "20-bytes", "59-bytes", "one-short", "one-long",
+            "version-2"])
     def test_weight_file_of_wrong_length_is_one_error_line(
             self, model_file, tmp_path, cut):
         path = tmp_path / "cut.mxqw"
@@ -131,6 +150,48 @@ class TestGenerate:
         code, _, err = run_cli("generate", "--model", model_file, "--mode",
                                "fp8", "--prompt-tokens", "1")
         assert code == 1
+
+    def test_overflowing_temperature_is_one_error_line(self, model_file):
+        # a temperature this small overflows the logits it divides; the
+        # command reports that once, with no numpy warning before it
+        with cli_process("generate", "--model", model_file, "--mode",
+                         "mixquant", "--prompt-tokens", "1,2,3",
+                         "--temperature", "1e-40", "--seed", "1",
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                         text=True) as proc:
+            try:
+                out, err = proc.communicate(timeout=60)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                raise
+        assert proc.returncode == 1
+        assert out == ""
+        assert err == "error: logits must be finite\n"
+
+
+# `compare-modes --json` on the module's model file, prompt 1,2, three new
+# tokens, pinned byte for byte.  Both goldens hold values of float32
+# matmuls, whose last bits another BLAS may change.
+COMPARE_MODES_GOLDEN = "".join(
+    '{"first_divergence": null, "kl_per_step": [%s], "ref_mode": '
+    '"baseline16", "steps_compared": 3, "test_mode": "%s", "top1_agree": '
+    '[true, true, true]}\n' % (kl, mode) for mode, kl in (
+        ("uniform_fp4", "6.279330467252555e-05, 8.813698200375224e-05, "
+                        "8.680125681563209e-05"),
+        ("mixquant", "6.279330467252555e-05, 1.1425572491705971e-05, "
+                     "6.217776493797834e-06"),
+        ("p16d4", "0.0, 6.0527216870241056e-05, 3.1484665383578665e-05"),
+    ))
+
+# `analyze-attn --json` of the mixquant prompt pass over 1..6 on the
+# module's model file, k = 1, 3, 6, pinned byte for byte.
+ANALYZE_ATTN_GOLDEN = (
+    '{"ks": [1, 3, 6], "mean_per_k": [0.16940085589885712, '
+    '0.5054489746689796, 0.9999999850988388], "per_head": '
+    '[[[0.1700107902288437, 0.5062394738197327, 0.9999999552965164], '
+    '[0.16879092156887054, 0.5046584755182266, 1.0000000149011612]]], '
+    '"seq_len": 6}\n'
+)
 
 
 class TestCompareModes:
@@ -158,6 +219,7 @@ class TestCompareModes:
         assert len(reports) == 3
         assert {r["test_mode"] for r in reports} == {
             "uniform_fp4", "mixquant", "p16d4"}
+        assert out == COMPARE_MODES_GOLDEN
 
 
 class TestAnalyzeAttn:
@@ -172,6 +234,7 @@ class TestAnalyzeAttn:
         means = report["mean_per_k"]
         assert means == sorted(means)
         assert abs(means[-1] - 1.0) <= 1e-5
+        assert out == ANALYZE_ATTN_GOLDEN
 
 
 COST_GEOMETRY = ("--d-model", "256", "--ffn-hidden", "1024", "--n-layers", "2",
@@ -364,6 +427,12 @@ class TestPerplexityCommand:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_blank_lines_only_is_one_error_line(self, model_file, tmp_path):
+        code, out, err = self.run_corpus(model_file, tmp_path, "\n \n\n")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestDumpFormats:
     def test_table_shape(self):
@@ -428,3 +497,26 @@ class TestWorkerCommands:
                 "--precision", "high", "--blob-dir", d)),
         )
         assert dump == mono_out
+
+    def test_tcp_prefill_worker_serves_until_ctrl_c(self, model_file):
+        with cli_process("prefill-worker", "--model", model_file, "--listen",
+                         "127.0.0.1:0", stdout=subprocess.DEVNULL,
+                         stderr=subprocess.PIPE, text=True) as proc:
+            try:
+                ready, _, _ = select.select([proc.stderr], [], [], 60)
+                line = proc.stderr.readline() if ready else ""
+                host, _, port = line.removeprefix("listening ").rpartition(":")
+                assert line.startswith("listening ") and host == "127.0.0.1"
+                with contextlib.closing(connect_tcp(host, int(port))) as stream:
+                    stream._sock.settimeout(60)
+                    blob, _ = request_prefill(stream, [1, 2, 3],
+                                              ExecutionMode.MIX_QUANT,
+                                              SamplerSpec(max_new_tokens=2))
+                assert deserialize_kv(blob).prompt == [1, 2, 3]
+                proc.send_signal(signal.SIGINT)
+                _, rest = proc.communicate(timeout=60)
+            except BaseException:
+                proc.kill()
+                raise
+        assert proc.returncode == 0
+        assert rest == ""

@@ -5,6 +5,7 @@ import io
 import socket
 import struct
 import threading
+import time
 import zlib
 
 import numpy as np
@@ -176,6 +177,15 @@ class TestFraming:
                                           struct.pack("<I", 99) + b"odd")
         buf.seek(0)
         with pytest.raises(ProtocolError, match="unknown code 99") as err:
+            disagg._expect(FrameStream(buf, buf), FrameType.TOKENS)
+        assert not isinstance(err.value, WorkerError)
+
+    def test_unexpected_frame_type_is_a_protocol_error(self):
+        buf = io.BytesIO()
+        FrameStream(buf, buf).write_frame(FrameType.HELLO, encode_hello(0))
+        buf.seek(0)
+        with pytest.raises(ProtocolError, match="expected TOKENS, got HELLO") \
+                as err:
             disagg._expect(FrameStream(buf, buf), FrameType.TOKENS)
         assert not isinstance(err.value, WorkerError)
 
@@ -407,8 +417,11 @@ class TestEndToEnd:
         assert decode_error(reply[1][1])[0] == ErrorCode.CORRUPT
 
     @pytest.mark.parametrize("size", [0, 8, 31])
-    def test_short_blob_from_prompt_worker_is_an_integrity_error(self, size):
-        # a fake prompt worker that answers a KV_BLOB too short for a header
+    def test_short_blob_from_prompt_worker_is_an_integrity_error(self, size,
+                                                                  weights):
+        # a fake prompt worker that answers a KV_BLOB too short for a
+        # header; the client forwards it unread, and the decode worker
+        # refuses it
         def fake_prompt_worker(stream):
             stream.read_frame()
             stream.read_frame()
@@ -416,15 +429,32 @@ class TestEndToEnd:
             stream.write_frame(FrameType.KV_BLOB, bytes(size))
             stream.write_frame(FrameType.PREFILL_LOGITS, b"")
 
-        decode_calls = []
-        with tcp_worker(fake_prompt_worker) as address:
-            with pytest.raises(BlobIntegrityError):
+        with tcp_worker(fake_prompt_worker) as pre, tcp_worker(
+                lambda s: serve_decode(s, weights, Precision.HIGH)) as dec:
+            with pytest.raises(WorkerError) as err:
                 disaggregated_generate(
                     [1, 2, 3], ExecutionMode.MIX_QUANT,
                     SamplerSpec(max_new_tokens=1),
-                    lambda: connect_tcp(*address),
-                    lambda: decode_calls.append(1))
-        assert decode_calls == []
+                    lambda: connect_tcp(*pre), lambda: connect_tcp(*dec))
+        assert err.value.code is ErrorCode.CORRUPT
+
+    def test_refusal_before_the_request_ends_reaches_the_client(self,
+                                                                 weights):
+        # the decode worker refuses the blob before it reads the logits and
+        # the request frames; unless it reads them before closing, the
+        # connection is reset, and some clients then fail to write or read
+        n = 100
+        codes = []
+        with tcp_worker(lambda s: serve_decode(s, weights, Precision.HIGH),
+                        connections=n) as address:
+            for _ in range(n):
+                with contextlib.closing(connect_tcp(*address)) as stream, \
+                        pytest.raises(WorkerError) as err:
+                    disagg.request_decode(stream, bytes(8), b"",
+                                          ExecutionMode.MIX_QUANT,
+                                          SamplerSpec(max_new_tokens=1))
+                codes.append(err.value.code)
+        assert codes == [ErrorCode.CORRUPT] * n
 
 
 class TestModeCheck:
@@ -470,6 +500,58 @@ class TestModeCheck:
                 reply = request(good, mode)
         assert err.value.code == ErrorCode.PROTOCOL
         assert reply == expected
+
+
+def with_body(phase, ftype, body):
+    """``valid_request(phase)`` with the body of its ``ftype`` frame
+    replaced by ``body``."""
+    return [(t, body if t is ftype else b) for t, b in valid_request(phase)]
+
+
+def blob_past_context():
+    """A request whose blob holds 20 positions, with a valid checksum and
+    the digest of ``toy_weights(0, max_seq_len=16)``, whose context is 16
+    positions; its cache's 32 rows hold all 20."""
+    kv = KvCache(toy_config(0, max_seq_len=16))
+    kv.length = 20
+    blob = serialize_kv(kv, kv.config.digest(), range(20))
+    return with_body("decode", FrameType.KV_BLOB, blob)
+
+
+class TestRefusedRequests:
+    """Each refusal a worker makes after the handshake: its HELLO, then
+    exactly one ERROR frame with the refusal's code."""
+
+    @pytest.mark.parametrize("phase, context, request_, code", [
+        pytest.param("prefill", 96, lambda: with_body(
+            "prefill", FrameType.GENERATE_REQ,
+            encode_generate_req(ExecutionMode.MIX_QUANT, SamplerSpec(), [])),
+            ErrorCode.PROTOCOL, id="empty-prompt"),
+        pytest.param("prefill", 96, lambda: with_body(
+            "prefill", FrameType.GENERATE_REQ,
+            valid_request("prefill")[1][1][:29]),
+            ErrorCode.PROTOCOL, id="request-under-30-bytes"),
+        pytest.param("decode", 96, lambda: with_body(
+            "decode", FrameType.PREFILL_LOGITS, b"\x40\x00\x00"),
+            ErrorCode.PROTOCOL, id="logits-under-4-bytes"),
+        pytest.param("decode", 96, lambda: with_body(
+            "decode", FrameType.PREFILL_LOGITS,
+            disagg.encode_logits(np.zeros(63, np.float32))),
+            ErrorCode.PROTOCOL, id="logits-of-another-vocabulary"),
+        pytest.param("decode", 96, lambda: with_body(
+            "decode", FrameType.KV_BLOB, valid_request("decode")[1][1][:35]),
+            ErrorCode.CORRUPT, id="blob-under-header-and-crc"),
+        pytest.param("decode", 16, blob_past_context, ErrorCode.CORRUPT,
+                     id="blob-past-the-context"),
+    ])
+    def test_hello_then_one_error_frame(self, phase, context, request_, code):
+        # ``context`` is the max_seq_len of the worker's model
+        weights = toy_weights(0, max_seq_len=context)
+        serve = serve_prefill if phase == "prefill" else serve_decode
+        precision = getattr(ExecutionMode.MIX_QUANT, f"{phase}_precision")
+        reply = exchange(lambda s: serve(s, weights, precision), *request_())
+        assert frame_types(reply) == [FrameType.HELLO, FrameType.ERROR]
+        assert decode_error(reply[1][1])[0] == code
 
 
 def test_record_layouts_are_golden(tmp_path):
@@ -715,6 +797,23 @@ def test_tcp_nodelay_on_both_ends():
         client_flag = client._sock.getsockopt(socket.IPPROTO_TCP,
                                               socket.TCP_NODELAY)
     assert client_flag and seen["worker"]
+
+
+def test_stream_of_a_reset_connection_closes_its_socket():
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        stream = connect_tcp(*server.getsockname())
+        peer, _ = server.accept()
+    # a zero linger time makes close reset the connection
+    peer.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                    struct.pack("ii", 1, 0))
+    peer.close()
+    with pytest.raises(OSError):
+        for _ in range(100):
+            stream.write_frame(FrameType.TOKENS, b"x")
+            time.sleep(0.01)
+    with pytest.raises(OSError):  # the failed write's bytes, flushed again
+        stream.close()
+    assert stream._sock.fileno() == -1
 
 
 def test_close_ends_serve_forever():

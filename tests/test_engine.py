@@ -104,8 +104,9 @@ class TestDecodeDistribution:
         dict(temperature=1e-50),
         dict(temperature=1e39),
         dict(temperature=float("inf")),
+        dict(strategy="beam"),
     ], ids=["negative-stop", "wide-stop", "negative-max-new", "wide-max-new",
-            "zero-in-float32", "inf-in-float32", "inf"])
+            "zero-in-float32", "inf-in-float32", "inf", "unknown-strategy"])
     def test_spec_outside_the_wire_record_rejected(self, fields):
         fields = dict(dict(strategy="temperature", seed=1), **fields)
         with pytest.raises(ValueError):
@@ -252,6 +253,13 @@ class TestGenerate:
         # prompt occupies cap-2 entries, 8 new tokens need 7 more positions
         assert err.value.position == cap + 4
 
+    def test_prompt_past_the_context_reports_its_last_position(self, weights):
+        cap = weights.config.max_seq_len
+        with pytest.raises(ContextOverflowError) as err:
+            generate(weights, [1] * (cap + 1), ExecutionMode.BASELINE16,
+                     SamplerSpec(max_new_tokens=0))
+        assert err.value.position == cap
+
     def test_distributions_are_normalized(self, weights):
         traj = generate(weights, [4, 4, 8], ExecutionMode.UNIFORM_FP4, GREEDY8)
         for lp in traj.logprobs:
@@ -291,6 +299,11 @@ class TestTrajectoryDump:
             assert lps == sorted(lps, reverse=True)
             expected = list(np.argsort(-lp, kind="stable")[:8])
             assert [t for t, _ in step_pairs] == [int(t) for t in expected]
+
+    @pytest.mark.parametrize("text", ["", "\n  \n"], ids=["empty", "blank"])
+    def test_empty_dump_rejected(self, text):
+        with pytest.raises(ValueError, match="empty trajectory dump"):
+            parse_trajectory_dump(text)
 
     def test_logprobs_round_trip_through_text(self, weights):
         traj = generate(weights, [6], ExecutionMode.BASELINE16,

@@ -38,6 +38,11 @@ class TestFp4Grid:
         minus_zero = formats.decode_fp4(8)  # s=1 e=0 m=0
         assert minus_zero == 0.0 and np.signbit(minus_zero)
 
+    @pytest.mark.parametrize("code", [16, -1])
+    def test_code_outside_four_bits_rejected(self, code):
+        with pytest.raises(ValueError, match="out of range"):
+            formats.decode_fp4(np.array([0, code]))
+
     def test_round_trip_all_codes(self):
         codes = np.arange(16, dtype=np.uint8)
         assert np.array_equal(formats.encode_fp4(formats.decode_fp4(codes)), codes)

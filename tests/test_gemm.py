@@ -11,6 +11,7 @@ from phasequant.gemm import (
     reference_gemm,
 )
 from phasequant.quantizer import (
+    GROUP_SIZE,
     QuantConfig,
     QuantizedTensor,
     RowQuantizedActivation,
@@ -86,8 +87,13 @@ class TestOperandCheck:
 
     @staticmethod
     def products(a, w):
+        # k = 24 has no fold (its codes are not whole blocks), so any m x k
+        # array stands in: the operand check refuses it before reading it
+        m, k = a.codes.shape
+        fold = (a.folded() if k % GROUP_SIZE == 0
+                else np.zeros((m, k), np.float32))
         rows = RowQuantizedActivation(
-            a.codes, a.block_scales, np.full(len(a.codes), a.tensor_scale))
+            a.codes, a.block_scales, np.full(m, a.tensor_scale), fold)
         return (lambda: qgemm(a, w), lambda: qgemm_mirror(a, w),
                 lambda: qgemm_rows(rows, w))
 

@@ -68,13 +68,21 @@ class TestConfig:
             ModelConfig(vocab_size=16, d_model=32, n_layers=1, n_heads=3,
                         max_seq_len=8, seed=0)
 
-    @pytest.mark.parametrize("d_model", [0, -16])
-    def test_zero_or_negative_width_rejected(self, d_model):
-        # both are multiples of 16, and head_dim and ffn_hidden derive from
-        # them, so only a lower bound keeps such a model out
+    @pytest.mark.parametrize("field, value", [
+        ("d_model", 0), ("d_model", -16), ("vocab_size", 0), ("n_layers", 0),
+        ("n_heads", 0), ("max_seq_len", 0), ("rope_base", 0.0),
+        ("rope_base", float("nan")), ("rope_base", float("inf")),
+    ], ids=["0", "-16", "vocab_size-0", "n_layers-0", "n_heads-0",
+            "max_seq_len-0", "rope_base-0", "rope_base-nan", "rope_base-inf"])
+    def test_zero_or_negative_width_rejected(self, field, value):
+        # a d_model of 0 or -16 is a multiple of 16, and head_dim and
+        # ffn_hidden derive from it, so only a lower bound keeps such a
+        # model out; so it is for the other sizes and the rotary base
+        params = dict(vocab_size=16, d_model=32, n_layers=1, n_heads=1,
+                      max_seq_len=8, seed=0)
+        params[field] = value
         with pytest.raises(ConfigError):
-            ModelConfig(vocab_size=16, d_model=d_model, n_layers=1, n_heads=1,
-                        max_seq_len=8, seed=0)
+            ModelConfig(**params)
 
     def test_defaults(self):
         cfg = ModelConfig(vocab_size=16, d_model=32, n_layers=1, n_heads=2,

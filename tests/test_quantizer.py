@@ -143,6 +143,11 @@ class TestQuantizeWorkedExamples:
         with pytest.raises(ShapeMismatchError):
             quantize(np.zeros((2, 24), np.float32))
 
+    @pytest.mark.parametrize("shape", [(16,), (1, 2, 16)], ids=["1-D", "3-D"])
+    def test_non_matrix_rejected(self, shape):
+        with pytest.raises(ShapeMismatchError, match="2-D"):
+            quantize(np.zeros(shape, np.float32))
+
     def test_non_finite_rejected(self):
         x = np.zeros((1, 16), np.float32)
         x[0, 1] = np.nan
