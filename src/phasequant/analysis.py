@@ -56,6 +56,8 @@ def topk_mass(record: AttentionRecord, ks: Sequence[int]) -> TopKMassReport:
     rows = record.rows
     seq_len = rows.shape[-1]
     ks = [int(k) for k in ks]
+    if not ks:
+        raise ValueError("need at least one k")
     for k in ks:
         if k < 1 or k > seq_len:
             raise ValueError(f"k={k} outside [1, {seq_len}]")

@@ -111,7 +111,9 @@ class WorkerError(ProtocolError):
 # ---------------------------------------------------------------------------
 # cache blob
 
-def serialize_kv(kv: KvCache, config_digest: int, prompt) -> bytes:
+def serialize_kv(kv: KvCache, prompt) -> bytes:
+    """The blob of ``kv``'s first entries, which ``prompt`` produced,
+    stamped with the digest of the cache's own config."""
     prompt = [int(t) for t in prompt]
     if kv.length == 0:
         raise ValueError("refusing to serialize an empty cache")
@@ -121,7 +123,7 @@ def serialize_kv(kv: KvCache, config_digest: int, prompt) -> bytes:
         )
     cfg = kv.config
     parts = [
-        _BLOB_HEADER.pack(BLOB_MAGIC, BLOB_VERSION, config_digest,
+        _BLOB_HEADER.pack(BLOB_MAGIC, BLOB_VERSION, cfg.digest(),
                           cfg.n_layers, cfg.n_heads, cfg.head_dim, kv.length),
         np.asarray(prompt, dtype="<u4").tobytes(),
     ]
@@ -253,15 +255,12 @@ def decode_hello(body: bytes) -> Tuple[int, int]:
     return _HELLO.unpack(body)
 
 
-_STRATEGIES = ("greedy", "temperature")
-
-
 def encode_generate_req(mode: ExecutionMode, sampler: SamplerSpec,
                         prompt) -> bytes:
     prompt = [int(t) for t in prompt]
     return _GENERATE_REQ.pack(
         list(ExecutionMode).index(mode),
-        _STRATEGIES.index(sampler.strategy),
+        SamplerSpec.STRATEGIES.index(sampler.strategy),
         float(sampler.temperature),
         sampler.seed or 0,
         sampler.max_new_tokens,
@@ -276,14 +275,14 @@ def decode_generate_req(body: bytes) -> Tuple[ExecutionMode, SamplerSpec, List[i
         raise ProtocolError("malformed generation request")
     mode_i, strat_i, temp, seed, max_new, stop, count = \
         _GENERATE_REQ.unpack_from(body)
-    if mode_i >= len(ExecutionMode) or strat_i >= len(_STRATEGIES):
+    if mode_i >= len(ExecutionMode) or strat_i >= len(SamplerSpec.STRATEGIES):
         raise ProtocolError("malformed generation request")
     if len(body) != fixed + 4 * count:
         raise ProtocolError("generation request length mismatch")
     prompt = list(np.frombuffer(body, dtype="<u4", count=count, offset=fixed))
     try:
         sampler = SamplerSpec(
-            strategy=_STRATEGIES[strat_i],
+            strategy=SamplerSpec.STRATEGIES[strat_i],
             temperature=temp,
             seed=seed,
             max_new_tokens=max_new,
@@ -370,17 +369,16 @@ def _error_code(exc: Exception) -> ErrorCode:
 
 
 def _serve(stream: FrameStream, weights: ModelWeights,
-           handle: Callable[[int], None]):
-    """Run the handshake, then ``handle(config digest)``.
+           handle: Callable[[], None]):
+    """Run the handshake, then ``handle()``.
 
     Any failure of either becomes exactly one ERROR frame, so a bad request
     never ends the worker; an unexpected one (INTERNAL) also prints its
     traceback to stderr.
     """
-    digest = weights.config.digest()
     try:
-        _handshake(stream, digest)
-        handle(digest)
+        _handshake(stream, weights.config.digest())
+        handle()
     except Exception as exc:
         code = _error_code(exc)
         if code is ErrorCode.INTERNAL:
@@ -395,11 +393,11 @@ def serve_prefill(stream: FrameStream, weights: ModelWeights,
                   precision: Precision):
     """Handle one prompt request: reply KV_BLOB then PREFILL_LOGITS."""
 
-    def handle(digest: int):
+    def handle():
         _, _, prompt = _receive_request(stream, "prefill", precision)
         # an empty prompt is prefill's ValueError, so a PROTOCOL reply
         result = prefill(weights, prompt, precision)
-        stream.write_frame(FrameType.KV_BLOB, serialize_kv(result.kv, digest, prompt))
+        stream.write_frame(FrameType.KV_BLOB, serialize_kv(result.kv, prompt))
         stream.write_frame(FrameType.PREFILL_LOGITS, encode_logits(result.logits))
 
     _serve(stream, weights, handle)
@@ -409,8 +407,9 @@ def serve_decode(stream: FrameStream, weights: ModelWeights,
                  precision: Precision):
     """Handle one decode request: consume blob + logits + request, reply TOKENS."""
 
-    def handle(digest: int):
+    def handle():
         blob = deserialize_kv(_receive(stream, FrameType.KV_BLOB))
+        digest = weights.config.digest()
         if blob.digest != digest:
             raise WorkerError(
                 ErrorCode.DIGEST_MISMATCH,
@@ -423,8 +422,8 @@ def serve_decode(stream: FrameStream, weights: ModelWeights,
         mode, sampler, _ = _receive_request(stream, "decode", precision)
         kv = blob.to_cache(weights)
         check_context(weights.config, len(blob.prompt), sampler.max_new_tokens)
-        traj = run_decode_loop(weights, kv, first_logits, precision, sampler,
-                               blob.prompt, mode.value)
+        traj = run_decode_loop(weights, kv, first_logits, mode, sampler,
+                               blob.prompt)
         stream.write_frame(
             FrameType.TOKENS, render_trajectory(traj).encode("utf-8")
         )

@@ -10,7 +10,9 @@ A mode fixes the numeric path of each inference phase:
 ``generate`` composes exactly ``prefill(prefill_precision)`` followed by
 repeated ``decode_step(decode_precision)``; the first generated token is
 sampled from the prompt pass's final-position logits.  Every step stores the
-full log-probability vector in float32.
+full log-probability vector in float32.  A temperature trajectory's draws
+are the uniforms of the pinned ``phasequant.rng`` stream of its seed: step i
+uses uniform i, whether or not the trajectory stops early.
 
 A ``SamplerSpec`` is kept in its normal form: a greedy spec draws nothing,
 so it carries no seed and temperature 1.0, whatever it was built with; a
@@ -50,7 +52,7 @@ from .model import (
     decode_step,
     prefill,
 )
-from .rng import SplitMix64
+from .rng import uniforms
 
 
 class ExecutionMode(Enum):
@@ -90,6 +92,9 @@ class SamplerSpec:
     value finite and positive and stores it.
     """
 
+    # the strategy names; a name's index is its wire code
+    STRATEGIES = ("greedy", "temperature")
+
     strategy: str = "greedy"
     temperature: float = 1.0
     seed: Optional[int] = None
@@ -97,7 +102,7 @@ class SamplerSpec:
     stop_token: Optional[int] = None
 
     def __post_init__(self):
-        if self.strategy not in ("greedy", "temperature"):
+        if self.strategy not in self.STRATEGIES:
             raise ValueError(f"unknown sampling strategy {self.strategy!r}")
         if not 0 <= self.max_new_tokens < 1 << 32:
             raise ValueError("max_new_tokens must be in [0, 2**32)")
@@ -140,13 +145,16 @@ class Distribution(NamedTuple):
 
 
 def decode_distribution(logits: np.ndarray, sampler: SamplerSpec,
-                        rng: Optional[SplitMix64] = None) -> Distribution:
+                        u: Optional[float] = None) -> Distribution:
     """Pick the next token and return it with the normalized probabilities.
 
     Softmax is computed in float32 with max subtraction.  Greedy takes the
-    argmax, lowest id on exact ties.  Temperature divides the logits by t
-    and samples by inverse CDF over ascending token ids using one uniform
-    draw from the pinned generator.  The log-probabilities are the shifted
+    argmax, lowest id on exact ties, and ignores ``u``.  Temperature divides
+    the logits by t and samples by inverse CDF over ascending token ids at
+    the draw ``u`` in [0, 1), which it requires: the first token whose
+    float64 cumulative probability exceeds ``u`` times the total.  The
+    result is a function of the logits, the spec and ``u`` alone.  The
+    log-probabilities are the shifted
     logits minus the log of the same exponential sum.  Logits that are not
     finite after the division by t (a tiny t can overflow them) raise
     ``NonFiniteError``.
@@ -164,11 +172,10 @@ def decode_distribution(logits: np.ndarray, sampler: SamplerSpec,
     if sampler.strategy == "greedy":
         token = int(np.argmax(arr))
     else:
-        if rng is None:
-            raise ValueError("temperature sampling requires a generator")
+        if u is None:
+            raise ValueError("temperature sampling requires a draw")
         cdf = np.cumsum(probs.astype(np.float64))
-        u = rng.next_float() * cdf[-1]
-        token = int(np.searchsorted(cdf, u, side="right"))
+        token = int(np.searchsorted(cdf, u * cdf[-1], side="right"))
         token = min(token, arr.size - 1)
     return Distribution(token, probs, shifted - np.log(total))
 
@@ -177,32 +184,36 @@ def run_decode_loop(
     weights: ModelWeights,
     kv: KvCache,
     first_logits: np.ndarray,
-    decode_precision: Precision,
+    mode: ExecutionMode,
     sampler: SamplerSpec,
     prompt: List[int],
-    mode_label: str,
 ) -> Trajectory:
-    """Autoregressive decoding from already-computed first-step logits.
+    """Autoregressive decoding from already-computed first-step logits, at
+    ``mode``'s decode precision, into a trajectory labelled with ``mode``.
 
     Shared verbatim by the in-process engine and the decode worker so both
-    produce identical trajectories from identical inputs.
+    produce identical trajectories from identical inputs.  Callers bound
+    ``sampler.max_new_tokens`` with ``check_context`` first: a temperature
+    spec draws that many uniforms up front.
     """
     traj = Trajectory(
         prompt=list(prompt),
-        mode=mode_label,
+        mode=mode.value,
         sampler=sampler,
         config_digest=weights.config.digest(),
     )
-    rng = SplitMix64(sampler.seed) if sampler.strategy == "temperature" else None
+    n = sampler.max_new_tokens
+    draws = (uniforms(sampler.seed, n) if sampler.strategy == "temperature"
+             else [None] * n)
     logits = first_logits
-    for step in range(sampler.max_new_tokens):
-        token, _, logprobs = decode_distribution(logits, sampler, rng)
+    for step, u in enumerate(draws):
+        token, _, logprobs = decode_distribution(logits, sampler, u)
         traj.tokens.append(token)
         traj.logprobs.append(logprobs)
         if sampler.stop_token is not None and token == sampler.stop_token:
             break
-        if step + 1 < sampler.max_new_tokens:
-            logits = decode_step(weights, kv, token, decode_precision)
+        if step + 1 < n:
+            logits = decode_step(weights, kv, token, mode.decode_precision)
     return traj
 
 
@@ -236,15 +247,8 @@ def generate(
     prompt = [int(t) for t in prompt]
     check_context(weights.config, len(prompt), sampler.max_new_tokens)
     result = prefill(weights, prompt, mode.prefill_precision)
-    return run_decode_loop(
-        weights,
-        result.kv,
-        result.logits,
-        mode.decode_precision,
-        sampler,
-        prompt,
-        mode.value,
-    )
+    return run_decode_loop(weights, result.kv, result.logits, mode, sampler,
+                           prompt)
 
 
 def _fmt_float(v) -> str:

@@ -55,8 +55,8 @@ head_dim, ffn_hidden, max_seq_len as u32; rope_base f64; seed u64; a
 ``head_dim`` other than ``d_model / n_heads`` is rejected on load), then
 every tensor as float32 row-major in the order listed above with the two
 norm gains of each layer preceding their sublayer and the final norm gain
-last; a file of any other length than its config implies is rejected on
-load.  The table ``_WEIGHT_SCHEMA`` is the single source of both orders:
+last; a file of any other length than its config implies, or holding a
+value that is not finite, is rejected on load.  The table ``_WEIGHT_SCHEMA`` is the single source of both orders:
 ``init_model``, ``save_model`` and ``load_model`` all walk it.  The digest
 is FNV-1a 64 over the config block and is echoed in cache transfer blobs.
 """
@@ -768,9 +768,12 @@ def load_model(path: str) -> ModelWeights:
         raise ValueError(f"weight file is {len(data)} bytes, not {size}")
 
     tensors = []
-    for _, _, shape, _ in _layout(cfg):
+    for layer, name, shape, _ in _layout(cfg):
         count = math.prod(shape)
         arr = np.frombuffer(data, dtype="<f4", count=count, offset=off)
+        if not np.isfinite(arr).all():  # one error here, not one per forward
+            where = name if layer is None else f"layer {layer} {name}"
+            raise ValueError(f"weight file tensor {where} is not finite")
         tensors.append(arr.astype(np.float32).reshape(shape))
         off += 4 * count
     return _assemble(cfg, tensors)

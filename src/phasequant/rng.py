@@ -1,4 +1,4 @@
-"""Fully pinned pseudo-random generation for reproducible model builds.
+"""Fully pinned pseudo-random generation: model builds and sampling draws.
 
 The generator is the SplitMix64 sequence: output i (starting at i=1) is
 
@@ -17,8 +17,8 @@ uniform pairs (u1, u2):
 consumed in order z0, z1.  Because the state update is a Weyl sequence,
 any stretch of the stream can be produced vectorised from its index; model
 builds take the normals in fixed chunks of pairs, so no full-length
-temporary exists.  The scalar class below walks the same sequence one value
-at a time.
+temporary exists.  Sampling takes the uniforms themselves: draw i of a
+trajectory is uniform i of its seed's stream.
 """
 
 from __future__ import annotations
@@ -30,23 +30,6 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _MASK = 0xFFFFFFFFFFFFFFFF
 _U53 = 2.0**-53
-
-
-class SplitMix64:
-    """Sequential view of the stream; used for sampling draws."""
-
-    def __init__(self, seed: int):
-        self._state = seed & _MASK
-
-    def next_u64(self) -> int:
-        self._state = (self._state + _GOLDEN) & _MASK
-        z = self._state
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK
-        return z ^ (z >> 31)
-
-    def next_float(self) -> float:
-        return (self.next_u64() >> 11) * _U53
 
 
 _CHUNK_PAIRS = 1 << 15  # normal pairs generated per chunk by ``normal_chunks``
@@ -62,6 +45,16 @@ def _u64_block(seed: int, start: int, count: int) -> np.ndarray:
         return z ^ (z >> np.uint64(31))
 
 
+def _uniform_block(seed: int, start: int, count: int) -> np.ndarray:
+    """Uniforms ``start + 1`` .. ``start + count`` of the stream, float64."""
+    return (_u64_block(seed, start, count) >> np.uint64(11)) * _U53
+
+
+def uniforms(seed: int, count: int) -> np.ndarray:
+    """The first ``count`` uniforms of the stream, float64 in [0, 1)."""
+    return _uniform_block(seed, 0, count)
+
+
 def normal_chunks(seed: int, count: int):
     """The first ``count`` standard normals of the stream as consecutive
     float64 chunks, so a consumer never holds the whole stream at once.
@@ -72,8 +65,7 @@ def normal_chunks(seed: int, count: int):
     for first in range(0, count, 2 * _CHUNK_PAIRS):
         size = min(count - first, 2 * _CHUNK_PAIRS)
         pairs = (size + 1) // 2
-        u = (_u64_block(seed, first, 2 * pairs) >> np.uint64(11)).astype(np.float64)
-        u *= _U53
+        u = _uniform_block(seed, first, 2 * pairs)
         u1 = u[0::2]
         u2 = u[1::2]
         r = np.sqrt(-2.0 * np.log(1.0 - u1))

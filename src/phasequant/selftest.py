@@ -130,7 +130,7 @@ def _suite_disagg() -> bool:
     weights = _toy_model(5)
     prompt = [2, 4, 6]
     result = prefill(weights, prompt, ExecutionMode.MIX_QUANT.prefill_precision)
-    blob = disagg.serialize_kv(result.kv, weights.config.digest(), prompt)
+    blob = disagg.serialize_kv(result.kv, prompt)
     parsed = disagg.deserialize_kv(blob)
     for layer in range(weights.config.n_layers):
         if not np.array_equal(parsed.keys[layer], result.kv.keys[layer][:3]):

@@ -49,11 +49,6 @@ def u64_stream(seed, count):
     return rng._u64_block(seed, 0, count)
 
 
-def uniform_stream(seed, count):
-    """First ``count`` uniforms of the stream: each output's top 53 bits."""
-    return (u64_stream(seed, count) >> np.uint64(11)).astype(np.float64) * 2.0**-53
-
-
 def normal_stream(seed, count):
     """First ``count`` standard normals of the stream, as float64: the
     chunks of ``rng.normal_chunks`` joined."""
@@ -64,7 +59,7 @@ def whole_normal_stream(seed, count):
     """Oracle: the first ``count`` normals of the stream in one whole-array
     Box-Muller pass (see ``phasequant.rng``), as float64."""
     pairs = (count + 1) // 2
-    u = uniform_stream(seed, 2 * pairs)
+    u = rng.uniforms(seed, 2 * pairs)
     u1 = u[0::2]
     u2 = u[1::2]
     r = np.sqrt(-2.0 * np.log(1.0 - u1))
@@ -557,16 +552,23 @@ def tcp_worker(handler, connections=1):
     thread and yield the worker's address.  Then join the thread, close the
     worker and assert that the thread had ended."""
     worker = disagg.TcpWorker("127.0.0.1", 0, handler)
+    closed_early = threading.Event()
 
     def serve():
-        for _ in range(connections):
-            worker.serve_one()
+        try:
+            for _ in range(connections):
+                worker.serve_one()
+        except OSError:
+            # the close below woke a waiting ``accept``: serving is over
+            if not closed_early.is_set():
+                raise
 
     thread = threading.Thread(target=serve)
     thread.start()
     try:
         yield worker.address
     except BaseException:
+        closed_early.set()
         worker.close()  # wakes a thread still waiting to accept
         raise
     finally:

@@ -271,7 +271,7 @@ def test_criterion_07_disaggregation_equivalence(tmp_path):
 
         weights = toy_weights(700, n_layers=1, max_seq_len=16)
         res = prefill(weights, [5, 6, 7], Precision.NVFP4)
-        blob = disagg.serialize_kv(res.kv, weights.config.digest(), [5, 6, 7])
+        blob = disagg.serialize_kv(res.kv, [5, 6, 7])
         parsed = disagg.deserialize_kv(blob)
         kv = parsed.to_cache(weights)
         for layer in range(weights.config.n_layers):

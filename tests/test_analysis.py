@@ -64,6 +64,8 @@ class TestTopkMass:
             topk_mass(AttentionRecord(3, rows), [0])
         with pytest.raises(ValueError):
             topk_mass(AttentionRecord(3, rows), [5])
+        with pytest.raises(ValueError, match="at least one k"):
+            topk_mass(AttentionRecord(3, rows), [])
 
     def test_engine_record_feeds_metric(self, weights):
         record = record_attention(weights, [3, 1, 4, 1, 5],

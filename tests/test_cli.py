@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import blob_dir_stream, frame_bytes
@@ -15,7 +16,7 @@ from phasequant import disagg
 from phasequant.cli import main
 from phasequant.disagg import connect_tcp, deserialize_kv, request_prefill
 from phasequant.engine import ExecutionMode, SamplerSpec, parse_trajectory_dump
-from phasequant.model import load_model
+from phasequant.model import load_model, save_model
 
 
 def run_cli(*argv):
@@ -146,6 +147,24 @@ class TestGenerate:
         assert code == 1
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("tensor, value", [
+        ("attn_q", np.nan), ("mlp_down", np.inf), ("attn_norm_gain", -np.inf),
+    ], ids=["nan-attn_q", "inf-mlp_down", "-inf-attn_norm_gain"])
+    def test_non_finite_weight_is_one_error_line(self, model_file, tmp_path,
+                                                 tensor, value):
+        weights = load_model(model_file)
+        getattr(weights.layers[0], tensor)[0] = value
+        path = tmp_path / "bad.mxqw"
+        save_model(weights, str(path))
+        with pytest.raises(ValueError, match=f"layer 0 {tensor} is not finite"):
+            load_model(str(path))
+        code, out, err = run_cli("generate", "--model", str(path), "--mode",
+                                 "baseline16", "--prompt-tokens", "1,5,9",
+                                 "--max-new", "2", "--greedy")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_unknown_mode_exits_one(self, model_file):
         code, _, err = run_cli("generate", "--model", model_file, "--mode",
                                "fp8", "--prompt-tokens", "1")
@@ -235,6 +254,16 @@ class TestAnalyzeAttn:
         assert means == sorted(means)
         assert abs(means[-1] - 1.0) <= 1e-5
         assert out == ANALYZE_ATTN_GOLDEN
+
+    @pytest.mark.parametrize("ks", ["", ",", "0", "4"])
+    def test_no_k_or_one_outside_the_prompt_is_one_error_line(
+            self, model_file, ks):
+        code, out, err = run_cli("analyze-attn", "--model", model_file,
+                                 "--prompt-tokens", "1,2,3", "--k", ks)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "stack" not in err
 
 
 COST_GEOMETRY = ("--d-model", "256", "--ffn-hidden", "1024", "--n-layers", "2",

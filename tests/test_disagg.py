@@ -50,7 +50,7 @@ from phasequant.model import KvCache, Precision, init_model, prefill, save_model
 
 def make_blob(weights, prompt, precision=Precision.HIGH):
     result = prefill(weights, prompt, precision)
-    return serialize_kv(result.kv, weights.config.digest(), prompt), result
+    return serialize_kv(result.kv, prompt), result
 
 
 class TestKvBlob:
@@ -104,12 +104,12 @@ class TestKvBlob:
         from phasequant.model import KvCache
 
         with pytest.raises(ValueError):
-            serialize_kv(KvCache(weights.config), weights.config.digest(), [])
+            serialize_kv(KvCache(weights.config), [])
 
     def test_length_mismatch_rejected(self, weights):
         result = prefill(weights, [1, 2, 3], Precision.HIGH)
         with pytest.raises(ValueError):
-            serialize_kv(result.kv, weights.config.digest(), [1, 2])
+            serialize_kv(result.kv, [1, 2])
 
     def test_every_single_byte_corruption_detected(self, weights):
         blob, _ = make_blob(toy_weights(0, n_layers=1, max_seq_len=16), [5, 6])
@@ -514,7 +514,7 @@ def blob_past_context():
     positions; its cache's 32 rows hold all 20."""
     kv = KvCache(toy_config(0, max_seq_len=16))
     kv.length = 20
-    blob = serialize_kv(kv, kv.config.digest(), range(20))
+    blob = serialize_kv(kv, range(20))
     return with_body("decode", FrameType.KV_BLOB, blob)
 
 
@@ -576,7 +576,7 @@ def test_record_layouts_are_golden(tmp_path):
     path = tmp_path / "m.mxqw"
     save_model(weights, str(path))
     records = {
-        "MXQK": serialize_kv(kv, cfg.digest(), prompt),
+        "MXQK": serialize_kv(kv, prompt),
         "HELLO": encode_hello(cfg.digest()),
         "GENERATE_REQ": encode_generate_req(ExecutionMode.MIX_QUANT, sampler,
                                             prompt),
@@ -629,7 +629,7 @@ class TestBadSamplerFields:
                     good, prompt, ExecutionMode.MIX_QUANT,
                     SamplerSpec(max_new_tokens=2))
         expected = prefill(weights, prompt, Precision.NVFP4)
-        assert blob == serialize_kv(expected.kv, weights.config.digest(), prompt)
+        assert blob == serialize_kv(expected.kv, prompt)
         assert logits == disagg.encode_logits(expected.logits)
 
     def test_decode_worker_replies_error_frame(self, weights):
@@ -814,6 +814,14 @@ def test_stream_of_a_reset_connection_closes_its_socket():
     with pytest.raises(OSError):  # the failed write's bytes, flushed again
         stream.close()
     assert stream._sock.fileno() == -1
+
+
+def test_body_failing_before_any_connection_raises_only_its_error():
+    # the helper's close wakes the worker thread's ``accept`` with an
+    # OSError; that ends serving, not the test with a second error
+    with pytest.raises(KeyError):
+        with tcp_worker(lambda stream: None):
+            raise KeyError("body")
 
 
 def test_close_ends_serve_forever():

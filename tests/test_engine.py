@@ -14,7 +14,8 @@ from phasequant.engine import (
 )
 from phasequant.errors import ContextOverflowError, NonFiniteError
 from phasequant.model import Precision, decode_step, prefill
-from phasequant.rng import SplitMix64
+from phasequant.rng import uniforms
+from test_rng import scalar_reference
 
 GREEDY8 = SamplerSpec(max_new_tokens=8)
 
@@ -61,7 +62,7 @@ class TestDecodeDistribution:
         assert token == 7
         sampler = SamplerSpec(strategy="temperature", temperature=0.5, seed=3,
                               max_new_tokens=1)
-        token, _, _ = decode_distribution(logits, sampler, SplitMix64(3))
+        token, _, _ = decode_distribution(logits, sampler, uniforms(3, 1)[0])
         assert token == 7
 
     def test_probabilities_match_double_precision_softmax(self):
@@ -88,7 +89,7 @@ class TestDecodeDistribution:
                               seed=3)
         logits = prefill(weights, [8, 2, 44], Precision.HIGH).logits
         with pytest.raises(NonFiniteError):
-            decode_distribution(logits, sampler, SplitMix64(3))
+            decode_distribution(logits, sampler, uniforms(3, 1)[0])
         with pytest.raises(NonFiniteError):
             generate(weights, [8, 2, 44], ExecutionMode.MIX_QUANT, sampler)
 
@@ -129,8 +130,8 @@ class TestDecodeDistribution:
         logits = rng.normal(size=16).astype(np.float32)
         sampler = SamplerSpec(strategy="temperature", temperature=1.3, seed=99,
                               max_new_tokens=1)
-        a = decode_distribution(logits, sampler, SplitMix64(99))
-        b = decode_distribution(logits, sampler, SplitMix64(99))
+        a = decode_distribution(logits, sampler, uniforms(99, 1)[0])
+        b = decode_distribution(logits, sampler, uniforms(99, 1)[0])
         assert a[0] == b[0]
 
     def test_inverse_cdf_walks_ascending_ids(self):
@@ -138,16 +139,10 @@ class TestDecodeDistribution:
         logits = np.zeros(2, np.float32)
         sampler = SamplerSpec(strategy="temperature", temperature=1.0, seed=0,
                               max_new_tokens=1)
-
-        class FakeRng:
-            def __init__(self, u):
-                self.u = u
-
-            def next_float(self):
-                return self.u
-
-        assert decode_distribution(logits, sampler, FakeRng(0.2))[0] == 0
-        assert decode_distribution(logits, sampler, FakeRng(0.8))[0] == 1
+        assert decode_distribution(logits, sampler, 0.2)[0] == 0
+        assert decode_distribution(logits, sampler, 0.8)[0] == 1
+        with pytest.raises(ValueError, match="requires a draw"):
+            decode_distribution(logits, sampler)
 
     @pytest.mark.parametrize("sampler", [
         SamplerSpec(),
@@ -159,7 +154,7 @@ class TestDecodeDistribution:
         rng = np.random.default_rng(2)
         for _ in range(20):
             logits = rng.normal(scale=4.0, size=64).astype(np.float32)
-            dist = decode_distribution(logits, sampler, SplitMix64(4))
+            dist = decode_distribution(logits, sampler, uniforms(4, 1)[0])
             token, probs, _ = dist
             arr = logits / np.float32(sampler.temperature) \
                 if sampler.strategy == "temperature" else logits
@@ -276,6 +271,26 @@ class TestGenerate:
                      SamplerSpec(strategy="temperature", temperature=0.9,
                                  seed=18, max_new_tokens=6))
         assert isinstance(c.tokens, list)
+
+    @pytest.mark.parametrize("seed", [0, 17, 2**63, 2**64 - 1])
+    def test_draw_i_is_uniform_i_of_the_seed_stream(self, weights, seed):
+        # token i is the inverse-CDF pick at uniform i of the seed's stream,
+        # as the scalar transcription of the stream gives it, on logits
+        # re-stepped by hand on the trajectory's own tokens
+        n = 12
+        sampler = SamplerSpec(strategy="temperature", temperature=1.5,
+                              seed=seed, max_new_tokens=n)
+        prompt = [2, 3, 5]
+        traj = generate(weights, prompt, ExecutionMode.MIX_QUANT, sampler)
+        draws = [(z >> 11) * 2.0**-53 for z in scalar_reference(seed, n)]
+        res = prefill(weights, prompt, Precision.NVFP4)
+        logits = res.logits
+        for i, u in enumerate(draws):
+            dist = decode_distribution(logits, sampler, u)
+            assert traj.tokens[i] == dist.token
+            assert traj.logprobs[i].tobytes() == dist.logprobs.tobytes()
+            logits = decode_step(weights, res.kv, dist.token, Precision.HIGH)
+        assert len(traj.tokens) == n
 
 
 class TestTrajectoryDump:

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import normal_stream, u64_stream, uniform_stream, whole_normal_stream
+from conftest import normal_stream, u64_stream, whole_normal_stream
 from phasequant import rng
-from phasequant.rng import SplitMix64
 
 
 def scalar_reference(seed, count):
@@ -24,34 +23,29 @@ def scalar_reference(seed, count):
 
 def test_known_answer_vectors():
     # published reference outputs of the mixing function
-    gen = SplitMix64(1234567)
-    assert [gen.next_u64() for _ in range(5)] == [
+    assert list(u64_stream(1234567, 5)) == [
         6457827717110365317,
         3203168211198807973,
         9817491932198370423,
         4593380528125082431,
         16408922859458223821,
     ]
-    gen = SplitMix64(0)
-    assert gen.next_u64() == 0xE220A8397B1DCDAF
-    assert gen.next_u64() == 0x6E789E6AA1B965F4
+    assert list(u64_stream(0, 2)) == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4]
 
 
 def test_vectorized_matches_scalar_reference():
     for seed in (0, 1, 42, 2**63, 2**64 - 1):
         ref = scalar_reference(seed, 64)
         assert list(u64_stream(seed, 64)) == ref
-        gen = SplitMix64(seed)
-        assert [gen.next_u64() for _ in range(64)] == ref
 
 
 def test_uniforms_are_top_53_bits():
-    seed = 7
-    ref = scalar_reference(seed, 16)
-    expected = [(z >> 11) * 2.0**-53 for z in ref]
-    assert list(uniform_stream(seed, 16)) == expected
-    gen = SplitMix64(seed)
-    assert [gen.next_float() for _ in range(16)] == expected
+    for seed in (0, 7, 2**63, 2**64 - 1, 12345678901234567890):
+        expected = [(z >> 11) * 2.0**-53 for z in scalar_reference(seed, 300)]
+        got = rng.uniforms(seed, 300)
+        assert got.dtype == np.float64
+        assert list(got) == expected
+        assert list(rng.uniforms(seed, 16)) == expected[:16]
 
 
 def test_normal_stream_matches_pinned_box_muller():
