@@ -266,11 +266,31 @@ def render_trajectory(traj: Trajectory) -> str:
         f"digest={traj.config_digest:016x} "
         f"prompt={','.join(str(t) for t in traj.prompt)}"
     ]
-    for i, (token, lp) in enumerate(zip(traj.tokens, traj.logprobs), start=1):
-        order = np.argsort(-lp, kind="stable")[:8]
-        pairs = ",".join(f"{int(t)}:{_fmt_float(np.float32(lp[t]))}" for t in order)
+    top = _top8(traj.logprobs)
+    for i, (token, lp, ids) in enumerate(zip(traj.tokens, traj.logprobs, top),
+                                         start=1):
+        pairs = ",".join(f"{t}:{_fmt_float(v)}" for t, v in zip(ids, lp[ids].tolist()))
         lines.append(f"step={i} token={token} top8={pairs}")
     return "\n".join(lines) + "\n"
+
+
+def _top8(rows: List[np.ndarray]) -> np.ndarray:
+    """Ids of each float32 row's 8 largest entries (all of a shorter row),
+    largest first, ties by ascending id: ``np.argsort(-row,
+    kind="stable")[:8]``, for every row in one partition and one sort.
+
+    The key of an entry is its value's bits mapped to a signed integer
+    that orders as the values do (+0.0 for a zero of either sign, which
+    ``-row`` ties), inverted so the largest comes first, above its id."""
+    if not rows:
+        return np.empty((0, 8), dtype=np.int64)
+    bits = (np.stack(rows) + np.float32(0.0)).view(np.int32)  # -0.0 -> +0.0
+    ascending = bits ^ ((bits >> 31) & np.int32(0x7FFFFFFF))
+    keys = (~ascending).astype(np.int64) << 32 | np.arange(bits.shape[1])
+    k = min(8, keys.shape[1])
+    if k < keys.shape[1]:
+        keys = np.partition(keys, k - 1, axis=1)[:, :k]
+    return np.sort(keys, axis=1) & 0xFFFFFFFF
 
 
 def parse_trajectory_dump(text: str) -> dict:

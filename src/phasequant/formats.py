@@ -99,12 +99,15 @@ def fp4_magnitude_codes(mag) -> np.ndarray:
     return codes
 
 
-def decode_fp4(codes) -> np.ndarray:
-    """Decoded grid value of each 4-bit code, as float32."""
+def decode_fp4(codes, out=None) -> np.ndarray:
+    """Decoded grid value of each 4-bit code, as float32; into ``out``, a
+    float32 array of the codes' shape, if given."""
     c = np.asarray(codes)
     if c.size and (c.min() < 0 or c.max() > 15):
         raise ValueError("4-bit code out of range")
-    return FP4_VALUES[c]
+    # about twice as fast as ``FP4_VALUES[c]``; every code is in range, so
+    # "clip" moves none, and unlike "raise" it writes ``out`` unbuffered
+    return np.take(FP4_VALUES, c, out=out, mode="clip")
 
 
 def encode_e4m3(x) -> np.ndarray:

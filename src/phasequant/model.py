@@ -19,6 +19,10 @@ block loop (``_forward``), and every block one attention function
 on, the K/V of every row and the logits of the last: its last block runs
 attention, the MLP and the output head for the last row alone, unless the
 caller asks for every row's logits.  Teacher forcing computes every row.
+``prefill`` checks the whole prompt, then runs it as near-equal chunks of
+at most ``_PREFILL_CHUNK`` rows on one cache, so the activations alive at
+once are a chunk's, not the prompt's; within a block each is dropped once
+read.
 Attention runs causally over 128-key tiles aligned to absolute key
 positions.  A row reads only the tiles that hold keys before its own
 position (within the first tile, only as many columns as the chunk
@@ -272,6 +276,13 @@ def init_model(config: ModelConfig) -> ModelWeights:
 # Attention reads keys in tiles of this many positions, aligned to position 0.
 _TILE = 128
 
+# A prompt pass runs in near-equal chunks of at most this many rows, which
+# bounds the activations alive at once.  A prompt of more rows gets chunks
+# of at least 128, never a short remainder: a float32 product of a row or
+# two takes BLAS's narrow-input paths, whose bits differ.  Caps of 128 to
+# 512 rows timed alike on the 4-bit prompt pass.
+_PREFILL_CHUNK = 256
+
 
 def _key_width(keys: int) -> int:
     """Key columns attention computes to cover the first ``keys`` keys:
@@ -420,6 +431,11 @@ def forward_block(
     and MLP run on one row.  Its bits are those of the last row of the
     all-rows block wherever a one-row product keeps them: attention and
     the 4-bit linears do, float32 matmuls need not.
+
+    Each activation is released once read (the normed input, q/k/v, the
+    attention output, the projections), and the MLP gate works in one
+    buffer, so the block holds few chunk-sized arrays at once.  The
+    linears' outputs are not written in place.
     """
     cfg = weights.config
     layer = weights.layers[layer_idx]
@@ -431,17 +447,14 @@ def forward_block(
             f"rows up to position {total - 1} need {total - 1} context "
             f"entries but the cache holds {kv.length}"
         )
-    if total > cfg.max_seq_len:
-        raise ContextOverflowError(
-            f"position {total - 1} exceeds max_seq_len {cfg.max_seq_len}",
-            position=total - 1,
-        )
+    _check_fits(cfg, total)
     q_rope, k_rope = ([table[pos0:total] for table in _rope_table(cfg, scale)]
                       for scale in (1.0 / math.sqrt(cfg.head_dim), 1.0))
 
     h = _rmsnorm(x, layer.attn_norm_gain)
     q, k, v = _linears(h, ("attn_q", "attn_k", "attn_v"), precision, weights,
                        layer_idx)
+    del h
     q = _apply_rope(q.reshape(p, cfg.n_heads, cfg.head_dim), *q_rope)
     k = _apply_rope(k.reshape(p, cfg.n_heads, cfg.head_dim), *k_rope)
     v = v.reshape(p, cfg.n_heads, cfg.head_dim)
@@ -452,16 +465,29 @@ def forward_block(
     if last_only:
         q, k, v, x = q[-1:], k[-1:], v[-1:], x[-1:]
         pos0, p = total - 1, 1
-    attn_out = _attend(q, k, v, kv.keys[layer_idx], kv.values[layer_idx],
-                       pos0, attn_record_row)
-    (proj,) = _linears(attn_out.reshape(p, cfg.d_model), ("attn_out",),
+    attn = _attend(q, k, v, kv.keys[layer_idx], kv.values[layer_idx], pos0,
+                   attn_record_row)
+    del q, k, v
+    (proj,) = _linears(attn.reshape(p, cfg.d_model), ("attn_out",),
                        precision, weights, layer_idx)
+    del attn
     x = x + proj
+    del proj
 
     h = _rmsnorm(x, layer.mlp_norm_gain)
     gate, up = _linears(h, ("mlp_gate", "mlp_up"), precision, weights, layer_idx)
-    act = gate * (np.float32(1.0) / (np.float32(1.0) + np.exp(-gate))) * up
+    del h
+    # gate * (1 / (1 + exp(-gate))) * up, each step in place in that order,
+    # so the bits are the expression's
+    act = np.negative(gate)
+    np.exp(act, out=act)
+    act += np.float32(1.0)
+    np.divide(np.float32(1.0), act, out=act)
+    act *= gate
+    act *= up
+    del gate, up
     (down,) = _linears(act, ("mlp_down",), precision, weights, layer_idx)
+    del act
     return x + down
 
 
@@ -644,6 +670,27 @@ def _attend_row(q: np.ndarray, k: np.ndarray, v: np.ndarray,
     return np.divide(acc, den[:, None], out=acc)[None]
 
 
+def _check_fits(cfg: ModelConfig, end: int) -> None:
+    """Raise ``ContextOverflowError`` if positions up to ``end`` - 1 do not
+    fit ``max_seq_len``."""
+    if end > cfg.max_seq_len:
+        raise ContextOverflowError(
+            f"position {end - 1} exceeds max_seq_len {cfg.max_seq_len}",
+            position=end - 1,
+        )
+
+
+def _token_ids(cfg: ModelConfig, tokens) -> np.ndarray:
+    """``tokens`` as int64 ids, checked: a non-empty 1-D sequence of ids
+    inside the vocabulary."""
+    toks = np.asarray(tokens, dtype=np.int64)
+    if toks.ndim != 1 or toks.size == 0:
+        raise ValueError("tokens must be a non-empty 1-D sequence")
+    if toks.min() < 0 or toks.max() >= cfg.vocab_size:
+        raise ValueError("token id outside vocabulary")
+    return toks
+
+
 def _forward(
     weights: ModelWeights,
     tokens,
@@ -666,11 +713,7 @@ def _forward(
     post-softmax attention in every layer.
     """
     cfg = weights.config
-    toks = np.asarray(tokens, dtype=np.int64)
-    if toks.ndim != 1 or toks.size == 0:
-        raise ValueError("tokens must be a non-empty 1-D sequence")
-    if toks.min() < 0 or toks.max() >= cfg.vocab_size:
-        raise ValueError("token id outside vocabulary")
+    toks = _token_ids(cfg, tokens)
     x = weights.embedding[toks]
     for li in range(cfg.n_layers):
         x = forward_block(weights, li, x, kv, precision,
@@ -694,28 +737,42 @@ def prefill(
     """Causal pass over a prompt (or appended prompt chunk).
 
     Writes float32 KV entries regardless of precision and returns the
-    logits at the final processed position.  Every block computes every
-    row up to its K/V write; the last block then runs attention, its MLP
-    and the output head for the final row alone.  So on the 4-bit path the
-    logits are bitwise the decode step of the final token on a cache
-    holding the others.  With ``every_row`` the last block keeps every
-    row and the logits are [n, vocab]: row j predicts the token after
+    logits at the final processed position.  The whole prompt is checked
+    first (ids, and room in the cache), so a refused prompt writes
+    nothing.  The prompt then runs as near-equal chunks of at most
+    ``_PREFILL_CHUNK`` rows, one ``_forward`` each on the same cache,
+    which bounds the activations alive at once by the chunk, not the
+    prompt; a row's K/V and logits keep their one-shot bits.  In each
+    chunk every block computes every row up to its K/V write; the last
+    block then runs attention, its MLP and the output head for the
+    chunk's final row alone.  So on the 4-bit path the logits are bitwise
+    the decode step of the final token on a cache holding the others.
+    With ``every_row`` the last block keeps every row and the logits are
+    [n, vocab], the chunks' rows in order: row j predicts the token after
     ``tokens[j]``.  From an empty cache they are bitwise
     ``teacher_forced_logits`` of the same tokens on the cache this pass
     writes, and on the 4-bit path, whose K/V are row-invariant, also on
     the cache of a prefill of all but the last token.
     ``record_attention`` captures the post-softmax rows of the final
-    position in every layer and head.
+    position in every layer and head (the last chunk fills it).
     """
     cfg = weights.config
     kv = KvCache(cfg) if kv is None else kv
-    shape = (cfg.n_layers, cfg.n_heads, kv.length + np.size(tokens))
-    record = np.zeros(shape, dtype=np.float32) if record_attention else None
-    logits = _forward(weights, tokens, kv, precision, record=record,
-                      every_row=every_row)
-    attention = AttentionRecord(kv.length - 1, record) if record_attention else None
-    return PrefillResult(kv=kv, logits=logits if every_row else logits[0],
-                         attention=attention)
+    toks = _token_ids(cfg, tokens)
+    end = kv.length + toks.size
+    _check_fits(cfg, end)
+    record = (np.zeros((cfg.n_layers, cfg.n_heads, end), dtype=np.float32)
+              if record_attention else None)
+    count = -(-toks.size // _PREFILL_CHUNK)
+    edges = [toks.size * i // count for i in range(count + 1)]
+    logits = [_forward(weights, toks[a:b], kv, precision,
+                       record=record if b == toks.size else None,
+                       every_row=every_row)
+              for a, b in zip(edges, edges[1:])]
+    attention = AttentionRecord(end - 1, record) if record_attention else None
+    return PrefillResult(
+        kv=kv, logits=np.concatenate(logits) if every_row else logits[-1][0],
+        attention=attention)
 
 
 def decode_step(

@@ -175,16 +175,19 @@ def quantize(x, cfg: QuantConfig = QuantConfig()) -> QuantizedTensor:
     return QuantizedTensor(codes, scale_codes, alpha)
 
 
-def fold_blocks(codes: np.ndarray, block_scales: np.ndarray) -> np.ndarray:
-    """``decode_fp4(code) * block_scale`` per element, as float32.
+def fold_blocks(codes: np.ndarray, block_scales: np.ndarray,
+                out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``decode_fp4(code) * block_scale`` per element, as float32; into
+    ``out``, a contiguous float32 array of the codes' shape, if given.
 
     Exact when the block scales are on the 8-bit grid: a 4-bit value has at
     most 2 significand bits and an 8-bit scale at most 4, so their product
     fits float32 (and the smallest, ``0.5 * 2**-9``, is a normal number).
     """
     rows, cols = codes.shape
-    values = formats.decode_fp4(codes).reshape(rows, cols // GROUP_SIZE, GROUP_SIZE)
-    values *= block_scales[:, :, None]  # in place: decode_fp4 returns a new array
+    values = formats.decode_fp4(codes, out=out).reshape(
+        rows, cols // GROUP_SIZE, GROUP_SIZE)
+    values *= block_scales[:, :, None]  # in place: a new array or ``out``
     return values.reshape(rows, cols)
 
 
@@ -234,12 +237,13 @@ def quantize_rows(x, cfg: QuantConfig = QuantConfig()) -> RowQuantizedActivation
     calibrated per row, so ``quantize_rows(x).row(i)`` matches
     ``quantize(x[i:i+1])`` bit-for-bit under the same policy.  The fold
     (``fold_blocks`` of the codes and their decoded block scales) is built
-    in the same pass from the scales already decoded, and comes with the
-    activation, read-only.
+    in the same pass from the scales already decoded, into the magnitude
+    buffer the codes were read from, and comes with the activation,
+    read-only.
     """
     arr, mag, bmax = _blocks(x)
     alphas = _tensor_scales(bmax.max(axis=1, initial=np.float32(0)), cfg.policy)
     codes, scale_codes, scales = _encode(arr, mag, bmax, alphas)
-    fold = fold_blocks(codes, scales)
+    fold = fold_blocks(codes, scales, out=mag.reshape(codes.shape))
     fold.flags.writeable = False
     return RowQuantizedActivation(codes, scale_codes, alphas, fold)

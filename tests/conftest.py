@@ -422,6 +422,14 @@ def identity_quantizer(monkeypatch):
     return active
 
 
+def stable_argsort_top8(logprobs) -> str:
+    """Oracle: a dump step's ``top8`` field by one stable argsort of the
+    negated row: the 8 largest log-probabilities, ties by ascending id."""
+    order = np.argsort(-logprobs, kind="stable")[:8]
+    return ",".join(f"{int(t)}:{float(np.float32(logprobs[t]))!r}"
+                    for t in order)
+
+
 def per_token_perplexity(weights, mode, corpus):
     """Oracle: teacher-forced perplexity with a fresh prompt pass per token.
 

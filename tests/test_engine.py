@@ -15,6 +15,7 @@ from phasequant.engine import (
 from phasequant.errors import ContextOverflowError, NonFiniteError
 from phasequant.model import Precision, decode_step, prefill
 from phasequant.rng import uniforms
+from conftest import stable_argsort_top8
 from test_rng import scalar_reference
 
 GREEDY8 = SamplerSpec(max_new_tokens=8)
@@ -314,6 +315,22 @@ class TestTrajectoryDump:
             assert lps == sorted(lps, reverse=True)
             expected = list(np.argsort(-lp, kind="stable")[:8])
             assert [t for t, _ in step_pairs] == [int(t) for t in expected]
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_top8_equals_stable_argsort_on_tied_rows(self, data):
+        # few distinct values, so most rows tie; zeros of both signs tie
+        values = st.sampled_from([0.0, -0.0, -1e-45, -0.5, -0.75, -1.5, -7.0,
+                                  -3.4e38, -np.inf, 2.5])
+        vocab = data.draw(st.integers(1, 24))
+        rows = data.draw(st.lists(
+            st.lists(values, min_size=vocab, max_size=vocab), max_size=6))
+        traj = engine.Trajectory(
+            prompt=[1], tokens=list(range(len(rows))),
+            logprobs=[np.array(r, dtype=np.float32) for r in rows])
+        steps = render_trajectory(traj).splitlines()[1:]
+        assert steps == [f"step={i} token={i - 1} top8={stable_argsort_top8(lp)}"
+                         for i, lp in enumerate(traj.logprobs, start=1)]
 
     @pytest.mark.parametrize("text", ["", "\n  \n"], ids=["empty", "blank"])
     def test_empty_dump_rejected(self, text):

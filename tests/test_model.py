@@ -818,6 +818,67 @@ class TestPromptPassLastRow:
         seen.clear()  # teacher forcing keeps every row
         teacher_forced_logits(weights, tokens[129:149], kv, prec)
         assert {rows for _, _, rows in seen} == {20}
+        seen.clear()  # 600 tokens: three chunks of 200 rows, each as above
+        prefill(weights, tokens[:600], prec)
+        assert seen == 3 * [(0, qkv, 200), (0, out, 200), (0, gate_up, 200),
+                            (0, down, 200), (1, qkv, 200), (1, out, 1),
+                            (1, gate_up, 1), (1, down, 1)]
+
+
+class TestChunkedPromptPass:
+    """A prompt of more than ``_PREFILL_CHUNK`` rows runs in chunks on one
+    cache: memory bounded by the chunk, and a refused prompt writes
+    nothing.  At the benchmark geometry."""
+
+    @pytest.fixture(scope="class")
+    def weights(self):
+        return toy_weights(20260517, vocab_size=512, d_model=256,
+                           ffn_hidden=1024, n_layers=2, n_heads=16,
+                           max_seq_len=1024)
+
+    @pytest.fixture(scope="class")
+    def tokens(self):
+        return [int(t) for t in np.random.default_rng(59).integers(0, 512, 1100)]
+
+    @pytest.mark.parametrize("prec", list(Precision))
+    def test_peak_memory_does_not_grow_with_the_prompt(self, weights, tokens,
+                                                        prec):
+        # measured: 1,000 tokens peak +0.06 MB (float32) and -0.10 MB
+        # (4-bit) from 512; before chunking, +11.7 MB and +14.8 MB
+        prefill(weights, tokens[:300], prec)  # weight shadows, rotary tables
+        peaks = []
+        for length in (512, 1000):
+            kv = KvCache(weights.config)
+            tracemalloc.start()
+            try:
+                prefill(weights, tokens[:length], prec, kv=kv)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + (1 << 19)
+
+    @pytest.mark.parametrize("prec", list(Precision))
+    @pytest.mark.parametrize("prefix,fault", [(100, "vocabulary"),
+                                              (800, "overflow")])
+    def test_refused_append_writes_nothing(self, weights, tokens, prec,
+                                           prefix, fault):
+        # 300 tokens are two chunks of 150; the first would fit either way
+        kv = prefill(weights, tokens[:prefix], prec).kv
+        keys = [k.tobytes() for k in kv.keys]
+        values = [v.tobytes() for v in kv.values]
+        append = tokens[prefix:prefix + 300]
+        if fault == "vocabulary":
+            append[-1] = weights.config.vocab_size
+            with pytest.raises(ValueError, match="token id outside vocabulary"):
+                prefill(weights, append, prec, kv=kv)
+        else:
+            with pytest.raises(ContextOverflowError,
+                               match="position 1099 exceeds max_seq_len 1024") as err:
+                prefill(weights, append, prec, kv=kv)
+            assert err.value.position == 1099
+        assert kv.length == prefix
+        assert [k.tobytes() for k in kv.keys] == keys
+        assert [v.tobytes() for v in kv.values] == values
 
 
 class TestIdentityQuantizer:
