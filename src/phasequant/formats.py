@@ -14,7 +14,9 @@ Two formats are emulated at the code (bit-pattern) level:
 Encoding rounds to the nearest grid point with ties resolved toward the
 code whose mantissa low bit is 0, saturates past the largest finite
 magnitude, and preserves the sign of zero.  All functions are pure and
-accept scalars or numpy arrays.
+accept scalars or numpy arrays.  Each format's rounding rule is one
+unchecked magnitude core; the code edges (``FP4_EDGES``, ``E4M3_EDGES``)
+are derived from it at import.
 """
 
 from __future__ import annotations
@@ -152,6 +154,37 @@ def e4m3_magnitude_codes(mag) -> np.ndarray:
     normal = ((bits + below_half + ((bits >> shift) & 1)) >> shift) - rebase
     subnormal = np.rint(mag * 512).astype(bits.dtype)
     return np.where(mag < 2.0**-6, subnormal, normal).astype(np.uint8)
+
+
+def _code_edges(magnitude_codes, top: int) -> np.ndarray:
+    """For each code c in 1..``top``, the smallest nonnegative float32 that
+    ``magnitude_codes`` maps to c or above, as a float32 array.
+
+    Found by bisection over the float32 bit patterns, whose order is the
+    order of the nonnegative values, with the rounding rule itself as the
+    predicate: the rule stays the one definition of each format, and the
+    edges follow it.  The rule maps +0.0 to 0 and the largest float32 to
+    ``top``; it is a non-decreasing step function of the magnitude, so
+    ``np.searchsorted(edges, mag, side="right")`` is ``magnitude_codes(mag)``
+    for every nonnegative float32 ``mag``.
+    """
+    want = np.arange(1, top + 1)
+    lo = np.zeros(top, dtype=np.int32)  # its code is below c
+    hi = np.full(top, np.finfo(np.float32).max).view(np.int32)  # at least c
+    while (hi - lo > 1).any():
+        mid = lo + (hi - lo) // 2
+        up = magnitude_codes(mid.view(np.float32)) >= want
+        lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
+    edges = hi.view(np.float32)
+    edges.flags.writeable = False
+    return edges
+
+
+# Code edges of both rounding rules, for a ``searchsorted`` lookup where a
+# few values make the compare-count or the bit arithmetic cost more in
+# numpy calls than in work.
+FP4_EDGES = _code_edges(fp4_magnitude_codes, 7)
+E4M3_EDGES = _code_edges(e4m3_magnitude_codes, 126)
 
 
 def decode_e4m3(codes) -> np.ndarray:

@@ -27,7 +27,8 @@ production route is fold, then multiply:
   fixed budget that keeps the terms in a core's L2 cache next to the
   weight fold, and at least one row: one row's terms are 1/16 of the
   weight fold the kernel already holds.  So a tile is always one batched
-  ``np.matmul`` and one ordered reduce.
+  ``np.matmul`` and one ordered reduce.  A single row (a decode step's) is
+  its own tile and skips the tiling.
 
 ``qgemm_rows`` is the one entry to this kernel, and ``qgemm`` another name
 for it.  Its left operand is a ``RowQuantizedActivation`` (one tensor scale
@@ -73,24 +74,40 @@ _TILE_BYTES = 1 << 20
 def _block_loop(a_hat: np.ndarray, w_hat_t: np.ndarray,
                 out_scales: np.ndarray) -> np.ndarray:
     """``out_scales[i] * sum_b a_hat[i, b] @ w_hat_t[b]`` over blocks ``b``
-    of 16 columns, accumulated in ascending order in float32 from +0.0."""
+    of 16 columns, accumulated in ascending order in float32 from +0.0.
+
+    One row (a decode step's) is one tile by itself, so it skips the tile
+    arithmetic: one matmul into its [nblocks, 1, n] terms, one ordered sum.
+    """
     m, k = a_hat.shape
     n = w_hat_t.shape[1]
     nb = k // GROUP_SIZE
-    rows = max(1, _TILE_BYTES // (4 * nb * n))
-    a3 = a_hat.reshape(m, nb, GROUP_SIZE).transpose(1, 0, 2)
     w3 = w_hat_t.reshape(nb, GROUP_SIZE, n)
-    out = np.empty((m, n), dtype=np.float32)
-    terms = np.empty((nb, min(rows, m), n), dtype=np.float32)
-    for r0 in range(0, m, rows):
-        acc = out[r0 : r0 + rows]
-        t = terms[:, : len(acc)]
-        np.matmul(a3[:, r0 : r0 + rows], w3, out=t)  # exact
-        if acc.size > 1:  # sequential over the block axis, from +0.0
-            np.add.reduce(t, axis=0, out=acc, initial=0.0)
-        else:  # numpy would sum a lone output element pairwise
-            acc[...] = np.add.accumulate(t, axis=0)[-1] + np.float32(0.0)
+    if m == 1:
+        terms = np.empty((nb, 1, n), dtype=np.float32)
+        np.matmul(a_hat.reshape(nb, 1, GROUP_SIZE), w3, out=terms)  # exact
+        out = _ordered_sum(terms, np.empty((1, n), dtype=np.float32))
+    else:
+        rows = max(1, _TILE_BYTES // (4 * nb * n))
+        a3 = a_hat.reshape(m, nb, GROUP_SIZE).transpose(1, 0, 2)
+        out = np.empty((m, n), dtype=np.float32)
+        terms = np.empty((nb, min(rows, m), n), dtype=np.float32)
+        for r0 in range(0, m, rows):
+            acc = out[r0 : r0 + rows]
+            t = terms[:, : len(acc)]
+            np.matmul(a3[:, r0 : r0 + rows], w3, out=t)  # exact
+            _ordered_sum(t, acc)
     out *= out_scales[:, None]
+    return out
+
+
+def _ordered_sum(terms: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out`` set to the sum of ``terms`` over its leading (block) axis,
+    added in ascending order in float32 from +0.0."""
+    if out.size > 1:  # sequential over the block axis
+        np.add.reduce(terms, axis=0, out=out, initial=0.0)
+    else:  # numpy would sum a lone output element pairwise
+        out[...] = np.add.accumulate(terms, axis=0)[-1] + np.float32(0.0)
     return out
 
 

@@ -22,7 +22,8 @@ caller asks for every row's logits.  Teacher forcing computes every row.
 ``prefill`` checks the whole prompt, then runs it as near-equal chunks of
 at most ``_PREFILL_CHUNK`` rows on one cache, so the activations alive at
 once are a chunk's, not the prompt's; within a block each is dropped once
-read.
+read.  A chunk before the last hands on only its K/V, so its last block
+stops at the K/V write.
 Attention runs causally over 128-key tiles aligned to absolute key
 positions.  A row reads only the tiles that hold keys before its own
 position (within the first tile, only as many columns as the chunk
@@ -405,9 +406,11 @@ def forward_block(
     attn_record_row: Optional[np.ndarray] = None,
     own_diagonal: bool = False,
     last_only: bool = False,
-) -> np.ndarray:
+    kv_only: bool = False,
+) -> Optional[np.ndarray]:
     """One pre-norm residual block over a chunk of hidden states; returns
-    the hidden state of every row, or with ``last_only`` of the last row.
+    the hidden state of every row, or with ``last_only`` of the last row,
+    or with ``kv_only`` nothing.
 
     The start position is not passed but derived: the chunk's rows are the
     positions from ``kv.length`` on (which only advances once the caller
@@ -430,7 +433,10 @@ def forward_block(
     attention (``_attend_row`` over the cache just written), ``attn_out``
     and MLP run on one row.  Its bits are those of the last row of the
     all-rows block wherever a one-row product keeps them: attention and
-    the 4-bit linears do, float32 matmuls need not.
+    the 4-bit linears do, float32 matmuls need not.  With ``kv_only`` (the
+    last block of a prompt chunk that hands on no logits) the block stops
+    at its K/V write, whatever ``last_only`` says: its k and v projections
+    are its only products.
 
     Each activation is released once read (the normed input, q/k/v, the
     attention output, the projections), and the MLP gate works in one
@@ -452,16 +458,21 @@ def forward_block(
                       for scale in (1.0 / math.sqrt(cfg.head_dim), 1.0))
 
     h = _rmsnorm(x, layer.attn_norm_gain)
-    q, k, v = _linears(h, ("attn_q", "attn_k", "attn_v"), precision, weights,
-                       layer_idx)
+    if kv_only:
+        k, v = _linears(h, ("attn_k", "attn_v"), precision, weights, layer_idx)
+    else:
+        q, k, v = _linears(h, ("attn_q", "attn_k", "attn_v"), precision,
+                           weights, layer_idx)
     del h
-    q = _apply_rope(q.reshape(p, cfg.n_heads, cfg.head_dim), *q_rope)
     k = _apply_rope(k.reshape(p, cfg.n_heads, cfg.head_dim), *k_rope)
     v = v.reshape(p, cfg.n_heads, cfg.head_dim)
 
     if not own_diagonal:
         kv.keys[layer_idx][pos0:total] = k
         kv.values[layer_idx][pos0:total] = v
+    if kv_only:
+        return None
+    q = _apply_rope(q.reshape(p, cfg.n_heads, cfg.head_dim), *q_rope)
     if last_only:
         q, k, v, x = q[-1:], k[-1:], v[-1:], x[-1:]
         pos0, p = total - 1, 1
@@ -699,7 +710,8 @@ def _forward(
     own_diagonal: bool = False,
     record: Optional[np.ndarray] = None,
     every_row: bool = False,
-) -> np.ndarray:
+    kv_only: bool = False,
+) -> Optional[np.ndarray]:
     """Run ``tokens`` through every block; returns logits.
 
     Without ``own_diagonal`` the tokens are the next positions after
@@ -707,22 +719,26 @@ def _forward(
     and only what the pass hands on is computed: every row up to the last
     block's K/V write, then the last row alone (``forward_block``'s
     ``last_only``), so the logits are [1, vocab]; with ``every_row`` the
-    last block keeps every row, [n, vocab].  With ``own_diagonal``, see
-    ``teacher_forced_logits``: every row, [n, vocab].  ``record``
-    [n_layers, n_heads, chunk end], if given, receives the last row's
-    post-softmax attention in every layer.
+    last block keeps every row, [n, vocab]; with ``kv_only`` the last block
+    stops at its K/V write and there are no logits (None).  With
+    ``own_diagonal``, see ``teacher_forced_logits``: every row, [n, vocab].
+    ``record`` [n_layers, n_heads, chunk end], if given, receives the last
+    row's post-softmax attention in every layer.
     """
     cfg = weights.config
     toks = _token_ids(cfg, tokens)
     x = weights.embedding[toks]
     for li in range(cfg.n_layers):
+        last = li == cfg.n_layers - 1
         x = forward_block(weights, li, x, kv, precision,
                           None if record is None else record[li],
                           own_diagonal=own_diagonal,
-                          last_only=(not (own_diagonal or every_row)
-                                     and li == cfg.n_layers - 1))
+                          last_only=last and not (own_diagonal or every_row),
+                          kv_only=last and kv_only)
     if not own_diagonal:
         kv.length += toks.size
+    if kv_only:
+        return None
     return _rmsnorm(x, weights.final_norm_gain) @ weights.embedding.T
 
 
@@ -743,12 +759,13 @@ def prefill(
     ``_PREFILL_CHUNK`` rows, one ``_forward`` each on the same cache,
     which bounds the activations alive at once by the chunk, not the
     prompt; a row's K/V and logits keep their one-shot bits.  In each
-    chunk every block computes every row up to its K/V write; the last
-    block then runs attention, its MLP and the output head for the
-    chunk's final row alone.  So on the 4-bit path the logits are bitwise
-    the decode step of the final token on a cache holding the others.
-    With ``every_row`` the last block keeps every row and the logits are
-    [n, vocab], the chunks' rows in order: row j predicts the token after
+    chunk every block computes every row up to its K/V write.  In every
+    chunk but the last the last block stops there; in the last chunk it
+    runs attention, its MLP and the output head for the final row alone.
+    So on the 4-bit path the logits are bitwise the decode step of the
+    final token on a cache holding the others.  With ``every_row`` the
+    last block of every chunk keeps every row and the logits are [n,
+    vocab], the chunks' rows in order: row j predicts the token after
     ``tokens[j]``.  From an empty cache they are bitwise
     ``teacher_forced_logits`` of the same tokens on the cache this pass
     writes, and on the 4-bit path, whose K/V are row-invariant, also on
@@ -767,7 +784,8 @@ def prefill(
     edges = [toks.size * i // count for i in range(count + 1)]
     logits = [_forward(weights, toks[a:b], kv, precision,
                        record=record if b == toks.size else None,
-                       every_row=every_row)
+                       every_row=every_row,
+                       kv_only=not every_row and b < toks.size)
               for a, b in zip(edges, edges[1:])]
     attention = AttentionRecord(end - 1, record) if record_attention else None
     return PrefillResult(

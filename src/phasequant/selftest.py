@@ -60,6 +60,13 @@ def _suite_quantizer() -> bool:
         return False
     if not np.all(qz.dequantize(qt) == 3.0):
         return False
+    # Under the unit policy a block led by 6 has block scale 1, so the
+    # 4-bit midpoints tie; the one-row route rounds them as quantize does.
+    mids = np.float32([0.25, 0.75, 1.25, 1.75, 2.5, 3.5, 5.0])
+    ties = np.concatenate([[6.0], mids, -mids, [-0.0]]).astype(np.float32)[None]
+    if (qz.quantize_rows(ties, cfg).codes.tobytes()
+            != qz.quantize(ties, cfg).codes.tobytes()):
+        return False
     rng = np.random.default_rng(11)
     x = rng.normal(size=(8, 64)).astype(np.float32)
     q1 = qz.quantize(x, cfg)
@@ -71,18 +78,25 @@ def _suite_quantizer() -> bool:
     ):
         return False
     # quantize_rows: each row as quantize alone, and the fold it carries
-    # equal to a fold of its codes; with a dead block and a -0.0 row.
+    # equal to a fold of its codes; with a dead block and a -0.0 row, which
+    # also go through the one-row route alone.
     x[2, 16:32] *= np.float32(1e-30)
     x[5] = -0.0
     rq = qz.quantize_rows(x)
-    for i in range(len(x)):
-        one, row = qz.quantize(x[i : i + 1]), rq.row(i)
+    singles = {i: qz.quantize_rows(x[i : i + 1]) for i in (2, 5)}
+    rows = [(i, rq.row(i)) for i in range(len(x))]
+    rows += [(i, act.row(0)) for i, act in singles.items()]
+    for i, row in rows:
+        one = qz.quantize(x[i : i + 1])
         if (one.codes.tobytes() != row.codes.tobytes()
                 or one.block_scales.tobytes() != row.block_scales.tobytes()
                 or one.tensor_scale.tobytes() != row.tensor_scale.tobytes()):
             return False
-    fold = qz.fold_blocks(rq.codes, formats.decode_e4m3(rq.block_scales))
-    return rq.folded().tobytes() == fold.tobytes()
+    for act in (rq, *singles.values()):
+        fold = qz.fold_blocks(act.codes, formats.decode_e4m3(act.block_scales))
+        if act.folded().tobytes() != fold.tobytes():
+            return False
+    return True
 
 
 def _suite_qgemm() -> bool:

@@ -269,6 +269,40 @@ class TestEncodeE4m3AgainstSearchsorted:
         assert formats.encode_e4m3(np.zeros((2, 0), np.float32)).shape == (2, 0)
 
 
+class TestCodeEdges:
+    """A ``searchsorted`` lookup in a format's code edges is its magnitude
+    core.  Both are non-decreasing step functions of the magnitude, so
+    agreeing at every edge, at both float32 neighbours of it and at the
+    ends of the float32 range, they agree on every nonnegative float32."""
+
+    FORMATS = [(formats.FP4_EDGES, formats.fp4_magnitude_codes, 7),
+               (formats.E4M3_EDGES, formats.e4m3_magnitude_codes, 126)]
+
+    @pytest.mark.parametrize("edges, core, top", FORMATS, ids=["fp4", "e4m3"])
+    def test_lookup_equals_the_core(self, edges, core, top):
+        assert edges.dtype == np.float32 and edges.shape == (top,)
+        assert (np.diff(edges) > 0).all() and not edges.flags.writeable
+        info = np.finfo(np.float32)
+        below = np.nextafter(edges, np.float32(0))
+        above = np.nextafter(edges, np.float32(np.inf))
+        ends = np.array([0.0, info.smallest_subnormal, info.max], np.float32)
+        probes = np.concatenate([edges, below, above, ends])
+        lookup = np.searchsorted(edges, probes, side="right")
+        assert np.array_equal(lookup, core(probes))
+        # each edge is the first float32 of its code
+        assert np.array_equal(core(edges), np.arange(1, top + 1))
+        assert np.array_equal(core(below), np.arange(top))
+
+    def test_fp4_edges_follow_the_tie_rule(self):
+        # a midpoint ties to the even code: the one above it when the code
+        # below is odd (the edge is the midpoint), else the one below (the
+        # edge is the next float32 up)
+        mids = np.float32([0.25, 0.75, 1.25, 1.75, 2.5, 3.5, 5.0])
+        up = np.nextafter(mids, np.float32(np.inf))
+        want = np.where(np.arange(7) % 2 == 1, mids, up)
+        assert formats.FP4_EDGES.tobytes() == want.tobytes()
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import scale_after_qgemm
 from phasequant import formats, gemm
@@ -426,12 +428,13 @@ class TestTiledKernel:
             return out
 
     @pytest.mark.parametrize("m, n, budget_blocks", [
+        (1, 256, None),  # one row, no tiles
         (3, 256, None),  # one row tile
         (40, 256, None),  # three row tiles
         (3, 24, 3),  # one-row tiles, the budget below one row's terms
         (1, 1, None),  # one output element
         (1, 1, 3),  # one output element, the budget below its terms
-    ], ids=["one-tile", "multi-tile", "one-row-tiles", "lone",
+    ], ids=["one-row", "one-tile", "multi-tile", "one-row-tiles", "lone",
             "lone-below-budget"])
     def test_negative_zero_terms_sum_to_positive_zero(self, monkeypatch, m, n,
                                                       budget_blocks):
@@ -450,3 +453,23 @@ class TestTiledKernel:
             monkeypatch.setattr(gemm, "_TILE_BYTES", 4 * n * budget_blocks)
         rows = self.check(x, wm)
         assert not np.signbit(rows[0]).any() and not rows[0].any()
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 6),
+       nblocks=st.sampled_from([1, 2, 16, 64]), n=st.sampled_from([1, 2, 24, 256]))
+def test_one_row_product_equals_its_row_of_the_batch(seed, m, nblocks, n):
+    # A one-row product (a decode step's) runs without row tiles: its bits
+    # are the oracle's, the mirror's and its row's in the m-row product.
+    rng = np.random.default_rng(seed)
+    x, wm = spread_operands(rng, m, 16 * nblocks, n)
+    x[0] = -0.0
+    w = quantize(wm)
+    batch = qgemm_rows(quantize_rows(x), w)
+    for i in range(m):
+        one = quantize_rows(x[i : i + 1])
+        got = qgemm_rows(one, w)
+        assert got.shape == (1, n)
+        assert got.tobytes() == batch[i : i + 1].tobytes()
+        assert got.tobytes() == qgemm_mirror(one.row(0), w).tobytes()
+        assert got.tobytes() == scale_after_qgemm(one, w).tobytes()

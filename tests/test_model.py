@@ -818,11 +818,45 @@ class TestPromptPassLastRow:
         seen.clear()  # teacher forcing keeps every row
         teacher_forced_logits(weights, tokens[129:149], kv, prec)
         assert {rows for _, _, rows in seen} == {20}
-        seen.clear()  # 600 tokens: three chunks of 200 rows, each as above
+        seen.clear()  # 600 tokens: three chunks of 200 rows; the first two
+        # hand on only their K/V, the last as above
         prefill(weights, tokens[:600], prec)
-        assert seen == 3 * [(0, qkv, 200), (0, out, 200), (0, gate_up, 200),
-                            (0, down, 200), (1, qkv, 200), (1, out, 1),
-                            (1, gate_up, 1), (1, down, 1)]
+        first = [(0, qkv, 200), (0, out, 200), (0, gate_up, 200),
+                 (0, down, 200)]
+        assert seen == (2 * (first + [(1, ("attn_k", "attn_v"), 200)])
+                        + first + [(1, qkv, 200), (1, out, 1),
+                                   (1, gate_up, 1), (1, down, 1)])
+
+    def test_chunk_before_the_last_stops_at_its_kv_write(
+            self, weights, tokens, monkeypatch):
+        # 600 tokens at 4 bits: in each of the first two chunks the last
+        # layer makes its k and v products only, and the output head runs
+        # once, in the last chunk
+        products, heads = [], []
+        qgemm_rows, rmsnorm = model.qgemm_rows, model._rmsnorm
+        shadows = {id(weights.shadow(1, name)): name
+                   for name in ("attn_q", "attn_k", "attn_v", "attn_out",
+                                "mlp_gate", "mlp_up", "mlp_down")}
+
+        def product(act, w):
+            products.append((shadows.get(id(w)), len(act.codes)))
+            return qgemm_rows(act, w)
+
+        def norm(x, gain):
+            if gain is weights.final_norm_gain:
+                heads.append(len(x))
+            return rmsnorm(x, gain)
+
+        monkeypatch.setattr(model, "qgemm_rows", product)
+        monkeypatch.setattr(model, "_rmsnorm", norm)
+        prefill(weights, tokens[:600], Precision.NVFP4)
+        last_layer = [p for p in products if p[0] is not None]
+        assert last_layer == (2 * [("attn_k", 200), ("attn_v", 200)]
+                              + [("attn_q", 200), ("attn_k", 200),
+                                 ("attn_v", 200), ("attn_out", 1),
+                                 ("mlp_gate", 1), ("mlp_up", 1),
+                                 ("mlp_down", 1)])
+        assert heads == [1]
 
 
 class TestChunkedPromptPass:

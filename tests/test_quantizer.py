@@ -449,3 +449,101 @@ class TestOnePassAgainstTwoPass:
                     quantize_rows(y, cfg)
                 with pytest.raises(NonFiniteError):
                     quantize(y, cfg)
+
+
+def one_row(rng, kind, k):
+    """One row of width ``k``: a ``hard_rows`` kind, or ``zero`` (+0.0
+    throughout), ``negzero`` (-0.0 throughout) or ``subnormal`` (Gaussian,
+    every block after the first scaled by 2**-4..2**-18, so that under
+    either policy some scale ratios are 8-bit subnormals)."""
+    if kind == "zero":
+        return np.zeros((1, k), np.float32)
+    if kind == "negzero":
+        return np.full((1, k), -0.0, np.float32)
+    if kind == "subnormal":
+        x = gaussian(rng, 1, k)
+        low = 2.0 ** -rng.integers(4, 19, size=k // 16 - 1)
+        x[0, 16:] *= np.repeat(low, 16).astype(np.float32)
+        return x
+    return hard_rows(rng, kind, 1, k)
+
+
+ROW_KINDS = TestOnePassAgainstTwoPass.KINDS + ("zero", "negzero", "subnormal")
+
+
+def exact(arr):
+    return arr.dtype, arr.shape, arr.tobytes()
+
+
+class TestOneRowRoute:
+    """A one-row ``quantize_rows`` (a decode step's input) takes its own
+    route; it has the bits of the many-row route and of ``quantize``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           kinds=st.lists(st.sampled_from(ROW_KINDS), min_size=2, max_size=5),
+           nblocks=st.sampled_from([1, 2, 3, 16, 64]),
+           policy=st.sampled_from(list(TensorScalePolicy)))
+    def test_equals_many_rows_and_quantize(self, seed, kinds, nblocks, policy):
+        rng = np.random.default_rng(seed)
+        k = 16 * nblocks
+        x = np.concatenate([one_row(rng, kind, k) for kind in kinds])
+        cfg = QuantConfig(policy=policy)
+        many = quantize_rows(x, cfg)
+        for i in range(len(x)):
+            one = quantize_rows(x[i : i + 1], cfg)
+            single = quantize(x[i : i + 1], cfg)
+            assert exact(one.codes) == exact(many.codes[i : i + 1]) == exact(single.codes)
+            assert (exact(one.block_scales) == exact(many.block_scales[i : i + 1])
+                    == exact(single.block_scales))
+            assert (exact(one.row_scales) == exact(many.row_scales[i : i + 1])
+                    == exact(single.row_scales))
+            assert exact(one.folded()) == exact(many.folded()[i : i + 1])
+            assert exact(one.folded()) == exact(single.folded())
+            assert not one.folded().flags.writeable
+
+    def test_rows_reach_every_case(self):
+        rng = np.random.default_rng(10)
+        for kind, policy in (("subnormal", AMAX), ("subnormal", UNIT),
+                             ("dead", AMAX), ("saturate", AMAX)):
+            rq = quantize_rows(np.concatenate([one_row(rng, kind, 256)
+                                               for _ in range(8)]), policy)
+            scales = formats.decode_e4m3(rq.block_scales)
+            if kind == "subnormal":  # 8-bit subnormal scales
+                assert ((scales > 0) & (scales < 2.0**-6)).any()
+            elif kind == "dead":
+                assert (scales == 0).any()
+            else:
+                lead = np.abs(formats.decode_fp4(rq.codes)).reshape(8, 16, 16)
+                assert (lead[:, 1:, :2] == 6).all()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("j", [0, 17, 255])
+    def test_non_finite_entry_message(self, bad, j):
+        x = gaussian(np.random.default_rng(11), 2, 256)
+        x[:, 16:32] *= np.float32(1e-30)  # a dead block
+        x[0, j] = bad
+        for cfg in (AMAX, UNIT):
+            for rows in (x[:1], x):
+                with pytest.raises(NonFiniteError, match="^matrix entries must be finite$"):
+                    quantize_rows(rows, cfg)
+
+    @pytest.mark.parametrize("alpha, what", [
+        (0.0, "scale to encode"),  # ratios inf (0 over 0 gives NaN)
+        (np.nan, "scale to encode"),
+        (np.inf, "value to encode"),  # ratios 0, so scales 0 and inf * 0
+        (-np.inf, "value to encode"),
+    ])
+    def test_later_checks_keep_their_messages(self, monkeypatch, alpha, what):
+        # No finite matrix reaches the scale-ratio or scaled-value checks,
+        # so a tensor scale is forced: each route raises at the same check.
+        from phasequant import quantizer
+
+        monkeypatch.setattr(quantizer, "_tensor_scales", lambda amax, policy:
+                            amax * np.float32(0) + np.float32(alpha))
+        x = gaussian(np.random.default_rng(12), 2, 64)
+        x[1] = 0.0
+        with np.errstate(all="ignore"):
+            for rows in (x[:1], x[1:], x):
+                with pytest.raises(NonFiniteError, match=f"^{what} must be finite$"):
+                    quantize_rows(rows)
