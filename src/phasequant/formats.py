@@ -15,8 +15,10 @@ Encoding rounds to the nearest grid point with ties resolved toward the
 code whose mantissa low bit is 0, saturates past the largest finite
 magnitude, and preserves the sign of zero.  All functions are pure and
 accept scalars or numpy arrays.  Each format's rounding rule is one
-unchecked magnitude core; the code edges (``FP4_EDGES``, ``E4M3_EDGES``)
-are derived from it at import.
+unchecked magnitude core.  Its code edges (``FP4_EDGES``, ``E4M3_EDGES``)
+are the midpoints of neighbouring grid values, one float32 step up where
+the tie rule sends the midpoint down; the tests check a lookup in them
+against the core at every edge and both its float32 neighbours.
 """
 
 from __future__ import annotations
@@ -156,26 +158,21 @@ def e4m3_magnitude_codes(mag) -> np.ndarray:
     return np.where(mag < 2.0**-6, subnormal, normal).astype(np.uint8)
 
 
-def _code_edges(magnitude_codes, top: int) -> np.ndarray:
-    """For each code c in 1..``top``, the smallest nonnegative float32 that
-    ``magnitude_codes`` maps to c or above, as a float32 array.
+def _code_edges(values: np.ndarray) -> np.ndarray:
+    """For each code c in 1..``len(values) - 1``, the smallest nonnegative
+    float32 that the rounding rule of the ascending grid ``values`` maps to
+    c or above, as a read-only float32 array.
 
-    Found by bisection over the float32 bit patterns, whose order is the
-    order of the nonnegative values, with the rounding rule itself as the
-    predicate: the rule stays the one definition of each format, and the
-    edges follow it.  The rule maps +0.0 to 0 and the largest float32 to
-    ``top``; it is a non-decreasing step function of the magnitude, so
-    ``np.searchsorted(edges, mag, side="right")`` is ``magnitude_codes(mag)``
-    for every nonnegative float32 ``mag``.
+    That is the midpoint of ``values[c - 1]`` and ``values[c]`` (exact in
+    float32: one bit past either value's significand), where a tie goes up
+    to c, and the next float32 above it where c is odd, since the tie then
+    goes down to the even code.  The rule is a non-decreasing step function
+    of the magnitude, so ``np.searchsorted(edges, mag, side="right")`` is
+    the magnitude core for every nonnegative float32 ``mag``.
     """
-    want = np.arange(1, top + 1)
-    lo = np.zeros(top, dtype=np.int32)  # its code is below c
-    hi = np.full(top, np.finfo(np.float32).max).view(np.int32)  # at least c
-    while (hi - lo > 1).any():
-        mid = lo + (hi - lo) // 2
-        up = magnitude_codes(mid.view(np.float32)) >= want
-        lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
-    edges = hi.view(np.float32)
+    mids = ((values[:-1] + values[1:]) / 2).astype(np.float32)
+    odd = np.arange(1, len(values)) % 2 == 1
+    edges = np.where(odd, np.nextafter(mids, np.float32(np.inf)), mids)
     edges.flags.writeable = False
     return edges
 
@@ -183,13 +180,16 @@ def _code_edges(magnitude_codes, top: int) -> np.ndarray:
 # Code edges of both rounding rules, for a ``searchsorted`` lookup where a
 # few values make the compare-count or the bit arithmetic cost more in
 # numpy calls than in work.
-FP4_EDGES = _code_edges(fp4_magnitude_codes, 7)
-E4M3_EDGES = _code_edges(e4m3_magnitude_codes, 126)
+FP4_EDGES = _code_edges(_FP4_MAGNITUDES)
+E4M3_EDGES = _code_edges(E4M3_VALUES[:127])
 
 
 def decode_e4m3(codes) -> np.ndarray:
     """Decoded grid value of each 8-bit code; the NaN pattern is an error."""
-    values = E4M3_VALUES[np.asarray(codes)]
+    c = np.asarray(codes)
+    if c.size and (c.min() < 0 or c.max() > 255):
+        raise ValueError("8-bit code out of range")
+    values = E4M3_VALUES[c]
     if np.isnan(values).any():
         raise ValueError("cannot decode the NaN pattern")
     return values

@@ -15,15 +15,15 @@ in every mode.
 
 ``prefill``, ``decode_step`` and ``teacher_forced_logits`` all run one
 block loop (``_forward``), and every block one attention function
-(``_attend``).  A pass that writes the cache computes only what it hands
-on, the K/V of every row and the logits of the last: its last block runs
-attention, the MLP and the output head for the last row alone, unless the
-caller asks for every row's logits.  Teacher forcing computes every row.
-``prefill`` checks the whole prompt, then runs it as near-equal chunks of
-at most ``_PREFILL_CHUNK`` rows on one cache, so the activations alive at
-once are a chunk's, not the prompt's; within a block each is dropped once
-read.  A chunk before the last hands on only its K/V, so its last block
-stops at the K/V write.
+(``_attend``).  A pass computes only what it hands on: every block runs
+every row up to its K/V write, and the last block carries a count of
+rows past it (``keep``: every row, the last, or none), whose logits the
+pass returns.  ``prefill`` checks the whole prompt, then runs it as
+near-equal chunks of at most ``_PREFILL_CHUNK`` rows on one cache, so
+the activations alive at once are a chunk's, not the prompt's; within a
+block each is dropped once read.  Its last chunk keeps the last row (or
+every row, if the caller asks for every row's logits), a chunk before it
+no row; teacher forcing keeps every row.
 Attention runs causally over 128-key tiles aligned to absolute key
 positions.  A row reads only the tiles that hold keys before its own
 position (within the first tile, only as many columns as the chunk
@@ -405,12 +405,11 @@ def forward_block(
     precision: Precision,
     attn_record_row: Optional[np.ndarray] = None,
     own_diagonal: bool = False,
-    last_only: bool = False,
-    kv_only: bool = False,
+    keep: Optional[int] = None,
 ) -> Optional[np.ndarray]:
     """One pre-norm residual block over a chunk of hidden states; returns
-    the hidden state of every row, or with ``last_only`` of the last row,
-    or with ``kv_only`` nothing.
+    the hidden state of the rows it keeps (``keep``), or None if it keeps
+    none.
 
     The start position is not passed but derived: the chunk's rows are the
     positions from ``kv.length`` on (which only advances once the caller
@@ -428,15 +427,13 @@ def forward_block(
     entries.  The cache must then hold every position before the chunk's
     last, and nothing is written to it.
 
-    With ``last_only`` (the last block of a pass that writes the cache) the
-    block still writes every row's K/V, then keeps only the last row: its
-    attention (``_attend_row`` over the cache just written), ``attn_out``
-    and MLP run on one row.  Its bits are those of the last row of the
-    all-rows block wherever a one-row product keeps them: attention and
-    the 4-bit linears do, float32 matmuls need not.  With ``kv_only`` (the
-    last block of a prompt chunk that hands on no logits) the block stops
-    at its K/V write, whatever ``last_only`` says: its k and v projections
-    are its only products.
+    ``keep`` counts the rows the block carries past its K/V write: every
+    row (None), or the chunk's last ``keep`` rows, whose attention (over
+    the cache just written), ``attn_out`` and MLP run on those rows alone.
+    Their bits are those of the same rows of the all-rows block wherever a
+    narrower product keeps them: attention and the 4-bit linears do,
+    float32 matmuls need not.  With ``keep`` 0 the block stops at its K/V
+    write, and its k and v projections are its only products.
 
     Each activation is released once read (the normed input, q/k/v, the
     attention output, the projections), and the MLP gate works in one
@@ -458,7 +455,7 @@ def forward_block(
                       for scale in (1.0 / math.sqrt(cfg.head_dim), 1.0))
 
     h = _rmsnorm(x, layer.attn_norm_gain)
-    if kv_only:
+    if keep == 0:
         k, v = _linears(h, ("attn_k", "attn_v"), precision, weights, layer_idx)
     else:
         q, k, v = _linears(h, ("attn_q", "attn_k", "attn_v"), precision,
@@ -470,12 +467,12 @@ def forward_block(
     if not own_diagonal:
         kv.keys[layer_idx][pos0:total] = k
         kv.values[layer_idx][pos0:total] = v
-    if kv_only:
+    if keep == 0:
         return None
     q = _apply_rope(q.reshape(p, cfg.n_heads, cfg.head_dim), *q_rope)
-    if last_only:
-        q, k, v, x = q[-1:], k[-1:], v[-1:], x[-1:]
-        pos0, p = total - 1, 1
+    if keep is not None:
+        q, k, v, x = q[-keep:], k[-keep:], v[-keep:], x[-keep:]
+        pos0, p = total - keep, keep
     attn = _attend(q, k, v, kv.keys[layer_idx], kv.values[layer_idx], pos0,
                    attn_record_row)
     del q, k, v
@@ -709,19 +706,15 @@ def _forward(
     precision: Precision,
     own_diagonal: bool = False,
     record: Optional[np.ndarray] = None,
-    every_row: bool = False,
-    kv_only: bool = False,
+    keep: Optional[int] = None,
 ) -> Optional[np.ndarray]:
-    """Run ``tokens`` through every block; returns logits.
+    """Run ``tokens`` through every block; returns the logits of the rows
+    the last block keeps (``keep``, as in ``forward_block``), or None if it
+    keeps none: every block before it computes every row.
 
     Without ``own_diagonal`` the tokens are the next positions after
-    ``kv.length``: their K/V entries are written, ``kv.length`` advances,
-    and only what the pass hands on is computed: every row up to the last
-    block's K/V write, then the last row alone (``forward_block``'s
-    ``last_only``), so the logits are [1, vocab]; with ``every_row`` the
-    last block keeps every row, [n, vocab]; with ``kv_only`` the last block
-    stops at its K/V write and there are no logits (None).  With
-    ``own_diagonal``, see ``teacher_forced_logits``: every row, [n, vocab].
+    ``kv.length``: their K/V entries are written and ``kv.length``
+    advances.  With ``own_diagonal``, see ``teacher_forced_logits``.
     ``record`` [n_layers, n_heads, chunk end], if given, receives the last
     row's post-softmax attention in every layer.
     """
@@ -729,15 +722,13 @@ def _forward(
     toks = _token_ids(cfg, tokens)
     x = weights.embedding[toks]
     for li in range(cfg.n_layers):
-        last = li == cfg.n_layers - 1
         x = forward_block(weights, li, x, kv, precision,
                           None if record is None else record[li],
                           own_diagonal=own_diagonal,
-                          last_only=last and not (own_diagonal or every_row),
-                          kv_only=last and kv_only)
+                          keep=keep if li == cfg.n_layers - 1 else None)
     if not own_diagonal:
         kv.length += toks.size
-    if kv_only:
+    if keep == 0:
         return None
     return _rmsnorm(x, weights.final_norm_gain) @ weights.embedding.T
 
@@ -758,18 +749,16 @@ def prefill(
     nothing.  The prompt then runs as near-equal chunks of at most
     ``_PREFILL_CHUNK`` rows, one ``_forward`` each on the same cache,
     which bounds the activations alive at once by the chunk, not the
-    prompt; a row's K/V and logits keep their one-shot bits.  In each
-    chunk every block computes every row up to its K/V write.  In every
-    chunk but the last the last block stops there; in the last chunk it
-    runs attention, its MLP and the output head for the final row alone.
-    So on the 4-bit path the logits are bitwise the decode step of the
-    final token on a cache holding the others.  With ``every_row`` the
-    last block of every chunk keeps every row and the logits are [n,
-    vocab], the chunks' rows in order: row j predicts the token after
-    ``tokens[j]``.  From an empty cache they are bitwise
-    ``teacher_forced_logits`` of the same tokens on the cache this pass
-    writes, and on the 4-bit path, whose K/V are row-invariant, also on
-    the cache of a prefill of all but the last token.
+    prompt; a row's K/V and logits keep their one-shot bits.  The last
+    block of the last chunk keeps the final row (``_forward``'s ``keep``)
+    and that of a chunk before it no row, so on the 4-bit path the logits
+    are bitwise the decode step of the final token on a cache holding the
+    others.  With ``every_row`` the last block of every chunk keeps every
+    row and the logits are [n, vocab], the chunks' rows in order: row j
+    predicts the token after ``tokens[j]``.  From an empty cache they are
+    bitwise ``teacher_forced_logits`` of the same tokens on the cache this
+    pass writes, and on the 4-bit path, whose K/V are row-invariant, also
+    on the cache of a prefill of all but the last token.
     ``record_attention`` captures the post-softmax rows of the final
     position in every layer and head (the last chunk fills it).
     """
@@ -784,8 +773,7 @@ def prefill(
     edges = [toks.size * i // count for i in range(count + 1)]
     logits = [_forward(weights, toks[a:b], kv, precision,
                        record=record if b == toks.size else None,
-                       every_row=every_row,
-                       kv_only=not every_row and b < toks.size)
+                       keep=None if every_row else int(b == toks.size))
               for a, b in zip(edges, edges[1:])]
     attention = AttentionRecord(end - 1, record) if record_attention else None
     return PrefillResult(

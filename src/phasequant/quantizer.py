@@ -161,7 +161,7 @@ def _encode(arr: np.ndarray, mag: np.ndarray, bmax: np.ndarray,
     ratios = bmax / (alphas[:, None] * np.float32(formats.FP4_MAX))
     _require_finite(np.isfinite(ratios).all(), "scale to encode")
     scale_codes = formats.e4m3_magnitude_codes(ratios)
-    scales = formats.decode_e4m3(scale_codes)
+    scales = formats.E4M3_VALUES.take(scale_codes)  # codes 0..126: no NaN
     combined = alphas[:, None] * scales
     dead = combined == 0
     combined[dead] = 1
@@ -265,25 +265,28 @@ def _quantize_row(arr: np.ndarray, mag: np.ndarray, bmax: np.ndarray,
     maxima ``bmax``: the operation sequence of ``_encode`` in fewer numpy
     calls, with the same bits.
 
-    Each finiteness check reads one max: a NaN carries through a max, and
-    the scale ratios and scaled values are nonnegative, so a max is finite
-    exactly when every value under it is.  The scale codes and the element
+    Each finiteness check reads one max, taken from 0 so that a row of no
+    columns has one: a NaN carries through a max, and the scale ratios and
+    scaled values are nonnegative, so a max is finite exactly when every
+    value under it is.  The scale codes and the element
     codes each come from one lookup in the code edges of their rounding
     rule (``formats.E4M3_EDGES``, ``formats.FP4_EDGES``), and the fold
     from the 4-bit value table.  At one row's few blocks that costs fewer
     numpy calls than the many-row route; at many rows the lookup is the
     slower one.
     """
-    alpha = _tensor_scales(bmax.max(), policy)
+    alpha = _tensor_scales(bmax.max(initial=np.float32(0)), policy)
     ratios = bmax / (alpha * formats.FP4_MAX)
-    _require_finite(math.isfinite(ratios.max()), "scale to encode")
+    _require_finite(math.isfinite(ratios.max(initial=np.float32(0))),
+                    "scale to encode")
     scale_codes = formats.E4M3_EDGES.searchsorted(ratios, side="right")
     scales = formats.E4M3_VALUES.take(scale_codes)
     combined = alpha * scales
     dead = combined == 0
     combined[dead] = 1
     scaled = np.divide(mag, combined[:, None], out=mag)
-    _require_finite(math.isfinite(scaled.max()), "value to encode")
+    _require_finite(math.isfinite(scaled.max(initial=np.float32(0))),
+                    "value to encode")
     codes = formats.FP4_EDGES.searchsorted(scaled, side="right").astype(np.uint8)
     codes |= np.signbit(arr).reshape(codes.shape).view(np.uint8) << 3
     codes[dead] = 0

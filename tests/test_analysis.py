@@ -292,7 +292,7 @@ def test_matches_per_token_oracle(weights, mode):
 @pytest.fixture
 def counted_passes(monkeypatch):
     """Record each ``prefill`` call of ``perplexity`` as (tokens, precision)
-    and each block as (rows in, precision, own_diagonal, last_only)."""
+    and each block as (rows in, precision, own_diagonal, keeps one row)."""
     prefills, blocks = [], []
     real_prefill, real_block = analysis.prefill, model.forward_block
 
@@ -302,7 +302,7 @@ def counted_passes(monkeypatch):
 
     def counting_block(w, layer, x, kv, precision, *args, **kwargs):
         blocks.append((len(x), precision, kwargs.get("own_diagonal", False),
-                       kwargs.get("last_only", False)))
+                       kwargs.get("keep") == 1))
         return real_block(w, layer, x, kv, precision, *args, **kwargs)
 
     monkeypatch.setattr(analysis, "prefill", counting_prefill)

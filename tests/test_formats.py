@@ -223,6 +223,30 @@ class TestEncodeE4m3:
         assert np.array_equal(formats.encode_e4m3(x), nearest_e4m3_oracle(x))
 
 
+
+class TestDecodeRange:
+    """Each decoder refuses what is not a code of its grid."""
+
+    @pytest.mark.parametrize("decode, what", [
+        (formats.decode_fp4, "^4-bit code out of range$"),
+        (formats.decode_e4m3, "^8-bit code out of range$"),
+    ], ids=["fp4", "e4m3"])
+    @pytest.mark.parametrize("code", [-2, 256])
+    def test_decoders_refuse_a_non_code(self, decode, what, code):
+        # not read through numpy's negative or out-of-bounds indexing
+        with pytest.raises(ValueError, match=what):
+            decode([0, code])
+
+    @pytest.mark.parametrize("decode, what", [
+        (formats.decode_fp4, "^4-bit code out of range$"),
+        (formats.decode_e4m3, "^cannot decode the NaN pattern$"),
+    ], ids=["fp4", "e4m3"])
+    def test_decoders_refuse_the_nan_pattern(self, decode, what):
+        for code in (0x7F, 0xFF):
+            with pytest.raises(ValueError, match=what):
+                decode([0, code])
+
+
 class TestEncodeE4m3AgainstSearchsorted:
     """The bit-pattern encoder against the float64 ``searchsorted`` route."""
 

@@ -502,6 +502,16 @@ class TestOneRowRoute:
             assert exact(one.folded()) == exact(single.folded())
             assert not one.folded().flags.writeable
 
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_zero_width_matrix(self, rows):
+        x = np.zeros((rows, 0), np.float32)
+        rq = quantize_rows(x)
+        for i in range(rows):
+            row, single = rq.row(i), quantize(x[i : i + 1])
+            assert exact(row.codes) == exact(single.codes)
+            assert exact(row.block_scales) == exact(single.block_scales)
+            assert row.tensor_scale == single.tensor_scale == 1.0
+
     def test_rows_reach_every_case(self):
         rng = np.random.default_rng(10)
         for kind, policy in (("subnormal", AMAX), ("subnormal", UNIT),
