@@ -15,11 +15,11 @@ import numpy as np
 
 from .engine import ExecutionMode, Trajectory
 from .model import (
-    AttentionRecord,
     KvCache,
     ModelConfig,
     ModelWeights,
     Precision,
+    _token_ids,
     prefill,
     teacher_forced_logits,
 )
@@ -51,9 +51,9 @@ class TopKMassReport:
         return "\n".join(lines) + "\n"
 
 
-def topk_mass(record: AttentionRecord, ks: Sequence[int]) -> TopKMassReport:
-    """Per-(layer, head) top-k attention mass at the recorded query position."""
-    rows = record.rows
+def topk_mass(rows: np.ndarray, ks: Sequence[int]) -> TopKMassReport:
+    """Per-(layer, head) top-k attention mass of one query position's
+    attention ``rows``, [n_layers, n_heads, seq_len]."""
     seq_len = rows.shape[-1]
     ks = [int(k) for k in ks]
     if not ks:
@@ -193,9 +193,9 @@ def cost_model(
     prefill_linear = cfg.n_layers * prompt_len * linear_per_token
     prefill_attn = cfg.n_layers * prompt_len * prompt_len * d
     decode_linear = cfg.n_layers * gen_len * linear_per_token
-    decode_attn = cfg.n_layers * d * sum(
-        prompt_len + t for t in range(1, gen_len + 1)
-    )
+    # sum of prompt_len + t over t = 1..gen_len, in closed form
+    decode_attn = cfg.n_layers * d * (
+        gen_len * prompt_len + gen_len * (gen_len + 1) // 2)
     prefill_low = prefill_linear if mode.prefill_precision is Precision.NVFP4 else 0
     decode_low = decode_linear if mode.decode_precision is Precision.NVFP4 else 0
     # Every size and length is at least 1, so no count below is 0.
@@ -256,8 +256,8 @@ def perplexity(weights: ModelWeights, mode: ExecutionMode,
     for seq in seqs:
         if len(seq) > cfg.max_seq_len:
             raise ValueError("corpus sequence exceeds the model context")
-        if any(not 0 <= t < cfg.vocab_size for t in seq):
-            raise ValueError("corpus token outside the vocabulary")
+        if seq:  # every id, the last (a target only) too
+            _token_ids(cfg, seq)
     total_nll = 0.0
     scored = 0
     for seq in seqs:
@@ -287,9 +287,9 @@ def perplexity(weights: ModelWeights, mode: ExecutionMode,
 
 
 def record_attention(weights: ModelWeights, prompt,
-                     mode: ExecutionMode) -> AttentionRecord:
-    """Prompt pass at the mode's prefill precision, recording the final
-    position's attention rows."""
+                     mode: ExecutionMode) -> np.ndarray:
+    """Prompt pass at the mode's prefill precision; returns the final
+    position's attention rows, [n_layers, n_heads, seq_len]."""
     result = prefill(
         weights, prompt, mode.prefill_precision, record_attention=True
     )

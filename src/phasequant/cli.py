@@ -161,8 +161,11 @@ def _cmd_init_model(args) -> int:
         rope_base=args.rope_base,
         seed=args.seed,
     )
+    # packs the config block, so a size its u32 field cannot hold is
+    # refused before any weight is made
+    digest = cfg.digest()
     save_model(init_model(cfg), args.out)
-    print(f"digest={cfg.digest():016x}", file=sys.stderr)
+    print(f"digest={digest:016x}", file=sys.stderr)
     return 0
 
 
@@ -203,10 +206,10 @@ def _cmd_compare_modes(args) -> int:
 
 def _cmd_analyze_attn(args) -> int:
     weights = load_model(args.model)
-    record = analysis.record_attention(
+    rows = analysis.record_attention(
         weights, args.prompt_tokens, ExecutionMode.from_name(args.mode),
     )
-    _emit(analysis.topk_mass(record, args.k), args)
+    _emit(analysis.topk_mass(rows, args.k), args)
     return 0
 
 

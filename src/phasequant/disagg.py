@@ -59,7 +59,6 @@ import numpy as np
 from .engine import (
     ExecutionMode,
     SamplerSpec,
-    check_context,
     render_trajectory,
     run_decode_loop,
 )
@@ -68,7 +67,7 @@ from .errors import (
     ContextOverflowError,
     ProtocolError,
 )
-from .model import KvCache, ModelWeights, Precision, prefill
+from .model import KvCache, ModelWeights, Precision, check_context, prefill
 
 PROTOCOL_VERSION = 1
 BLOB_MAGIC = b"MXQK"

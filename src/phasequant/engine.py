@@ -43,12 +43,12 @@ from typing import List, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ContextOverflowError, NonFiniteError
+from .errors import NonFiniteError
 from .model import (
     KvCache,
-    ModelConfig,
     ModelWeights,
     Precision,
+    check_context,
     decode_step,
     prefill,
 )
@@ -215,25 +215,6 @@ def run_decode_loop(
         if step + 1 < n:
             logits = decode_step(weights, kv, token, mode.decode_precision)
     return traj
-
-
-def check_context(config: ModelConfig, prompt_len: int, max_new_tokens: int):
-    """Raise ``ContextOverflowError`` unless a prompt of ``prompt_len``
-    tokens and ``max_new_tokens`` generated ones fit ``max_seq_len``.  The
-    last generated token is never fed back, so it takes no position."""
-    if prompt_len > config.max_seq_len:
-        raise ContextOverflowError(
-            f"prompt length {prompt_len} exceeds max_seq_len "
-            f"{config.max_seq_len}",
-            position=prompt_len - 1,
-        )
-    need = prompt_len + max(max_new_tokens - 1, 0)
-    if need > config.max_seq_len:
-        raise ContextOverflowError(
-            f"generation would reach position {need - 1}, past max_seq_len "
-            f"{config.max_seq_len}",
-            position=need - 1,
-        )
 
 
 def generate(

@@ -39,9 +39,8 @@ _FP4_MAGNITUDES = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0], dtype=np.fl
 FP4_VALUES = np.concatenate([_FP4_MAGNITUDES, -_FP4_MAGNITUDES]).astype(np.float32)
 
 
-def _build_e4m3_tables():
+def _build_e4m3_values():
     values = np.zeros(256, dtype=np.float32)
-    is_nan = np.zeros(256, dtype=bool)
     for code in range(256):
         sign = (code >> 7) & 1
         exp = (code >> 3) & 0xF
@@ -49,24 +48,25 @@ def _build_e4m3_tables():
         if exp == 0:
             mag = man * 2.0**-9
         elif exp == 15 and man == 7:
-            is_nan[code] = True
             values[code] = np.float32(np.nan)
             continue
         else:
             mag = (1.0 + man / 8.0) * 2.0 ** (exp - 7)
         values[code] = np.float32(-mag if sign else mag)
-    return values, is_nan
+    return values
 
 
-E4M3_VALUES, E4M3_IS_NAN = _build_e4m3_tables()
+E4M3_VALUES = _build_e4m3_values()
 
 # Midpoints between adjacent magnitudes, exact in float32 and binary64.
 _FP4_MID_FLOATS = tuple(float(lo + hi) / 2
                         for lo, hi in zip(_FP4_MAGNITUDES, _FP4_MAGNITUDES[1:]))
 
 
-def _reject_non_finite(x: np.ndarray, what: str) -> None:
-    if not np.isfinite(x).all():
+def require_finite(finite: bool, what: str) -> None:
+    """Raise ``NonFiniteError`` ("<what> must be finite") unless ``finite``:
+    the one finiteness error of both encoders and the quantizer."""
+    if not finite:
         raise NonFiniteError(f"{what} must be finite")
 
 
@@ -77,7 +77,7 @@ def encode_fp4(x) -> np.ndarray:
     Raises NonFiniteError on NaN or infinite input.
     """
     arr = np.asarray(x)
-    _reject_non_finite(arr, "value to encode")
+    require_finite(np.isfinite(arr).all(), "value to encode")
     codes = fp4_magnitude_codes(np.abs(arr))
     codes |= np.signbit(arr).astype(np.uint8) << np.uint8(3)
     if np.isscalar(x) or arr.ndim == 0:
@@ -122,7 +122,7 @@ def encode_e4m3(x) -> np.ndarray:
     so each value is rounded once, from its own precision.
     """
     arr = np.asarray(x)
-    _reject_non_finite(arr, "scale to encode")
+    require_finite(np.isfinite(arr).all(), "scale to encode")
     if arr.dtype != np.float32:
         arr = arr.astype(np.float64)
     codes = e4m3_magnitude_codes(np.abs(arr))

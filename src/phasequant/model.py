@@ -209,14 +209,19 @@ LayerWeights = make_dataclass(
 )
 
 
+def _dims(cfg: ModelConfig, shape: str) -> tuple:
+    """A schema shape in the config's sizes."""
+    sizes = {"v": cfg.vocab_size, "d": cfg.d_model, "f": cfg.ffn_hidden}
+    return tuple(sizes[c] for c in shape)
+
+
 def _layout(cfg: ModelConfig) -> list:
     """``(layer index or None, field, shape, draws normals)`` for every
     tensor of a model, in stream and file order."""
-    dims = {"v": cfg.vocab_size, "d": cfg.d_model, "f": cfg.ffn_hidden}
     entries = [(None, *_WEIGHT_SCHEMA[0])]
     entries += [(i, *e) for i in range(cfg.n_layers) for e in _LAYER_SCHEMA]
     entries.append((None, *_WEIGHT_SCHEMA[-1]))
-    return [(i, name, tuple(dims[c] for c in shape), normal)
+    return [(i, name, _dims(cfg, shape), normal)
             for i, name, shape, normal in entries]
 
 
@@ -331,21 +336,14 @@ class KvCache:
 
 
 @dataclass
-class AttentionRecord:
-    """Post-softmax attention rows for one query position.
-
-    ``rows`` is [n_layers, n_heads, seq_len]; each row sums to one.
-    """
-
-    query_position: int
-    rows: np.ndarray
-
-
-@dataclass
 class PrefillResult:
+    """A prompt pass's cache and logits; with ``record_attention``, the
+    final position's post-softmax attention rows, [n_layers, n_heads,
+    seq_len], each summing to one."""
+
     kv: KvCache
     logits: np.ndarray
-    attention: Optional[AttentionRecord] = None
+    attention: Optional[np.ndarray] = None
 
 
 def _rmsnorm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
@@ -688,10 +686,23 @@ def _check_fits(cfg: ModelConfig, end: int) -> None:
         )
 
 
+def check_context(config: ModelConfig, prompt_len: int, max_new_tokens: int):
+    """Raise ``ContextOverflowError`` unless a prompt of ``prompt_len``
+    tokens and ``max_new_tokens`` generated ones fit ``max_seq_len``: the
+    prompt's last position first, then the last one a generated token is
+    fed back at.  The last generated token is never fed back, so it takes
+    no position."""
+    _check_fits(config, prompt_len)
+    _check_fits(config, prompt_len + max(max_new_tokens - 1, 0))
+
+
 def _token_ids(cfg: ModelConfig, tokens) -> np.ndarray:
     """``tokens`` as int64 ids, checked: a non-empty 1-D sequence of ids
     inside the vocabulary."""
-    toks = np.asarray(tokens, dtype=np.int64)
+    try:
+        toks = np.asarray(tokens, dtype=np.int64)
+    except OverflowError:  # an id past int64 is past the vocabulary too
+        raise ValueError("token id outside vocabulary") from None
     if toks.ndim != 1 or toks.size == 0:
         raise ValueError("tokens must be a non-empty 1-D sequence")
     if toks.min() < 0 or toks.max() >= cfg.vocab_size:
@@ -760,7 +771,8 @@ def prefill(
     pass writes, and on the 4-bit path, whose K/V are row-invariant, also
     on the cache of a prefill of all but the last token.
     ``record_attention`` captures the post-softmax rows of the final
-    position in every layer and head (the last chunk fills it).
+    position in every layer and head (the last chunk fills it) as the
+    result's ``attention``.
     """
     cfg = weights.config
     kv = KvCache(cfg) if kv is None else kv
@@ -775,10 +787,9 @@ def prefill(
                        record=record if b == toks.size else None,
                        keep=None if every_row else int(b == toks.size))
               for a, b in zip(edges, edges[1:])]
-    attention = AttentionRecord(end - 1, record) if record_attention else None
     return PrefillResult(
         kv=kv, logits=np.concatenate(logits) if every_row else logits[-1][0],
-        attention=attention)
+        attention=record)
 
 
 def decode_step(
@@ -826,7 +837,10 @@ def load_model(path: str) -> ModelWeights:
     cfg = ModelConfig.from_config_block(data[_FILE_HEADER.size : off])
     if cfg.digest() != stored_digest:
         raise ValueError("config digest mismatch in weight file")
-    size = off + 4 * sum(math.prod(shape) for _, _, shape, _ in _layout(cfg))
+    # from the schema: the layout of a header's n_layers, up to 2**32 - 1,
+    # is not built before the file is known to hold that many
+    floats = [math.prod(_dims(cfg, shape)) for _, shape, _ in _WEIGHT_SCHEMA]
+    size = off + 4 * (floats[0] + floats[-1] + cfg.n_layers * sum(floats[1:-1]))
     if len(data) != size:
         raise ValueError(f"weight file is {len(data)} bytes, not {size}")
 

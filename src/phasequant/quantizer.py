@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from . import formats
-from .errors import NonFiniteError, ShapeMismatchError
+from .errors import ShapeMismatchError
 
 GROUP_SIZE = 16
 
@@ -99,11 +99,6 @@ class QuantizedTensor:
         return self._folded_t
 
 
-def _require_finite(finite: bool, what: str) -> None:
-    if not finite:
-        raise NonFiniteError(f"{what} must be finite")
-
-
 def _blocks(x):
     """``x`` checked as a finite float32 matrix with a width divisible by
     16, its magnitudes viewed as rows x nblocks x 16 (a new array, the
@@ -124,7 +119,7 @@ def _blocks(x):
         )
     mag = np.abs(arr)
     bmax = np.maximum.reduce(np.ascontiguousarray(mag.reshape(-1, GROUP_SIZE).T), axis=0)
-    _require_finite(np.isfinite(bmax).all(), "matrix entries")
+    formats.require_finite(np.isfinite(bmax).all(), "matrix entries")
     nblocks = cols // GROUP_SIZE
     return arr, mag.reshape(rows, nblocks, GROUP_SIZE), bmax.reshape(rows, nblocks)
 
@@ -159,14 +154,14 @@ def _encode(arr: np.ndarray, mag: np.ndarray, bmax: np.ndarray,
     """
     rows, nblocks, g = mag.shape
     ratios = bmax / (alphas[:, None] * np.float32(formats.FP4_MAX))
-    _require_finite(np.isfinite(ratios).all(), "scale to encode")
+    formats.require_finite(np.isfinite(ratios).all(), "scale to encode")
     scale_codes = formats.e4m3_magnitude_codes(ratios)
     scales = formats.E4M3_VALUES.take(scale_codes)  # codes 0..126: no NaN
     combined = alphas[:, None] * scales
     dead = combined == 0
     combined[dead] = 1
     scaled = np.divide(mag, combined[:, :, None], out=mag)
-    _require_finite(np.isfinite(scaled).all(), "value to encode")
+    formats.require_finite(np.isfinite(scaled).all(), "value to encode")
     codes = formats.fp4_magnitude_codes(scaled)
     codes |= np.signbit(arr).reshape(mag.shape).view(np.uint8) << np.uint8(3)
     codes[dead] = 0
@@ -277,16 +272,16 @@ def _quantize_row(arr: np.ndarray, mag: np.ndarray, bmax: np.ndarray,
     """
     alpha = _tensor_scales(bmax.max(initial=np.float32(0)), policy)
     ratios = bmax / (alpha * formats.FP4_MAX)
-    _require_finite(math.isfinite(ratios.max(initial=np.float32(0))),
-                    "scale to encode")
+    formats.require_finite(math.isfinite(ratios.max(initial=np.float32(0))),
+                           "scale to encode")
     scale_codes = formats.E4M3_EDGES.searchsorted(ratios, side="right")
     scales = formats.E4M3_VALUES.take(scale_codes)
     combined = alpha * scales
     dead = combined == 0
     combined[dead] = 1
     scaled = np.divide(mag, combined[:, None], out=mag)
-    _require_finite(math.isfinite(scaled.max(initial=np.float32(0))),
-                    "value to encode")
+    formats.require_finite(math.isfinite(scaled.max(initial=np.float32(0))),
+                           "value to encode")
     codes = formats.FP4_EDGES.searchsorted(scaled, side="right").astype(np.uint8)
     codes |= np.signbit(arr).reshape(codes.shape).view(np.uint8) << 3
     codes[dead] = 0

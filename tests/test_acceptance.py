@@ -36,7 +36,6 @@ from phasequant.engine import (
 )
 from phasequant.gemm import qgemm, qgemm_mirror, reference_gemm
 from phasequant.model import (
-    AttentionRecord,
     ModelConfig,
     Precision,
     decode_step,
@@ -301,7 +300,7 @@ def test_criterion_08_metric_oracles():
             logits = rng.normal(scale=2.0, size=n)
             e = np.exp(logits - logits.max())
             row = (e / e.sum()).astype(np.float32)
-            record = AttentionRecord(n - 1, row.reshape(1, 1, n))
+            record = row.reshape(1, 1, n)
             k = int(rng.integers(1, n + 1))
             got = topk_mass(record, [k]).per_head[0, 0, 0]
             brute = float(sum(sorted(row.astype(np.float64), reverse=True)[:k]))
@@ -315,11 +314,11 @@ def test_criterion_08_metric_oracles():
             assert abs(_step_kl(lp, lp)) <= 1e-9
 
         uniform = np.full((1, 1, 10), 0.1, np.float32)
-        report = topk_mass(AttentionRecord(9, uniform), [3])
+        report = topk_mass(uniform, [3])
         assert report.per_head[0, 0, 0] == pytest.approx(0.3, abs=1e-7)
         onehot = np.zeros((1, 1, 10), np.float32)
         onehot[0, 0, 4] = 1.0
-        assert topk_mass(AttentionRecord(9, onehot), [1]).per_head[0, 0, 0] == 1.0
+        assert topk_mass(onehot, [1]).per_head[0, 0, 0] == 1.0
 
     check(8, "topk matches brute force @1e-6; KL(p,p)<=1e-9; edge cases exact",
           run)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,6 @@ from phasequant.analysis import (
     topk_mass,
 )
 from phasequant.engine import ExecutionMode, SamplerSpec, Trajectory, generate
-from phasequant.model import AttentionRecord
 
 
 def softmax_rows(rng, n_rows, n_cols, scale=2.0):
@@ -29,20 +30,20 @@ def topk_oracle(row, k):
 class TestTopkMass:
     def test_uniform_attention(self):
         rows = np.full((2, 3, 10), 0.1, np.float32)
-        report = topk_mass(AttentionRecord(9, rows), [1, 4, 10])
+        report = topk_mass(rows, [1, 4, 10])
         assert np.allclose(report.mean_per_k, [0.1, 0.4, 1.0], atol=1e-6)
 
     def test_one_hot_row(self):
         rows = np.zeros((1, 1, 6), np.float32)
         rows[0, 0, 3] = 1.0
-        report = topk_mass(AttentionRecord(5, rows), [1])
+        report = topk_mass(rows, [1])
         assert report.mean_per_k[0] == 1.0
 
     def test_matches_sort_and_sum_oracle(self):
         rng = np.random.default_rng(0)
         rows = softmax_rows(rng, 12, 33).reshape(3, 4, 33)
         ks = [1, 2, 5, 33]
-        report = topk_mass(AttentionRecord(32, rows), ks)
+        report = topk_mass(rows, ks)
         for li in range(3):
             for hi in range(4):
                 for ki, k in enumerate(ks):
@@ -54,18 +55,18 @@ class TestTopkMass:
         rng = np.random.default_rng(1)
         rows = softmax_rows(rng, 8, 21).reshape(2, 4, 21)
         ks = list(range(1, 22))
-        report = topk_mass(AttentionRecord(20, rows), ks)
+        report = topk_mass(rows, ks)
         assert (np.diff(report.per_head, axis=-1) >= -1e-12).all()
         assert np.abs(report.per_head[..., -1] - 1.0).max() <= 1e-6
 
     def test_k_out_of_range(self):
         rows = np.full((1, 1, 4), 0.25, np.float32)
         with pytest.raises(ValueError):
-            topk_mass(AttentionRecord(3, rows), [0])
+            topk_mass(rows, [0])
         with pytest.raises(ValueError):
-            topk_mass(AttentionRecord(3, rows), [5])
+            topk_mass(rows, [5])
         with pytest.raises(ValueError, match="at least one k"):
-            topk_mass(AttentionRecord(3, rows), [])
+            topk_mass(rows, [])
 
     def test_engine_record_feeds_metric(self, weights):
         record = record_attention(weights, [3, 1, 4, 1, 5],
@@ -75,7 +76,7 @@ class TestTopkMass:
 
     def test_render_is_plain_key_value_text(self):
         rows = np.full((1, 2, 4), 0.25, np.float32)
-        text = topk_mass(AttentionRecord(3, rows), [1, 4]).render()
+        text = topk_mass(rows, [1, 4]).render()
         assert "np.float64" not in text
         assert "layer=0 head=1 k=4 mass=" in text
         values = [line.rsplit("=", 1)[1] for line in text.strip().split("\n")[1:]]
@@ -179,14 +180,25 @@ class TestCostModel:
     def test_closed_form_counts(self):
         cfg = toy_config(0, d_model=256, ffn_hidden=1024, n_heads=16,
                          n_layers=3, max_seq_len=4096, vocab_size=256)
-        L, T = 2048, 4
-        report = cost_model(cfg, L, T, ExecutionMode.MIX_QUANT, 3.0)
+        L = 2048
         per_token = 4 * 256 * 256 + 3 * 256 * 1024
-        assert report.prefill_linear_macs == 3 * L * per_token
-        assert report.prefill_attn_macs == 3 * L * L * 256
-        assert report.decode_linear_macs == 3 * T * per_token
-        assert report.decode_attn_macs == 3 * 256 * sum(
-            L + t for t in range(1, T + 1))
+        for T in (1, 2, 3, 4, 5, 17, 64):
+            report = cost_model(cfg, L, T, ExecutionMode.MIX_QUANT, 3.0)
+            assert report.prefill_linear_macs == 3 * L * per_token
+            assert report.prefill_attn_macs == 3 * L * L * 256
+            assert report.decode_linear_macs == 3 * T * per_token
+            assert report.decode_attn_macs == 3 * 256 * sum(
+                L + t for t in range(1, T + 1))
+
+    def test_decode_attention_of_a_trillion_tokens_is_exact(self):
+        # a sum over the generated tokens would take 10**12 steps; the
+        # count is exact, as in rationals
+        cfg = toy_config(0)
+        L, T = 3, 10**12
+        report = cost_model(cfg, L, T, ExecutionMode.MIX_QUANT, 3.0)
+        exact = Fraction(T * L) + Fraction(T * (T + 1), 2)
+        assert isinstance(report.decode_attn_macs, int)
+        assert report.decode_attn_macs == cfg.n_layers * cfg.d_model * exact
 
     def test_mixquant_prefill_linear_share_is_one(self):
         cfg = toy_config(0, d_model=256, ffn_hidden=1024, n_heads=16,
@@ -257,7 +269,7 @@ class TestPerplexity:
         with pytest.raises(ValueError):
             perplexity(weights, ExecutionMode.BASELINE16, [too_long])
 
-    @pytest.mark.parametrize("last", [-1, 64])
+    @pytest.mark.parametrize("last", [-1, 64, 2**70])
     def test_last_token_outside_vocabulary_rejected(self, weights, last):
         # the last token is only ever a target, never a model input
         assert weights.config.vocab_size == 64

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import blob_dir_stream, frame_bytes
-from phasequant import disagg
+from phasequant import cli, disagg
 from phasequant.cli import main
 from phasequant.disagg import connect_tcp, deserialize_kv, request_prefill
 from phasequant.engine import ExecutionMode, SamplerSpec, parse_trajectory_dump
@@ -73,14 +73,25 @@ class TestInitModel:
         assert code == 1
         assert "error:" in err
 
-    def test_size_beyond_its_file_field_is_one_error_line(self, tmp_path):
-        # max_seq_len is a u32 in the weight file
+    def test_size_beyond_its_file_field_is_one_error_line(self, tmp_path,
+                                                         monkeypatch):
+        # every size is a u32 in the weight file, so one past it is refused
+        # before any weight is made
         path = tmp_path / "m.mxqw"
-        code, _, err = run_cli("init-model", "--seed", "1", "--max-seq-len",
-                               "4294967296", "--out", str(path))
-        assert code == 1
-        assert err.startswith("error:") and err.count("\n") == 1
-        assert not path.exists()
+
+        def no_weights(cfg):
+            pytest.fail("init_model ran on a config its file cannot hold")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(cli, "init_model", no_weights)
+            for flag in ("--max-seq-len", "--vocab-size", "--d-model",
+                         "--ffn-hidden", "--n-layers"):
+                code, _, err = run_cli("init-model", "--seed", "1", flag,
+                                       "4294967296", "--out", str(path))
+                assert code == 1, flag
+                assert err.startswith("error: config field out of range")
+                assert err.count("\n") == 1
+                assert not path.exists()
         code, _, _ = run_cli("init-model", "--seed", "1", "--max-seq-len",
                              "4294967295", "--out", str(path))
         assert code == 0
@@ -164,6 +175,15 @@ class TestGenerate:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["generate", "analyze-attn"])
+    def test_id_past_int64_is_one_error_line(self, model_file, command):
+        code, out, err = run_cli(command, "--model", model_file, "--mode",
+                                 "mixquant", "--prompt-tokens",
+                                 "1,99999999999999999999")
+        assert code == 1
+        assert out == ""
+        assert err == "error: token id outside vocabulary\n"
 
     def test_unknown_mode_exits_one(self, model_file):
         code, _, err = run_cli("generate", "--model", model_file, "--mode",

@@ -309,6 +309,15 @@ class TestPrefillDecode:
         assert [k.tobytes() for k in kv.keys] == keys
         assert [v.tobytes() for v in kv.values] == values
 
+    @pytest.mark.parametrize("token", [2**63, -(2**63) - 1])
+    def test_id_past_int64_is_outside_the_vocabulary(self, weights, token):
+        with pytest.raises(ValueError, match="^token id outside vocabulary$"):
+            prefill(weights, [1, token], Precision.HIGH)
+        kv = prefill(weights, [1], Precision.HIGH).kv
+        with pytest.raises(ValueError, match="^token id outside vocabulary$"):
+            decode_step(weights, kv, token, Precision.HIGH)
+        assert kv.length == 1
+
     def test_decode_overflow(self, weights):
         kv = prefill(weights, [1] * weights.config.max_seq_len,
                      Precision.HIGH).kv
@@ -436,21 +445,19 @@ class TestAttentionRecording:
     def test_rows_are_distributions(self, weights):
         toks = [5, 3, 8, 1, 2, 13, 21]
         res = prefill(weights, toks, Precision.HIGH, record_attention=True)
-        rows = res.attention.rows
+        rows = res.attention
         cfg = weights.config
         assert rows.shape == (cfg.n_layers, cfg.n_heads, len(toks))
         assert (rows >= 0).all()
         assert np.abs(rows.sum(axis=-1) - 1.0).max() <= 1e-5
-        assert res.attention.query_position == len(toks) - 1
 
     @pytest.mark.parametrize("prec", list(Precision))
     def test_appended_chunk_rows_span_cache_and_chunk(self, weights, prec):
         kv = prefill(weights, [5, 3, 8, 1], prec).kv
         res = prefill(weights, [2, 13, 21], prec, kv=kv, record_attention=True)
-        rows = res.attention.rows
+        rows = res.attention
         cfg = weights.config
         assert rows.shape == (cfg.n_layers, cfg.n_heads, 7)
-        assert res.attention.query_position == 6
         assert (rows >= 0).all()
         assert np.abs(rows.sum(axis=-1) - 1.0).max() <= 1e-5
 
@@ -547,7 +554,7 @@ class TestHeadGroupedAttention:
             res = prefill(weights, toks, prec, record_attention=True)
             step = decode_step(weights, res.kv, 9, prec)
             forced = teacher_forced_logits(weights, toks, res.kv, prec)
-            return [res.logits, res.attention.rows, step, forced,
+            return [res.logits, res.attention, step, forced,
                     *res.kv.keys, *res.kv.values]
 
         grouped = run()
@@ -759,7 +766,7 @@ class TestPromptPassLastRow:
         rows = full_forward_logits(weights, toks, prec, kv=kv, record=record)
         res = prefill(weights, toks, prec, record_attention=True)
         assert_same_kv(res.kv, kv, length)
-        assert res.attention.rows.tobytes() == record.tobytes()
+        assert res.attention.tobytes() == record.tobytes()
         # only one-row float32 products (the output head, float32 linears)
         # move the logits
         assert rel_logits_err(res.logits, rows[-1]) <= 1e-6
@@ -1073,6 +1080,31 @@ class TestWeightFile:
             tensor = tensor_of(back, layer, name)
             assert tensor.shape == shape
             assert (tensor == tag).all(), (tag, name)
+
+    def test_length_checked_before_any_per_layer_work(self, tmp_path,
+                                                     monkeypatch):
+        # a 60-byte file whose header, digest included, is well formed and
+        # claims 2**32 - 1 layers: refused by its length, without building
+        # a per-layer layout
+        cfg = ModelConfig(vocab_size=64, d_model=32, n_layers=2**32 - 1,
+                          n_heads=2, max_seq_len=8, seed=0)
+        path = tmp_path / "m.mxqw"
+        path.write_bytes(b"MXQW" + struct.pack("<IQ", 1, cfg.digest())
+                         + cfg.config_block())
+        real_layout = model._layout
+
+        def small_layout(config):
+            assert config.n_layers < 1000, "layout built for every layer"
+            return real_layout(config)
+
+        monkeypatch.setattr(model, "_layout", small_layout)
+        # embedding and final norm, then per layer two norms, four d x d
+        # projections and three d x 4d ones
+        floats = 64 * 32 + 32 + (2**32 - 1) * (2 * 32 + 4 * 32 * 32
+                                               + 3 * 32 * 128)
+        with pytest.raises(ValueError,
+                           match=f"^weight file is 60 bytes, not {60 + 4 * floats}$"):
+            load_model(str(path))
 
     def test_header_layout(self, tmp_path):
         w = toy_weights(22)
