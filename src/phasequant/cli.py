@@ -18,7 +18,6 @@ from .engine import (
     generate,
     render_trajectory,
 )
-from .errors import ProtocolError
 from .model import (
     ModelConfig,
     Precision,
@@ -294,7 +293,7 @@ def main(argv=None) -> int:
         parser.error("--temperature requires --seed")
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError, ProtocolError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

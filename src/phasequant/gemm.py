@@ -10,8 +10,8 @@ production route is fold, then multiply:
   shadow's fold is built from its codes once and cached with it
   (``QuantizedTensor.folded_t``).  An activation's comes built from
   ``quantize_rows``, in the pass that made its codes, and the products of
-  one shared input reuse it (``RowQuantizedActivation.folded``); this
-  module never folds an activation.
+  one shared input reuse it (``RowQuantizedActivation.folded``); only the
+  mirror folds an activation.
 * The kernel forms every 16-wide block term ``a_hat[:, blk] @ w_hat_t[blk]``
   of a tile of rows in one batched ``np.matmul``, over the operand views
   ``a_hat`` as [blocks, rows, 16] and ``w_hat_t`` as [blocks, 16, n].  It
@@ -34,8 +34,8 @@ production route is fold, then multiply:
 for it.  Its left operand is a ``RowQuantizedActivation`` (one tensor scale
 per row) or a ``QuantizedTensor`` (one scale, which ``row_scales`` repeats
 per row); either way row i is scaled by ``float32(row_scale_i *
-w.tensor_scale)``.  ``qgemm_mirror`` runs the kernel on operands folded
-afresh from their codes, never on a cached fold.
+w.tensor_scale)``.  ``qgemm_mirror`` runs the kernel on both operands
+folded afresh from their codes, never on a cached or carried fold.
 
 The other route, the block inner product of the raw grid values scaled
 after the product, is the test suite's independent bitwise oracle.  Every
@@ -46,8 +46,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import formats
 from .errors import ShapeMismatchError
-from .quantizer import GROUP_SIZE, QuantizedTensor, RowQuantizedActivation
+from .quantizer import GROUP_SIZE, QuantizedTensor, RowQuantizedActivation, fold_blocks
 
 
 def _check_operands(a: RowQuantizedActivation | QuantizedTensor,
@@ -130,15 +131,16 @@ def qgemm_rows(a: RowQuantizedActivation | QuantizedTensor,
 qgemm = qgemm_rows
 
 
-def qgemm_mirror(a: QuantizedTensor, w: QuantizedTensor) -> np.ndarray:
+def qgemm_mirror(a: RowQuantizedActivation | QuantizedTensor,
+                 w: QuantizedTensor) -> np.ndarray:
     """``qgemm`` with both operands folded afresh from their codes.
 
-    It never reads ``w``'s cached fold, so it checks that fold against the
-    codes it was built from.
+    It never reads ``w``'s cached fold nor the fold an activation carries,
+    so it checks either against the codes it was built from.
     """
     _check_operands(a, w)
-    return _block_loop(a.folded(), w.folded().T,
-                       a.row_scales * np.float32(w.tensor_scale))
+    return _block_loop(fold_blocks(a.codes, formats.decode_e4m3(a.block_scales)),
+                       w.folded().T, a.row_scales * np.float32(w.tensor_scale))
 
 
 def reference_gemm(a_values: np.ndarray, w_values: np.ndarray) -> np.ndarray:

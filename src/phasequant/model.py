@@ -258,10 +258,18 @@ def _assemble(cfg: ModelConfig, tensors: list) -> ModelWeights:
     return ModelWeights(cfg, tensors[0], layers, tensors[-1])
 
 
+def _float_count(cfg: ModelConfig, normals_only: bool = False) -> int:
+    """Floats in every tensor of a model, or in those that draw normals,
+    from the schema: the layout of n_layers up to 2**32 - 1 is not built
+    before that many are known to fit."""
+    floats = [math.prod(_dims(cfg, shape)) if normal or not normals_only else 0
+              for _, shape, normal in _WEIGHT_SCHEMA]
+    return floats[0] + floats[-1] + cfg.n_layers * sum(floats[1:-1])
+
+
 def init_model(config: ModelConfig) -> ModelWeights:
     """Deterministic weights from the config seed (see module docstring)."""
-    layout = _layout(config)
-    total = sum(math.prod(shape) for _, _, shape, normal in layout if normal)
+    total = _float_count(config, normals_only=True)
     stream = np.empty(total, dtype=np.float32)
     pos = 0
     for chunk in normal_chunks(config.seed, total):
@@ -269,7 +277,7 @@ def init_model(config: ModelConfig) -> ModelWeights:
         stream[pos : pos + chunk.size] = chunk  # float64 -> float32, nearest
         pos += chunk.size
     tensors, pos = [], 0
-    for _, _, shape, normal in layout:
+    for _, _, shape, normal in _layout(config):
         if normal:
             size = math.prod(shape)
             tensors.append(stream[pos : pos + size].reshape(shape))
@@ -837,10 +845,7 @@ def load_model(path: str) -> ModelWeights:
     cfg = ModelConfig.from_config_block(data[_FILE_HEADER.size : off])
     if cfg.digest() != stored_digest:
         raise ValueError("config digest mismatch in weight file")
-    # from the schema: the layout of a header's n_layers, up to 2**32 - 1,
-    # is not built before the file is known to hold that many
-    floats = [math.prod(_dims(cfg, shape)) for _, shape, _ in _WEIGHT_SCHEMA]
-    size = off + 4 * (floats[0] + floats[-1] + cfg.n_layers * sum(floats[1:-1]))
+    size = off + 4 * _float_count(cfg)
     if len(data) != size:
         raise ValueError(f"weight file is {len(data)} bytes, not {size}")
 

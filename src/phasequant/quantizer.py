@@ -13,18 +13,21 @@ with all arithmetic in float32 and the combined per-block factor
 ``tensor_scale * block_scale`` computed once and reused by both directions,
 so quantize and dequantize agree bit-for-bit on the products they form.
 
-Quantization is one pass: ``|x|`` once, the block maxima, the tensor
-scales, the scale codes (``formats.e4m3_magnitude_codes``) and the element
-codes (``formats.fp4_magnitude_codes``, the encoders' rounding rules), each
+Quantization is one pass, one operation sequence (``_encode``) for any
+row count: ``|x|`` once, the block maxima, the tensor scales, the scale
+codes (``formats.e4m3_magnitude_codes``) and the element codes
+(``formats.fp4_magnitude_codes``, the encoders' rounding rules), each
 input check made once on the way.  ``quantize_rows`` also builds the
 activation's fold, every 4-bit value times its decoded block scale, from
 the scales that pass already decoded, and hands it over with the codes,
-so the GEMM never folds an activation.  A single row, a decode step's
-input, takes the same operations in fewer numpy calls, with the same bits:
-its codes come from a lookup in the code edges of the two rounding rules
-(``formats.E4M3_EDGES``, ``formats.FP4_EDGES``).  A weight's fold
-(``QuantizedTensor.folded_t``) is built from its codes on first use and
-cached.
+so the GEMM kernel never folds an activation.  A single row, a decode
+step's input, differs in two places only: its tensor scale is one
+float32, and its codes come from a lookup in the code edges of the two
+rounding rules (``formats.E4M3_EDGES``, ``formats.FP4_EDGES``), the same
+bits in fewer numpy calls.  ``quantize`` runs the cores at every row
+count, so it stays the reference those lookups are checked against.  A
+weight's fold (``QuantizedTensor.folded_t``) is built from its codes on
+first use and cached.
 """
 
 from __future__ import annotations
@@ -107,7 +110,8 @@ def _blocks(x):
     The block max is reduced across the rows of a transposed copy: numpy is
     several times slower reducing a 16-wide inner axis, and a max is exact
     either way.  A max is NaN or infinite exactly when its block holds a
-    NaN or an infinity, so the block maxima carry the finiteness check.
+    NaN or an infinity, so the block maxima carry the finiteness check
+    (one max of them, as in ``_encode``).
     """
     arr = np.asarray(x, dtype=np.float32)
     if arr.ndim != 2:
@@ -119,7 +123,8 @@ def _blocks(x):
         )
     mag = np.abs(arr)
     bmax = np.maximum.reduce(np.ascontiguousarray(mag.reshape(-1, GROUP_SIZE).T), axis=0)
-    formats.require_finite(np.isfinite(bmax).all(), "matrix entries")
+    formats.require_finite(math.isfinite(bmax.max(initial=np.float32(0))),
+                           "matrix entries")
     nblocks = cols // GROUP_SIZE
     return arr, mag.reshape(rows, nblocks, GROUP_SIZE), bmax.reshape(rows, nblocks)
 
@@ -140,32 +145,49 @@ def _tensor_scales(amax: np.ndarray, policy: TensorScalePolicy) -> np.ndarray:
 
 
 def _encode(arr: np.ndarray, mag: np.ndarray, bmax: np.ndarray,
-            alphas: np.ndarray):
+            alphas: np.float32 | np.ndarray, edges: bool = False):
     """4-bit codes (rows x cols), 8-bit block-scale codes and their decoded
     values for the blocks of ``arr`` (magnitudes ``mag``, block maxima
-    ``bmax``, both from ``_blocks``), with ``alphas[i]`` the tensor scale of
-    row ``i``.  Overwrites ``mag``.
+    ``bmax``, both from ``_blocks``), with ``alphas`` the tensor scale: one
+    float32 for every row, or a [rows, 1] column of one per row.
+    Overwrites ``mag``.
 
     Block scale code: ``round(max|block| / (alpha * 6))``.  Element code:
     ``round(x / (alpha * block_scale))``, its sign bit from ``x`` and its
     magnitude from ``|x| / (alpha * block_scale)``, which is ``|x /
     (alpha * block_scale)|`` exactly; a block whose combined factor is 0
-    gets code 0 throughout.
+    gets code 0 throughout.  The codes come from the magnitude cores, or
+    with ``edges`` from a lookup in the code edges of the same rounding
+    rules (``formats.E4M3_EDGES``, ``formats.FP4_EDGES``): fewer numpy
+    calls at one row's few blocks, slower at many rows.
+
+    Each finiteness check reads one max, taken from 0 so that an empty
+    array has one: the scale ratios and scaled values are nonnegative and
+    a NaN carries through a max, so it is finite exactly when every value
+    under it is.
     """
-    rows, nblocks, g = mag.shape
-    ratios = bmax / (alphas[:, None] * np.float32(formats.FP4_MAX))
-    formats.require_finite(np.isfinite(ratios).all(), "scale to encode")
-    scale_codes = formats.e4m3_magnitude_codes(ratios)
+    ratios = bmax / (alphas * formats.FP4_MAX)
+    formats.require_finite(math.isfinite(ratios.max(initial=np.float32(0))),
+                           "scale to encode")
+    if edges:
+        scale_codes = formats.E4M3_EDGES.searchsorted(ratios, side="right")
+    else:
+        scale_codes = formats.e4m3_magnitude_codes(ratios)
     scales = formats.E4M3_VALUES.take(scale_codes)  # codes 0..126: no NaN
-    combined = alphas[:, None] * scales
+    combined = alphas * scales
     dead = combined == 0
     combined[dead] = 1
     scaled = np.divide(mag, combined[:, :, None], out=mag)
-    formats.require_finite(np.isfinite(scaled).all(), "value to encode")
-    codes = formats.fp4_magnitude_codes(scaled)
-    codes |= np.signbit(arr).reshape(mag.shape).view(np.uint8) << np.uint8(3)
+    formats.require_finite(math.isfinite(scaled.max(initial=np.float32(0))),
+                           "value to encode")
+    if edges:
+        codes = formats.FP4_EDGES.searchsorted(scaled, side="right").astype(np.uint8)
+    else:
+        codes = formats.fp4_magnitude_codes(scaled)
+    codes |= np.signbit(arr).reshape(mag.shape).view(np.uint8) << 3
     codes[dead] = 0
-    return codes.reshape(rows, nblocks * g), scale_codes, scales
+    # uint8 only now: ``take`` reads the lookup's intp scale codes faster
+    return codes.reshape(arr.shape), scale_codes.astype(np.uint8, copy=False), scales
 
 
 def quantize(x, cfg: QuantConfig = QuantConfig()) -> QuantizedTensor:
@@ -173,23 +195,20 @@ def quantize(x, cfg: QuantConfig = QuantConfig()) -> QuantizedTensor:
     tensor scale calibrated on the whole matrix."""
     arr, mag, bmax = _blocks(x)
     alpha = np.float32(_tensor_scales(bmax.max(initial=np.float32(0)), cfg.policy))
-    codes, scale_codes, _ = _encode(arr, mag, bmax, np.full(len(arr), alpha))
+    codes, scale_codes, _ = _encode(arr, mag, bmax, alpha)
     return QuantizedTensor(codes, scale_codes, alpha)
 
 
-def fold_blocks(codes: np.ndarray, block_scales: np.ndarray,
-                out: Optional[np.ndarray] = None) -> np.ndarray:
-    """``decode_fp4(code) * block_scale`` per element, as float32; into
-    ``out``, a contiguous float32 array of the codes' shape, if given.
+def fold_blocks(codes: np.ndarray, block_scales: np.ndarray) -> np.ndarray:
+    """``decode_fp4(code) * block_scale`` per element, as float32.
 
     Exact when the block scales are on the 8-bit grid: a 4-bit value has at
     most 2 significand bits and an 8-bit scale at most 4, so their product
     fits float32 (and the smallest, ``0.5 * 2**-9``, is a normal number).
     """
     rows, cols = codes.shape
-    values = formats.decode_fp4(codes, out=out).reshape(
-        rows, cols // GROUP_SIZE, GROUP_SIZE)
-    values *= block_scales[:, :, None]  # in place: a new array or ``out``
+    values = formats.decode_fp4(codes).reshape(rows, cols // GROUP_SIZE, GROUP_SIZE)
+    values *= block_scales[:, :, None]  # in place: decode_fp4 returns a new array
     return values.reshape(rows, cols)
 
 
@@ -237,58 +256,23 @@ def quantize_rows(x, cfg: QuantConfig = QuantConfig()) -> RowQuantizedActivation
 
     Runs the operation sequence of ``quantize`` with a tensor scale
     calibrated per row, so ``quantize_rows(x).row(i)`` matches
-    ``quantize(x[i:i+1])`` bit-for-bit under the same policy.  The fold
-    (``fold_blocks`` of the codes and their decoded block scales) is built
-    in the same pass from the scales already decoded, into the magnitude
-    buffer the codes were read from, and comes with the activation,
-    read-only.  A single row takes ``_quantize_row``, with the same bits.
+    ``quantize(x[i:i+1])`` bit-for-bit under the same policy.  A single
+    row, a decode step's input, differs only in its float32 tensor scale
+    and in its code lookups (``_encode``'s ``edges``).  The fold (each
+    4-bit value times its decoded block scale, as ``fold_blocks`` gives it)
+    is built in the same pass from the scales already decoded, into the
+    magnitude buffer the codes were read from, and comes with the
+    activation, read-only.
     """
     arr, mag, bmax = _blocks(x)
-    if len(arr) == 1:
-        return _quantize_row(arr, mag[0], bmax[0], cfg.policy)
-    alphas = _tensor_scales(bmax.max(axis=1, initial=np.float32(0)), cfg.policy)
-    codes, scale_codes, scales = _encode(arr, mag, bmax, alphas)
-    fold = fold_blocks(codes, scales, out=mag.reshape(codes.shape))
+    one = len(arr) == 1
+    amax = (bmax.max(initial=np.float32(0)) if one
+            else bmax.max(axis=1, keepdims=True, initial=np.float32(0)))
+    alphas = _tensor_scales(amax, cfg.policy)
+    codes, scale_codes, scales = _encode(arr, mag, bmax, alphas, edges=one)
+    fold = mag.reshape(codes.shape)
+    # every code is 0..15, so "clip" moves none; it writes ``out`` unbuffered
+    formats.FP4_VALUES.take(codes, out=fold, mode="clip")
+    mag *= scales[:, :, None]
     fold.flags.writeable = False
-    return RowQuantizedActivation(codes, scale_codes, alphas, fold)
-
-
-def _quantize_row(arr: np.ndarray, mag: np.ndarray, bmax: np.ndarray,
-                  policy: TensorScalePolicy) -> RowQuantizedActivation:
-    """``quantize_rows`` of a one-row matrix ``arr``, a decode step's input,
-    from its [nblocks, 16] magnitudes ``mag`` (overwritten) and block
-    maxima ``bmax``: the operation sequence of ``_encode`` in fewer numpy
-    calls, with the same bits.
-
-    Each finiteness check reads one max, taken from 0 so that a row of no
-    columns has one: a NaN carries through a max, and the scale ratios and
-    scaled values are nonnegative, so a max is finite exactly when every
-    value under it is.  The scale codes and the element
-    codes each come from one lookup in the code edges of their rounding
-    rule (``formats.E4M3_EDGES``, ``formats.FP4_EDGES``), and the fold
-    from the 4-bit value table.  At one row's few blocks that costs fewer
-    numpy calls than the many-row route; at many rows the lookup is the
-    slower one.
-    """
-    alpha = _tensor_scales(bmax.max(initial=np.float32(0)), policy)
-    ratios = bmax / (alpha * formats.FP4_MAX)
-    formats.require_finite(math.isfinite(ratios.max(initial=np.float32(0))),
-                           "scale to encode")
-    scale_codes = formats.E4M3_EDGES.searchsorted(ratios, side="right")
-    scales = formats.E4M3_VALUES.take(scale_codes)
-    combined = alpha * scales
-    dead = combined == 0
-    combined[dead] = 1
-    scaled = np.divide(mag, combined[:, None], out=mag)
-    formats.require_finite(math.isfinite(scaled.max(initial=np.float32(0))),
-                           "value to encode")
-    codes = formats.FP4_EDGES.searchsorted(scaled, side="right").astype(np.uint8)
-    codes |= np.signbit(arr).reshape(codes.shape).view(np.uint8) << 3
-    codes[dead] = 0
-    fold = formats.FP4_VALUES.take(codes)
-    fold *= scales[:, None]
-    fold.flags.writeable = False
-    return RowQuantizedActivation(codes.reshape(arr.shape),
-                                  scale_codes.astype(np.uint8)[None],
-                                  np.array((alpha,)),
-                                  fold.reshape(arr.shape))
+    return RowQuantizedActivation(codes, scale_codes, alphas.reshape(len(arr)), fold)

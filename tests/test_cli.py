@@ -2,10 +2,12 @@ import contextlib
 import io
 import json
 import os
+import resource
 import select
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -27,10 +29,10 @@ def run_cli(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def cli_process(*argv, **kwargs) -> subprocess.Popen:
+def cli_process(*argv, env=(), **kwargs) -> subprocess.Popen:
     """``python -m phasequant *argv`` in a child process, with this
-    checkout's ``src`` first on its path."""
-    env = dict(os.environ)
+    checkout's ``src`` first on its path and the variables ``env`` adds."""
+    env = {**os.environ, **dict(env)}
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
@@ -48,6 +50,64 @@ def model_file(tmp_path_factory):
     )
     assert code == 0, err
     return path
+
+
+# Address space of a child that must fail to allocate: room for Python and
+# numpy, far below what the commands below ask for.
+_ADDRESS_CAP = 2 << 30
+
+
+def run_capped(*argv):
+    """``cli_process(*argv)`` to its end under ``_ADDRESS_CAP``, set in the
+    child only, with one BLAS thread so the library's own buffers fit.
+    Returns the exit code, stdout, stderr and seconds taken."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (_ADDRESS_CAP, _ADDRESS_CAP))
+
+    start = time.monotonic()
+    with cli_process(*argv, env={"OPENBLAS_NUM_THREADS": "1",
+                                 "OMP_NUM_THREADS": "1"},
+                     preexec_fn=cap, stdout=subprocess.PIPE,
+                     stderr=subprocess.PIPE, text=True) as proc:
+        try:
+            out, err = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            raise
+    return proc.returncode, out, err, time.monotonic() - start
+
+
+def assert_one_memory_error_line(code, err, seconds):
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    assert seconds < 10
+
+
+class TestRunningOutOfMemory:
+    def test_init_model_of_too_many_layers(self, tmp_path):
+        # sized from the schema: no per-layer list of 2**32 - 1 layers
+        path = tmp_path / "m.mxqw"
+        code, out, err, seconds = run_capped(
+            "init-model", "--seed", "1", "--n-layers", "4294967295",
+            "--d-model", "16", "--n-heads", "1", "--vocab-size", "1",
+            "--out", str(path))
+        assert_one_memory_error_line(code, err, seconds)
+        assert out == ""
+        assert not path.exists()
+
+    def test_generate_over_a_cache_too_long_to_allocate(self, tmp_path):
+        path = str(tmp_path / "m.mxqw")
+        code, _, err = run_cli(
+            "init-model", "--seed", "1", "--vocab-size", "16", "--d-model",
+            "16", "--n-layers", "1", "--n-heads", "1", "--max-seq-len",
+            "4294967295", "--out", path)
+        assert code == 0, err
+        code, out, err, seconds = run_capped(
+            "generate", "--model", path, "--mode", "baseline16",
+            "--prompt-tokens", "1,2")
+        assert_one_memory_error_line(code, err, seconds)
+        assert out == ""
 
 
 class TestInitModel:

@@ -231,6 +231,20 @@ class TestRowActivationGemm:
             stacked = np.vstack([qgemm(rq.row(i), w) for i in range(m)])
             assert np.array_equal(batched, stacked)
 
+    def test_mirror_folds_an_activation_from_its_codes(self):
+        # An activation carrying the fold of other codes: the kernel reads
+        # that fold, the mirror does not.
+        rng = np.random.default_rng(23)
+        x = rng.normal(size=(5, 64)).astype(np.float32)
+        w = quantize(rng.normal(size=(7, 64)).astype(np.float32))
+        rq = quantize_rows(x)
+        other = quantize_rows(rng.normal(size=(5, 64)).astype(np.float32))
+        tampered = RowQuantizedActivation(rq.codes, rq.block_scales,
+                                          rq.row_scales, other.fold)
+        stacked = np.vstack([qgemm_mirror(rq.row(i), w) for i in range(5)])
+        assert qgemm_mirror(tampered, w).tobytes() == stacked.tobytes()
+        assert qgemm_rows(tampered, w).tobytes() != stacked.tobytes()
+
 
 def assert_kernel_matches_oracles(x, wm, cfg=QuantConfig()):
     """``qgemm`` and ``qgemm_rows`` bit-equal to the scale-after oracle and

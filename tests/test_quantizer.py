@@ -502,6 +502,21 @@ class TestOneRowRoute:
             assert exact(one.folded()) == exact(single.folded())
             assert not one.folded().flags.writeable
 
+    @pytest.mark.parametrize("route, rows, cores", [
+        (quantize, 1, True), (quantize_rows, 1, False), (quantize_rows, 2, True)])
+    def test_only_a_one_row_activation_skips_the_cores(self, monkeypatch, route,
+                                                        rows, cores):
+        # ``quantize`` is the reference a decode row's lookups are checked
+        # against, so it must reach the magnitude cores at every row count.
+        called = []
+        for name in ("fp4_magnitude_codes", "e4m3_magnitude_codes"):
+            core = getattr(formats, name)
+            monkeypatch.setattr(formats, name, lambda mag, core=core, name=name:
+                                called.append(name) or core(mag))
+        route(gaussian(np.random.default_rng(13), rows, 64))
+        assert sorted(called) == (["e4m3_magnitude_codes", "fp4_magnitude_codes"]
+                                  if cores else [])
+
     @pytest.mark.parametrize("rows", [1, 2])
     def test_zero_width_matrix(self, rows):
         x = np.zeros((rows, 0), np.float32)

@@ -1,8 +1,9 @@
 """The benchmark's tracer (``perfbench/spans.py``) rebinds names in src by
 owner: a module, or a class in one.  A missing module or class makes
 ``Tracer.install`` raise, so every traced benchmark run fails; a missing
-function is skipped there.  This checks the owners from the src side, and
-every other src name the benchmark scripts read."""
+function is skipped there.  This checks the owners from the src side, pins
+the trace points that resolve, and checks every other src name the
+benchmark scripts read."""
 
 import ast
 import importlib
@@ -31,6 +32,41 @@ def test_every_trace_point_owner_resolves_in_src():
             assert inspect.isclass(getattr(modules[module], cls, None)), owner
     with spans.Patcher() as patcher:
         spans.Tracer("client").install(patcher, modules)
+
+
+# Every trace point that resolves in src, by (owner, attribute).  The
+# tracer skips one whose function is gone, and its metric with it, so a
+# name dropped from src must be dropped here too, on purpose.
+LIVE_TRACE_POINTS = {
+    ("formats", "encode_fp4"), ("formats", "decode_fp4"),
+    ("formats", "encode_e4m3"), ("formats", "decode_e4m3"),
+    ("model", "quantize_rows"), ("model", "quantize"),
+    ("model", "qgemm_rows"), ("model.ModelWeights", "shadow"),
+    ("model", "forward_block"), ("model", "init_model"),
+    ("engine", "prefill"), ("disagg", "prefill"), ("analysis", "prefill"),
+    ("engine", "decode_step"), ("engine", "generate"),
+    ("engine", "run_decode_loop"), ("disagg", "run_decode_loop"),
+    ("engine", "decode_distribution"), ("engine", "render_trajectory"),
+    ("disagg", "render_trajectory"), ("disagg", "connect_tcp"),
+    ("disagg.FrameStream", "write_frame"), ("disagg.FrameStream", "read_frame"),
+    ("disagg", "serialize_kv"), ("disagg", "deserialize_kv"),
+    ("disagg.KvBlob", "to_cache"), ("disagg", "serve_prefill"),
+    ("disagg", "serve_decode"), ("disagg", "request_prefill"),
+    ("disagg", "request_decode"), ("analysis", "perplexity"),
+}
+
+
+def test_live_trace_points_are_pinned():
+    # resolved as ``Tracer.install`` does: the attribute in the owner's vars
+    live = set()
+    for owner_path, attr, *_ in load_perfbench("spans").TRACE_POINTS:
+        module, _, cls = owner_path.partition(".")
+        owner = importlib.import_module(f"phasequant.{module}")
+        if cls:
+            owner = getattr(owner, cls)
+        if attr in vars(owner):
+            live.add((owner_path, attr))
+    assert live == LIVE_TRACE_POINTS
 
 
 def src_names_read(tree, modules) -> set:
