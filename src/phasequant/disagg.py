@@ -157,6 +157,7 @@ class KvBlob:
         if seq_len > cfg.max_seq_len:
             raise BlobIntegrityError("blob longer than the model context")
         kv = KvCache(cfg)
+        kv.reserve(seq_len)
         for i in range(cfg.n_layers):
             kv.keys[i][:seq_len] = self.keys[i]
             kv.values[i][:seq_len] = self.values[i]

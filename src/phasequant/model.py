@@ -41,7 +41,11 @@ on the 4-bit path so are the K/V and hidden states, and a prefill's logits
 are the decode step's of its last token.  Float32 linears are not:
 ``np.matmul`` of a one- or two-row input takes other BLAS paths than a
 longer one.  The cache keeps keys and values head-major, and the query's
-rotary tables carry attention's 1/sqrt(head_dim).
+rotary tables carry attention's 1/sqrt(head_dim).  It starts at one tile
+and grows in whole tiles, at least doubling, before a pass writes past
+its rows (``KvCache.reserve``), so its memory follows the sequence, not
+``max_seq_len``; the copied entries and the zero filler after them keep
+every attention bit.
 
 Weight initialization is fully pinned (see ``rng``): a single normal stream
 seeded from the config seed is consumed in this order, each matrix row-major
@@ -327,20 +331,43 @@ class KvCache:
     """Per-layer key/value tensors in float32, single writer per sequence.
 
     ``keys[layer]`` and ``values[layer]`` are [rows, n_heads, head_dim],
-    where ``rows`` covers ``max_seq_len`` in whole attention widths
-    (``_key_width``), so attention reads every tile it needs in place.
-    Entries from ``length`` on are finite filler that attention masks.
-    Both are views of head-major arrays (``_kv_store``).
+    views of head-major arrays (``_kv_store``).  A cache starts at one
+    128-key tile, or at ``_key_width(max_seq_len)`` rows if that is fewer,
+    and grows in whole tiles (``reserve``), so its memory follows its
+    length, not ``max_seq_len``.  Its rows always cover the attention
+    widths (``_key_width``) its entries need, so attention reads every tile
+    in place.  Entries from ``length`` on are zero filler that attention
+    masks.
     """
 
     def __init__(self, config: ModelConfig):
         self.config = config
-        rows = _key_width(config.max_seq_len)
+        rows = min(_TILE, _key_width(config.max_seq_len))
         stores = [_kv_store(rows, config.n_heads, config.head_dim)
                   for _ in range(config.n_layers)]
         self.keys = [keys for keys, _ in stores]
         self.values = [values for _, values in stores]
         self.length = 0
+
+    def reserve(self, end: int) -> None:
+        """Room for the entries before position ``end``, which the caller
+        has checked against ``max_seq_len``.  A cache too short for them
+        copies its ``length`` held entries into fresh zeroed stores of
+        whole tiles, at least twice its rows (so the copies cost O(1) per
+        entry written, amortized) and at most ``_key_width(max_seq_len)``;
+        one layer at a time, so the old and new stores of one layer alone
+        are alive together."""
+        rows = len(self.keys[0])
+        if end <= rows:
+            return
+        cfg = self.config
+        rows = min(max(2 * rows, -(-end // _TILE) * _TILE),
+                   _key_width(cfg.max_seq_len))
+        for layer in range(cfg.n_layers):
+            keys, values = _kv_store(rows, cfg.n_heads, cfg.head_dim)
+            keys[: self.length] = self.keys[layer][: self.length]
+            values[: self.length] = self.values[layer][: self.length]
+            self.keys[layer], self.values[layer] = keys, values
 
 
 @dataclass
@@ -424,7 +451,8 @@ def forward_block(
     cache entries before it and to its own K/V.  If ``attn_record_row`` is
     given (shape [n_heads, chunk end]) the post-softmax rows of the chunk's
     last position are stored into it.  A chunk that would end past
-    ``max_seq_len`` raises ``ContextOverflowError`` before any write.
+    ``max_seq_len`` raises ``ContextOverflowError`` before any write; one
+    that fits reserves its rows in the cache before its K/V write.
 
     With ``own_diagonal`` the rows are the positions from 0 on, the cache
     is read-only context and the rows do not see each other: the row at
@@ -471,6 +499,7 @@ def forward_block(
     v = v.reshape(p, cfg.n_heads, cfg.head_dim)
 
     if not own_diagonal:
+        kv.reserve(total)
         kv.keys[layer_idx][pos0:total] = k
         kv.values[layer_idx][pos0:total] = v
     if keep == 0:
@@ -764,11 +793,12 @@ def prefill(
 
     Writes float32 KV entries regardless of precision and returns the
     logits at the final processed position.  The whole prompt is checked
-    first (ids, and room in the cache), so a refused prompt writes
-    nothing.  The prompt then runs as near-equal chunks of at most
-    ``_PREFILL_CHUNK`` rows, one ``_forward`` each on the same cache,
-    which bounds the activations alive at once by the chunk, not the
-    prompt; a row's K/V and logits keep their one-shot bits.  The last
+    first (ids, and room in the context), so a refused prompt writes and
+    allocates nothing; then the cache reserves the prompt's end, so a
+    prompt pass grows it at most once.  The prompt runs as near-equal
+    chunks of at most ``_PREFILL_CHUNK`` rows, one ``_forward`` each on the
+    same cache, which bounds the activations alive at once by the chunk,
+    not the prompt; a row's K/V and logits keep their one-shot bits.  The last
     block of the last chunk keeps the final row (``_forward``'s ``keep``)
     and that of a chunk before it no row, so on the 4-bit path the logits
     are bitwise the decode step of the final token on a cache holding the
@@ -787,6 +817,7 @@ def prefill(
     toks = _token_ids(cfg, tokens)
     end = kv.length + toks.size
     _check_fits(cfg, end)
+    kv.reserve(end)
     record = (np.zeros((cfg.n_layers, cfg.n_heads, end), dtype=np.float32)
               if record_attention else None)
     count = -(-toks.size // _PREFILL_CHUNK)

@@ -182,6 +182,18 @@ def _suite_attention() -> bool:
         logits = prefill(weights, tokens[:length], model.Precision.NVFP4).logits
         if logits.tobytes() != step.tobytes():
             return False
+    # 4-bit decode steps on a 127-token prefix write a prefill's K/V: the
+    # step at position 127 fills the cache's first tile, the one at 128
+    # grows the cache past it.
+    kv = prefill(weights, tokens[:127], model.Precision.NVFP4).kv
+    for pos in (127, 128):
+        model.decode_step(weights, kv, tokens[pos], model.Precision.NVFP4)
+    if len(kv.keys[0]) != 2 * model._TILE:
+        return False
+    for cache, whole in ((kv.keys, full.keys), (kv.values, full.values)):
+        for part, rows in zip(cache, whole):
+            if part[:129].tobytes() != rows[:129].tobytes():
+                return False
     # A decode row (one query) is the matching row of a teacher-forced
     # pass: the BLAS gives a GEMM element the same bits at either shape.
     # Positions in the narrow first tile, at its edge and past it.

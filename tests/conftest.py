@@ -101,6 +101,7 @@ def full_forward_logits(weights, tokens, precision, kv=None, record=None):
 def cut_cache(kv, length):
     """A fresh cache holding the first ``length`` entries of ``kv``."""
     out = KvCache(kv.config)
+    out.reserve(length)
     for layer in range(kv.config.n_layers):
         out.keys[layer][:length] = kv.keys[layer][:length]
         out.values[layer][:length] = kv.values[layer][:length]

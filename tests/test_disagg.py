@@ -67,6 +67,19 @@ class TestKvBlob:
             assert np.array_equal(kv.values[layer][:4],
                                   result.kv.values[layer][:4])
 
+    def test_blob_longer_than_a_tile_round_trips(self):
+        weights = toy_weights(0, max_seq_len=600)
+        prompt = np.random.default_rng(3).integers(0, 64, 300).tolist()
+        blob, result = make_blob(weights, prompt, Precision.NVFP4)
+        kv = deserialize_kv(blob).to_cache(weights)
+        assert kv.length == 300
+        assert [len(t) for t in kv.keys + kv.values] == [384] * 4
+        for layer in range(weights.config.n_layers):
+            for ours, theirs in ((kv.keys, result.kv.keys),
+                                 (kv.values, result.kv.values)):
+                assert ours[layer][:300].tobytes() == theirs[layer][:300].tobytes()
+        assert serialize_kv(kv, prompt) == blob
+
     def test_payload_is_a_read_only_view(self, weights):
         blob, result = make_blob(weights, [4, 8, 15])
         parsed = deserialize_kv(blob)

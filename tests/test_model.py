@@ -890,6 +890,7 @@ class TestChunkedPromptPass:
         peaks = []
         for length in (512, 1000):
             kv = KvCache(weights.config)
+            kv.reserve(length)  # the cache's own rows are not the pass's
             tracemalloc.start()
             try:
                 prefill(weights, tokens[:length], prec, kv=kv)
@@ -920,6 +921,93 @@ class TestChunkedPromptPass:
         assert kv.length == prefix
         assert [k.tobytes() for k in kv.keys] == keys
         assert [v.tobytes() for v in kv.values] == values
+
+
+def cache_rows(kv):
+    """Rows a cache holds, the same in every layer's keys and values."""
+    rows = {len(t) for t in kv.keys + kv.values}
+    assert len(rows) == 1
+    return rows.pop()
+
+
+class TestGrowingCache:
+    """A cache starts at one tile and grows in whole tiles as it fills:
+    its memory follows its length, and growing keeps every bit."""
+
+    @pytest.fixture(scope="class")
+    def weights(self):
+        return toy_weights(20260517, vocab_size=512, d_model=256,
+                           ffn_hidden=1024, n_layers=2, n_heads=16,
+                           max_seq_len=1024)
+
+    @pytest.fixture(scope="class")
+    def tokens(self):
+        return [int(t) for t in np.random.default_rng(61).integers(0, 512, 260)]
+
+    @pytest.mark.parametrize("prompt_len", [127, 128, 255])
+    @pytest.mark.parametrize("prec", list(Precision))
+    def test_steps_across_a_tile_equal_a_cache_reserved_whole(
+            self, weights, tokens, prec, prompt_len):
+        cap = weights.config.max_seq_len
+        runs = []
+        for reserve_whole in (False, True):
+            kv = KvCache(weights.config)
+            if reserve_whole:
+                kv.reserve(cap)
+            logits = [prefill(weights, tokens[:prompt_len], prec, kv=kv).logits]
+            for tok in tokens[prompt_len:prompt_len + 4]:
+                logits.append(decode_step(weights, kv, tok, prec))
+            runs.append((kv, logits))
+        (grown, grown_logits), (whole, whole_logits) = runs
+        assert cache_rows(whole) == model._key_width(cap)
+        assert cache_rows(grown) == 2 * model._key_width(prompt_len)
+        for a, b in zip(grown_logits, whole_logits):
+            assert a.tobytes() == b.tobytes()
+        assert_same_kv(grown, whole, prompt_len + 4)
+
+    @pytest.mark.parametrize("max_seq_len,rows",
+                             [(16, 32), (100, 112), (128, 128), (65536, 128)])
+    def test_fresh_cache_holds_one_tile_at_most(self, max_seq_len, rows):
+        weights = toy_weights(0, n_layers=1, max_seq_len=max_seq_len)
+        kv = KvCache(weights.config)
+        assert cache_rows(kv) == rows
+        prefill(weights, [3, 1, 4], Precision.HIGH, kv=kv)
+        assert cache_rows(kv) == rows
+
+    def test_rows_are_whole_tiles_covering_the_length(self):
+        weights = toy_weights(0, n_layers=1, max_seq_len=700)
+        cap = model._key_width(700)
+        kv = KvCache(weights.config)
+        toks = np.random.default_rng(2).integers(0, 64, 700).tolist()
+        seen = []
+        for n in (3, 125, 1, 1, 200, 140, 1, 180, 49):
+            if n == 1:
+                decode_step(weights, kv, toks[kv.length], Precision.NVFP4)
+            else:
+                prefill(weights, toks[kv.length:kv.length + n],
+                        Precision.HIGH, kv=kv)
+            rows = cache_rows(kv)
+            assert rows % model._TILE == 0
+            assert kv.length <= rows <= min(max(model._TILE, 2 * kv.length),
+                                            cap)
+            seen.append(rows)
+        assert kv.length == 700
+        assert seen == [128, 128, 256, 256, 512, 512, 512, 768, 768]
+
+    def test_refused_or_read_only_pass_grows_nothing(self):
+        # the cache's one tile is full, so any write would grow it
+        weights = toy_weights(0, n_layers=1, max_seq_len=700)
+        kv = prefill(weights, [5] * 128, Precision.HIGH).kv
+        stores = kv.keys + kv.values
+        with pytest.raises(ContextOverflowError):
+            prefill(weights, [5] * 600, Precision.HIGH, kv=kv)
+        with pytest.raises(ValueError, match="token id outside vocabulary"):
+            prefill(weights, [5] * 20 + [64], Precision.NVFP4, kv=kv)
+        with pytest.raises(ValueError, match="token id outside vocabulary"):
+            decode_step(weights, kv, -1, Precision.HIGH)
+        teacher_forced_logits(weights, [5] * 129, kv, Precision.HIGH)
+        assert kv.length == 128
+        assert all(a is b for a, b in zip(kv.keys + kv.values, stores))
 
 
 class TestIdentityQuantizer:
